@@ -35,7 +35,7 @@ NAMES = {BOSON: "boson", FERMION: "fermion"}
 
 
 def show(config):
-    row = run_resolved(config, param_value=config.separation)
+    row, _ = run_resolved(config, param_value=config.separation)
     print(f"{NAMES[config.sign]}, separation d = {config.separation:g}, "
           f"measured at t = {row.t_meas:g}")
     for line in compare_with_counting(row).lines():

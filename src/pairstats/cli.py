@@ -31,6 +31,7 @@ from .experiment import (
     ResultRow,
     ScenarioConfig,
     SweepConfig,
+    calibration_record,
     compare_with_counting,
     config_from_dict,
     config_to_dict,
@@ -196,15 +197,7 @@ def cmd_calibrate(args) -> int:
         "measurement_time": t_meas,
     }
     if calibration is not None:
-        report["calibration"] = {
-            "height": calibration.barrier.height,
-            "transmission": calibration.transmission,
-            "target": config.calibration_target,
-            "tol": config.calibration_tol,
-            "iterations": calibration.iterations,
-            "history": [list(pair) for pair in calibration.history],
-            "measurement_time": calibration.measurement_time,
-        }
+        report["calibration"] = calibration_record(config, calibration)
     out = _out_dir(args) / "calibration.json"
     with open(out, "w", encoding="utf-8") as handle:
         write_summary_json(report, handle)
@@ -221,7 +214,7 @@ def cmd_run(args) -> int:
     if calibration is not None:
         _say(args, f"calibrated barrier height {resolved.barrier_height:.10g} "
                    f"(T = {calibration.transmission:.6f})")
-    row = run_resolved(resolved, param_value=resolved.separation)
+    row, pair = run_resolved(resolved, param_value=resolved.separation)
     out = _out_dir(args)
     with open(out / "run.csv", "w", encoding="utf-8", newline="") as handle:
         rows_to_csv([row], handle)
@@ -232,8 +225,6 @@ def cmd_run(args) -> int:
     for line in compare_with_counting(row).lines():
         print(line)
     if args.oracle:
-        psi_a, psi_b, _, _ = evolve_pair_to_measurement(resolved, resolved.barrier())
-        pair = make_pair(psi_a, psi_b, resolved.sign)
         quad = quadrant_quadrature_oracle(pair, resolved.boundary)
         delta = max(
             abs(quad.p20 - row.p20), abs(quad.p02 - row.p02), abs(quad.p11 - row.p11)

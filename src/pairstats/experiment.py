@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, Optional
 
 from . import __version__
@@ -25,7 +26,7 @@ from .errors import (
     PairStatsError,
     PauliDegeneracyError,
 )
-from .grid import Grid1D, WavepacketSpec, inner_product, make_gaussian
+from .grid import Grid1D, WavepacketSpec, Wavefunction, inner_product, make_gaussian
 from .occupancy import be_probability, classify_pair, fd_probability, mb_probability
 from .propagator import (
     BARRIER_ACTIVATION_AMPLITUDE,
@@ -37,7 +38,7 @@ from .propagator import (
     evolve,
     measurement_ready,
 )
-from .twoparticle import BOSON, FERMION, PAULI_GUARD, joint_probabilities, make_pair
+from .twoparticle import BOSON, FERMION, PAULI_GUARD, SymmetrizedPair, joint_probabilities, make_pair
 
 # classification tolerance for report labels; looser than the exact-point
 # default so a calibrated MB-limit row still reads "MB"
@@ -131,6 +132,11 @@ class ScenarioConfig:
         return self.separation == 0.0 and self.wavenumber_offset == 0.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         grid = self.grid()
         self.spec_a().validate_on(grid)
         self.spec_b().validate_on(grid)
@@ -304,12 +310,23 @@ def resolve_barrier(
     return resolved, calibration
 
 
+def _advance(packets, barrier: BarrierPotential, steps: int, config: ScenarioConfig):
+    """Evolve each packet `steps` Strang steps; return them and the peak edge amplitude."""
+    params = PropagationParams(dt=config.dt, steps=steps)
+    results = [evolve(psi, barrier, params, config.edge_amplitude_max) for psi in packets]
+    return tuple(r.psi for r in results), max(r.max_edge_amplitude for r in results)
+
+
+def _distinct_packets(psi_a: Wavefunction, psi_b: Wavefunction) -> tuple[Wavefunction, ...]:
+    # identical packets share one array and are evolved once
+    return (psi_a,) if psi_b is psi_a else (psi_a, psi_b)
+
+
 def evolve_pair_to_measurement(config: ScenarioConfig, barrier: BarrierPotential):
     """March both packets in lockstep until both have visited and cleared."""
     grid = config.grid()
     psi_a = make_gaussian(grid, config.spec_a())
     psi_b = psi_a if config.identical_packets() else make_gaussian(grid, config.spec_b())
-    same = psi_b is psi_a
 
     if config.sign == FERMION:
         s0 = inner_product(psi_a, psi_b)
@@ -319,49 +336,39 @@ def evolve_pair_to_measurement(config: ScenarioConfig, barrier: BarrierPotential
                 f"{1.0 - abs(s0) ** 2:.3g} within the exclusion guard {PAULI_GUARD}"
             )
 
+    packets = _distinct_packets(psi_a, psi_b)
+    visited = [False] * len(packets)
     steps_done = 0
     leakage = 0.0
-    visited_a = visited_b = False
     while steps_done < config.max_steps:
         chunk = min(config.check_every, config.max_steps - steps_done)
-        params = PropagationParams(dt=config.dt, steps=chunk)
-        res_a = evolve(psi_a, barrier, params, config.edge_amplitude_max)
-        psi_a = res_a.psi
-        leakage = max(leakage, res_a.max_edge_amplitude)
-        if same:
-            psi_b = psi_a
-        else:
-            res_b = evolve(psi_b, barrier, params, config.edge_amplitude_max)
-            psi_b = res_b.psi
-            leakage = max(leakage, res_b.max_edge_amplitude)
+        packets, edge = _advance(packets, barrier, chunk, config)
+        leakage = max(leakage, edge)
         steps_done += chunk
-        if not visited_a:
-            visited_a = barrier_region_amplitude(psi_a, barrier) >= BARRIER_ACTIVATION_AMPLITUDE
-        if not visited_b:
-            visited_b = (
-                visited_a
-                if same
-                else barrier_region_amplitude(psi_b, barrier) >= BARRIER_ACTIVATION_AMPLITUDE
-            )
-        if visited_a and visited_b:
-            ready_a = measurement_ready(
-                psi_a, barrier, config.boundary,
+        visited = [
+            seen or barrier_region_amplitude(psi, barrier) >= BARRIER_ACTIVATION_AMPLITUDE
+            for seen, psi in zip(visited, packets)
+        ]
+        if all(visited) and all(
+            measurement_ready(
+                psi, barrier, config.boundary,
                 config.barrier_amplitude_max, config.lobe_sigmas,
             )
-            ready_b = True if same else measurement_ready(
-                psi_b, barrier, config.boundary,
-                config.barrier_amplitude_max, config.lobe_sigmas,
-            )
-            if ready_a and ready_b:
-                return psi_a, psi_b, steps_done, leakage
+            for psi in packets
+        ):
+            return packets[0], packets[-1], steps_done, leakage
     raise MeasurementTimeoutError(
         f"packets did not clear the barrier within {config.max_steps} steps "
         f"(t = {config.max_steps * config.dt:.6g})"
     )
 
 
-def run_resolved(config: ScenarioConfig, param_value: float) -> ResultRow:
-    """Run one fully resolved scenario; raises on failure."""
+def run_resolved(config: ScenarioConfig, param_value: float) -> tuple[ResultRow, SymmetrizedPair]:
+    """Run one fully resolved scenario; raises on failure.
+
+    Returns the row and the pair it measured, at the measurement time
+    (before any stability extension).
+    """
     barrier = config.barrier()
     if barrier is None:
         raise ConfigurationError("scenario has no barrier height; resolve_barrier first")
@@ -374,24 +381,16 @@ def run_resolved(config: ScenarioConfig, param_value: float) -> ResultRow:
     )
 
     stability: list[float] = []
+    packets = _distinct_packets(psi_a, psi_b)
     prev_extra = 0
     for fraction in config.stability_fractions:
         extra = int(round(fraction * steps_done))
-        delta = extra - prev_extra
-        if delta > 0:
-            params = PropagationParams(dt=config.dt, steps=delta)
-            res_a = evolve(psi_a, barrier, params, config.edge_amplitude_max)
-            psi_a = res_a.psi
-            leakage = max(leakage, res_a.max_edge_amplitude)
-            if pair.psi_b is pair.psi_a:
-                psi_b = psi_a
-            else:
-                res_b = evolve(psi_b, barrier, params, config.edge_amplitude_max)
-                psi_b = res_b.psi
-                leakage = max(leakage, res_b.max_edge_amplitude)
+        if extra > prev_extra:
+            packets, edge = _advance(packets, barrier, extra - prev_extra, config)
+            leakage = max(leakage, edge)
             prev_extra = extra
         later = joint_probabilities(
-            make_pair(psi_a, psi_b, config.sign), config.boundary, barrier=barrier,
+            make_pair(packets[0], packets[-1], config.sign), config.boundary, barrier=barrier,
             barrier_amplitude_max=config.barrier_amplitude_max,
             lobe_sigmas=config.lobe_sigmas,
         )
@@ -406,7 +405,7 @@ def run_resolved(config: ScenarioConfig, param_value: float) -> ResultRow:
         and leakage <= config.edge_amplitude_max
         and abs(stats.sum_check - 1.0) <= 1e-6
     )
-    return ResultRow(
+    row = ResultRow(
         param=float(param_value),
         p20=float(stats.p20),
         p02=float(stats.p02),
@@ -426,6 +425,7 @@ def run_resolved(config: ScenarioConfig, param_value: float) -> ResultRow:
         barrier_height=float(barrier.height),
         stability_a=tuple(stability),
     )
+    return row, pair
 
 
 def run_scenario(config: ScenarioConfig) -> ResultRow:
@@ -435,7 +435,7 @@ def run_scenario(config: ScenarioConfig) -> ResultRow:
     `sweep` for recorded-per-row error handling.
     """
     resolved, _ = resolve_barrier(config)
-    return run_resolved(resolved, param_value=resolved.separation)
+    return run_resolved(resolved, param_value=resolved.separation)[0]
 
 
 def _sweep_task(task: tuple[ScenarioConfig, str, float]) -> ResultRow:
@@ -443,7 +443,7 @@ def _sweep_task(task: tuple[ScenarioConfig, str, float]) -> ResultRow:
     try:
         cfg = apply_sweep_parameter(base, parameter, value)
         cfg.validate()
-        return run_resolved(cfg, param_value=value)
+        return run_resolved(cfg, param_value=value)[0]
     except PairStatsError as err:
         return ResultRow(
             param=float(value),
@@ -457,12 +457,14 @@ def sweep(config: SweepConfig, workers: int = 1) -> list[ResultRow]:
 
     Rows come back in the order of `config.values`.  A failing value
     produces an invalid row carrying the error text; the sweep goes on.
-    Any `workers` count gives output identical to the serial run.
+    Any `workers` count gives output identical to the serial run; it is
+    capped at the number of values and of CPUs.
     """
     config.validate()
     base, _ = resolve_barrier(config.base)
     tasks = [(base, config.parameter, float(v)) for v in config.values]
-    if workers <= 1 or len(tasks) == 1:
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [_sweep_task(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_task, tasks, chunksize=1))
@@ -686,16 +688,21 @@ def summary_dict(
     if sweep_info is not None:
         summary["sweep"] = dict(sweep_info)
     if calibration is not None:
-        summary["calibration"] = {
-            "height": calibration.barrier.height,
-            "transmission": calibration.transmission,
-            "target": config.calibration_target,
-            "tol": config.calibration_tol,
-            "iterations": calibration.iterations,
-            "history": [list(pair) for pair in calibration.history],
-            "measurement_time": calibration.measurement_time,
-        }
+        summary["calibration"] = calibration_record(config, calibration)
     return summary
+
+
+def calibration_record(config: ScenarioConfig, calibration: CalibrationResult) -> dict:
+    """The "calibration" block of the run, sweep and calibrate JSON files."""
+    return {
+        "height": calibration.barrier.height,
+        "transmission": calibration.transmission,
+        "target": config.calibration_target,
+        "tol": config.calibration_tol,
+        "iterations": calibration.iterations,
+        "history": [list(pair) for pair in calibration.history],
+        "measurement_time": calibration.measurement_time,
+    }
 
 
 def write_summary_json(summary: dict, out: IO[str]) -> None:

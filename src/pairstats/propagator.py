@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     BoundaryContaminationError,
@@ -206,6 +205,8 @@ def expected_packet_transmission(
     accepts (k0 sigma of order 8 puts k = 0 sixteen standard deviations
     out).
     """
+    from scipy.integrate import quad  # slow to import, and only calibration needs it
+
     sigma = spec.sigma
     k0 = spec.wavenumber
     if not sigma > 0:

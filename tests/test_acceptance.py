@@ -22,7 +22,6 @@ from pairstats.cli import EXIT_OK, _load_config_file, main
 from pairstats.experiment import (
     ScenarioConfig,
     SweepConfig,
-    evolve_pair_to_measurement,
     resolve_barrier,
     run_resolved,
     sweep,
@@ -46,7 +45,6 @@ from pairstats.twoparticle import (
     BOSON,
     FERMION,
     joint_probabilities,
-    make_pair,
     quadrant_quadrature_oracle,
 )
 
@@ -225,7 +223,7 @@ def test_criterion_4_distinguishable_limit(acceptance_report, default_calibratio
     rows = []
     for config in (boson_config, fermion_config):
         ready = replace(config, barrier_height=resolved.barrier_height)
-        row = run_resolved(ready, param_value=ready.separation)
+        row, _ = run_resolved(ready, param_value=ready.separation)
         rows.append(row)
         worst = max(
             worst,
@@ -263,10 +261,8 @@ def test_criterion_5_consistency_oracles(acceptance_report):
             max_steps=16_000,
             **config_base,
         )
-        row = run_resolved(config, param_value=2.0)
+        row, pair = run_resolved(config, param_value=2.0)
         rows.append(row)
-        psi_a, psi_b, _, _ = evolve_pair_to_measurement(config, config.barrier())
-        pair = make_pair(psi_a, psi_b, sign)
         fast = joint_probabilities(pair, barrier=config.barrier())
         slow = quadrant_quadrature_oracle(pair)
         worst = max(
@@ -325,11 +321,11 @@ def test_criterion_7_intermediate_regimes(acceptance_report, thick_calibration):
     assert calibration_view(bose_config) == calibration_view(resolved)
     assert calibration_view(fermi_config) == calibration_view(resolved)
 
-    bose_row = run_resolved(
+    bose_row, _ = run_resolved(
         replace(bose_config, barrier_height=resolved.barrier_height),
         param_value=bose_config.separation,
     )
-    fermi_row = run_resolved(
+    fermi_row, _ = run_resolved(
         replace(fermi_config, barrier_height=resolved.barrier_height),
         param_value=fermi_config.separation,
     )
@@ -357,7 +353,7 @@ def test_criterion_7_intermediate_regimes(acceptance_report, thick_calibration):
 
 def test_criterion_8_identical_packets(acceptance_report, tight_calibration):
     resolved, calibration, _ = tight_calibration
-    row = run_resolved(resolved, param_value=0.0)
+    row, _ = run_resolved(resolved, param_value=0.0)
     worst = max(abs(row.p20 - 0.25), abs(row.p02 - 0.25), abs(row.p11 - 0.5))
     # the full-overlap pair factorizes, so a sits above 1/4 by exactly
     # the squared calibration miss, nowhere near the uniform point 1/3

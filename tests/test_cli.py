@@ -7,9 +7,15 @@ the production configurations are exercised by the acceptance suite.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pairstats
+from pairstats import cli, experiment, propagator
 from pairstats.cli import (
     EXIT_ALL_INVALID,
     EXIT_DEGENERATE,
@@ -117,6 +123,16 @@ class TestParserBasics:
             main(["occupancy", "2", "2", "--loud"])
         assert exc.value.code == 2
 
+    def test_import_leaves_scipy_integrate_unloaded(self):
+        src = Path(pairstats.__file__).resolve().parents[1]
+        code = "import sys, pairstats.cli; print('scipy.integrate' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert result.stdout.strip() == "False"
+
 
 class TestConfigFileErrors:
     def test_malformed_ini(self, tmp_path, capsys):
@@ -156,6 +172,22 @@ class TestConfigFileErrors:
         assert main(["sweep", "--config", path]) == EXIT_USAGE
         assert "'parameter' and 'values'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("height, extra, field", [
+        ("nan", "", "barrier_height"),
+        ("26.787825", "\n[measurement]\nlobe_sigmas = inf\n", "lobe_sigmas"),
+    ])
+    def test_non_finite_value_exits_2_before_evolving(
+        self, tmp_path, capsys, monkeypatch, height, extra, field
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve called on a rejected config")
+
+        monkeypatch.setattr(propagator, "evolve", refuse)
+        monkeypatch.setattr(experiment, "evolve", refuse)
+        path = write_ini(tmp_path, height=height, extra=extra)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert f"{field} must be finite" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
@@ -191,6 +223,42 @@ class TestRunCommand:
         assert len(tagged) == 1
         delta = float(tagged[0].rsplit("=", 1)[1])
         assert delta < 1e-9
+
+    def test_oracle_reuses_the_measured_pair(self, tmp_path, capsys, monkeypatch):
+        path = write_ini(tmp_path, sign="fermion",
+                         extra="\n[measurement]\nstability_fractions = 0.1 0.2\n")
+        plain, checked = tmp_path / "plain", tmp_path / "oracle"
+        assert main(["run", "--config", path, "--out", str(plain)]) == EXIT_OK
+
+        evolutions, oracle_times = [], []
+        real_evolve_pair = experiment.evolve_pair_to_measurement
+        real_oracle = cli.quadrant_quadrature_oracle
+
+        def counting_evolve_pair(*args, **kwargs):
+            evolutions.append(args)
+            return real_evolve_pair(*args, **kwargs)
+
+        def recording_oracle(pair, *args, **kwargs):
+            oracle_times.append((pair.psi_a.t, pair.psi_b.t))
+            return real_oracle(pair, *args, **kwargs)
+
+        for module in (experiment, cli):
+            monkeypatch.setattr(module, "evolve_pair_to_measurement", counting_evolve_pair)
+        monkeypatch.setattr(cli, "quadrant_quadrature_oracle", recording_oracle)
+        capsys.readouterr()
+        assert main(["run", "--config", path, "--out", str(checked), "--oracle"]) == EXIT_OK
+        stdout = capsys.readouterr().out
+
+        assert len(evolutions) == 1
+        for name in ("run.csv", "run.json"):
+            assert (plain / name).read_bytes() == (checked / name).read_bytes()
+        # the quadrature saw the pair at the measurement time, not the extended one
+        row = json.loads((checked / "run.json").read_text(encoding="utf-8"))["rows"][0]
+        assert len(row["stability_a"]) == 2
+        assert oracle_times == [(pytest.approx(row["t_meas"], abs=1e-9),) * 2]
+        tagged = [ln for ln in stdout.splitlines() if ln.startswith("oracle:")]
+        assert len(tagged) == 1
+        assert float(tagged[0].rsplit("=", 1)[1]) <= 1e-12
 
     def test_degenerate_fermion_exits_4(self, tmp_path, capsys):
         path = write_ini(tmp_path, sign="fermion", separation="0")

@@ -8,11 +8,12 @@ seconds range; the production-size runs live in the acceptance tests.
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 import pairstats
+from pairstats import experiment
 from pairstats.errors import (
     ConfigurationError,
     MeasurementTimeoutError,
@@ -39,7 +40,7 @@ from pairstats.experiment import (
     write_summary_json,
 )
 from pairstats.occupancy import PAIR_LABELS
-from pairstats.twoparticle import BOSON, FERMION
+from pairstats.twoparticle import BOSON, FERMION, joint_probabilities
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
@@ -114,6 +115,19 @@ class TestScenarioConfig:
             with pytest.raises(ConfigurationError, match="stability fractions"):
                 small_scenario(stability_fractions=bad).validate()
         small_scenario(stability_fractions=(0.25, 0.5)).validate()
+
+    def test_rejects_non_finite_floats(self):
+        config = small_scenario()
+        float_fields = [
+            f.name for f in fields(config) if isinstance(getattr(config, f.name), float)
+        ]
+        assert "barrier_height" in float_fields and "lobe_sigmas" in float_fields
+        for name in float_fields:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+                    replace(config, **{name: bad}).validate()
+        with pytest.raises(ConfigurationError, match="stability_fractions must be finite"):
+            small_scenario(stability_fractions=(0.1, math.inf)).validate()
 
 
 class TestSweepParameter:
@@ -285,6 +299,30 @@ class TestRunScenario:
         # the split is frozen after measurement; later reads must agree
         assert row.stability_a[0] == pytest.approx(row.a, abs=5e-3)
 
+    def test_returns_the_pair_measured_before_the_extension(self):
+        config = small_scenario(stability_fractions=(0.2,))
+        row, pair = run_resolved(config, param_value=config.separation)
+        assert pair.psi_a.t == pair.psi_b.t == pytest.approx(row.t_meas, abs=1e-9)
+        assert pair.sign == config.sign
+        fresh = joint_probabilities(pair, config.boundary)
+        assert (fresh.p20, fresh.p02, fresh.p11) == (row.p20, row.p02, row.p11)
+
+    def test_identical_packets_share_one_evolution(self, monkeypatch):
+        calls = []
+        real_evolve = experiment.evolve
+
+        def counting_evolve(psi, *args, **kwargs):
+            calls.append(psi.t)
+            return real_evolve(psi, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "evolve", counting_evolve)
+        config = small_scenario(separation=0.0, stability_fractions=(0.1,))
+        row, pair = run_resolved(config, param_value=0.0)
+        assert pair.psi_b is pair.psi_a
+        # one call per chunk up to t_meas, plus one for the extension
+        chunks = round(row.t_meas / (config.dt * config.check_every))
+        assert len(calls) == chunks + 1
+
     def test_timeout_is_reported(self):
         with pytest.raises(MeasurementTimeoutError):
             run_scenario(small_scenario(max_steps=400))
@@ -328,6 +366,41 @@ class TestSweep:
         serial = [row.to_csv_line() for row in sweep(config, workers=1)]
         parallel = [row.to_csv_line() for row in sweep(config, workers=2)]
         assert parallel == serial
+
+    def test_workers_capped_by_values_and_cpus(self, monkeypatch):
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return [ResultRow(param=task[2]) for task in tasks]
+
+        def never_run(task):
+            raise AssertionError("serial path taken")
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiment, "_sweep_task", never_run)
+        config = SweepConfig(small_scenario(), "separation_d", (1.0, 2.0, 3.0, 4.0))
+        for cpus, workers, want in ((8, 16, 4), (3, 16, 3), (8, 2, 2), (None, 16, None)):
+            monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+            requested.clear()
+            if want is None:
+                # an unknown CPU count means one worker: the serial path
+                with pytest.raises(AssertionError, match="serial path"):
+                    sweep(config, workers=workers)
+                assert requested == []
+            else:
+                rows = sweep(config, workers=workers)
+                assert requested == [want]
+                assert [row.param for row in rows] == [1.0, 2.0, 3.0, 4.0]
 
     def test_invalid_sweep_rejected_before_running(self):
         config = SweepConfig(small_scenario(), "height", (1.0,))
