@@ -53,7 +53,12 @@ from .occupancy import (
     occupancy_vectors,
 )
 from .propagator import simulated_transmission
-from .twoparticle import dump_joint_density_csv, make_pair, quadrant_quadrature_oracle
+from .twoparticle import (
+    check_oracle_budget,
+    dump_joint_density_csv,
+    make_pair,
+    quadrant_quadrature_oracle,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -210,6 +215,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_run(args) -> int:
     config, _ = _scenario_from_args(args)
+    if args.oracle:
+        check_oracle_budget(config.grid_points)
     resolved, calibration = resolve_barrier(config)
     if calibration is not None:
         _say(args, f"calibrated barrier height {resolved.barrier_height:.10g} "
@@ -293,7 +300,12 @@ def cmd_density(args) -> int:
     path = out / f"density_{args.which}.csv"
     if args.evolved:
         resolved, _ = resolve_barrier(config)
-        psi_a, psi_b, _, _ = evolve_pair_to_measurement(resolved, resolved.barrier())
+        (evolved,) = evolve_pair_to_measurement(
+            [resolved], resolved.barrier(), lambda _, psi_a, psi_b, *__: (psi_a, psi_b)
+        )
+        if isinstance(evolved, PairStatsError):
+            raise evolved
+        psi_a, psi_b = evolved
     else:
         grid = config.grid()
         psi_a = make_gaussian(grid, config.spec_a())

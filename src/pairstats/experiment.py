@@ -17,7 +17,8 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import IO, Optional
+from functools import cache
+from typing import IO, Callable, Optional
 
 from . import __version__
 from .errors import (
@@ -45,24 +46,6 @@ from .twoparticle import BOSON, FERMION, PAULI_GUARD, SymmetrizedPair, joint_pro
 CLASSIFY_TOL = 0.005
 
 SWEEP_PARAMETERS = ("separation_d", "wavenumber_dk", "phase_k0d")
-
-CSV_COLUMNS = (
-    "param",
-    "p20",
-    "p02",
-    "p11",
-    "a",
-    "s_abs",
-    "i_plus_abs",
-    "i_minus_abs",
-    "t_a",
-    "t_b",
-    "label",
-    "norm_drift",
-    "leakage",
-    "t_meas",
-    "valid",
-)
 
 _SIGN_NAMES = {BOSON: "boson", FERMION: "fermion"}
 _SIGN_VALUES = {"boson": BOSON, "fermion": FERMION}
@@ -221,46 +204,23 @@ class ResultRow:
     stability_a: tuple[float, ...] = ()
 
     def to_csv_line(self) -> str:
-        cells = [
-            f"{self.param:.12g}",
-            f"{self.p20:.12g}",
-            f"{self.p02:.12g}",
-            f"{self.p11:.12g}",
-            f"{self.a:.12g}",
-            f"{self.s_abs:.12g}",
-            f"{self.i_plus_abs:.12g}",
-            f"{self.i_minus_abs:.12g}",
-            f"{self.t_a:.12g}",
-            f"{self.t_b:.12g}",
-            self.label,
-            f"{self.norm_drift:.12g}",
-            f"{self.leakage:.12g}",
-            f"{self.t_meas:.12g}",
-            "true" if self.valid else "false",
-        ]
-        return ",".join(cells)
+        return ",".join(_csv_cell(getattr(self, name)) for name in CSV_COLUMNS)
 
     def to_dict(self) -> dict:
-        return {
-            "param": self.param,
-            "p20": self.p20,
-            "p02": self.p02,
-            "p11": self.p11,
-            "a": self.a,
-            "s_abs": self.s_abs,
-            "i_plus_abs": self.i_plus_abs,
-            "i_minus_abs": self.i_minus_abs,
-            "t_a": self.t_a,
-            "t_b": self.t_b,
-            "label": self.label,
-            "norm_drift": self.norm_drift,
-            "leakage": self.leakage,
-            "t_meas": self.t_meas,
-            "valid": self.valid,
-            "error": self.error,
-            "barrier_height": self.barrier_height,
-            "stability_a": list(self.stability_a),
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["stability_a"] = list(self.stability_a)
+        return data
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
+# the CSV carries the measured fields; error, height and stability go to JSON only
+CSV_COLUMNS = _ROW_FIELDS[: _ROW_FIELDS.index("valid") + 1]
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else f"{value:.12g}"
 
 
 def default_scenario() -> ScenarioConfig:
@@ -310,69 +270,93 @@ def resolve_barrier(
     return resolved, calibration
 
 
-def _advance(packets, barrier: BarrierPotential, steps: int, config: ScenarioConfig):
-    """Evolve each packet `steps` Strang steps; return them and the peak edge amplitude."""
-    params = PropagationParams(dt=config.dt, steps=steps)
-    results = [evolve(psi, barrier, params, config.edge_amplitude_max) for psi in packets]
-    return tuple(r.psi for r in results), max(r.max_edge_amplitude for r in results)
+def evolve_pair_to_measurement(
+    configs: list[ScenarioConfig], barrier: BarrierPotential, measure: Callable
+) -> list:
+    """Evolve packet A once and each config's packet B in lockstep; one outcome per config.
 
-
-def _distinct_packets(psi_a: Wavefunction, psi_b: Wavefunction) -> tuple[Wavefunction, ...]:
-    # identical packets share one array and are evolved once
-    return (psi_a,) if psi_b is psi_a else (psi_a, psi_b)
-
-
-def evolve_pair_to_measurement(config: ScenarioConfig, barrier: BarrierPotential):
-    """March both packets in lockstep until both have visited and cleared."""
-    grid = config.grid()
-    psi_a = make_gaussian(grid, config.spec_a())
-    psi_b = psi_a if config.identical_packets() else make_gaussian(grid, config.spec_b())
-
-    if config.sign == FERMION:
-        s0 = inner_product(psi_a, psi_b)
-        if not (1.0 - abs(s0) ** 2) > PAULI_GUARD:
-            raise PauliDegeneracyError(
-                f"antisymmetric pair degenerate at launch: 1 - |s|^2 = "
-                f"{1.0 - abs(s0) ** 2:.3g} within the exclusion guard {PAULI_GUARD}"
-            )
-
-    packets = _distinct_packets(psi_a, psi_b)
-    visited = [False] * len(packets)
-    steps_done = 0
-    leakage = 0.0
-    while steps_done < config.max_steps:
-        chunk = min(config.check_every, config.max_steps - steps_done)
-        packets, edge = _advance(packets, barrier, chunk, config)
-        leakage = max(leakage, edge)
-        steps_done += chunk
-        visited = [
-            seen or barrier_region_amplitude(psi, barrier) >= BARRIER_ACTIVATION_AMPLITUDE
-            for seen, psi in zip(visited, packets)
-        ]
-        if all(visited) and all(
-            measurement_ready(
-                psi, barrier, config.boundary,
-                config.barrier_amplitude_max, config.lobe_sigmas,
-            )
-            for psi in packets
-        ):
-            return packets[0], packets[-1], steps_done, leakage
-    raise MeasurementTimeoutError(
-        f"packets did not clear the barrier within {config.max_steps} steps "
-        f"(t = {config.max_steps * config.dt:.6g})"
-    )
-
-
-def run_resolved(config: ScenarioConfig, param_value: float) -> tuple[ResultRow, SymmetrizedPair]:
-    """Run one fully resolved scenario; raises on failure.
-
-    Returns the row and the pair it measured, at the measurement time
-    (before any stability extension).
+    The configs differ only in packet B.  All packets advance through the
+    same `check_every` chunks, so each pair sees exactly the steps it would
+    see alone.  At the first chunk where A and config i's B have both
+    visited the barrier and are ready, the i-th outcome is
+    `measure(i, psi_a, psi_b, steps_done, leakage)`, `leakage` being the
+    peak edge amplitude of the two so far.  A PairStatsError is the outcome
+    of the rows it concerns: a launch check, an edge error of B or an error
+    of `measure` ends one row; an edge error of A or the timeout ends every
+    row still running.
     """
-    barrier = config.barrier()
-    if barrier is None:
-        raise ConfigurationError("scenario has no barrier height; resolve_barrier first")
-    psi_a, psi_b, steps_done, leakage = evolve_pair_to_measurement(config, barrier)
+    config = configs[0]
+    grid = config.grid()
+    outcomes: list = [None] * len(configs)
+    # packet 0 is A; row i evolves its own B as packet i + 1, or reuses A when B is A
+    packets = {0: make_gaussian(grid, config.spec_a())}
+    rows: dict[int, int] = {}  # running row -> its B packet
+    for i, cfg in enumerate(configs):
+        try:
+            cfg.validate()
+            b = 0 if cfg.identical_packets() else i + 1
+            psi_b = packets[0] if b == 0 else make_gaussian(grid, cfg.spec_b())
+            if cfg.sign == FERMION:
+                s0 = inner_product(packets[0], psi_b)
+                if not (1.0 - abs(s0) ** 2) > PAULI_GUARD:
+                    raise PauliDegeneracyError(
+                        f"antisymmetric pair degenerate at launch: 1 - |s|^2 = "
+                        f"{1.0 - abs(s0) ** 2:.3g} within the exclusion guard {PAULI_GUARD}"
+                    )
+        except PairStatsError as err:
+            outcomes[i] = err
+        else:
+            packets[b], rows[i] = psi_b, b
+
+    def end(i: int, outcome) -> None:
+        outcomes[i] = outcome
+        if b := rows.pop(i):
+            del packets[b]
+
+    visited = dict.fromkeys(packets, False)
+    leakage = dict.fromkeys(packets, 0.0)
+    steps_done = 0
+    while rows and steps_done < config.max_steps:
+        chunk = min(config.check_every, config.max_steps - steps_done)
+        params = PropagationParams(dt=config.dt, steps=chunk)
+        for p in list(packets):
+            try:
+                result = evolve(packets[p], barrier, params, config.edge_amplitude_max)
+            except PairStatsError as err:
+                for i in [i for i, b in rows.items() if p == 0 or b == p]:
+                    end(i, err)
+                if not rows:
+                    break
+                continue
+            packets[p] = result.psi
+            leakage[p] = max(leakage[p], result.max_edge_amplitude)
+            visited[p] = visited[p] or (
+                barrier_region_amplitude(result.psi, barrier) >= BARRIER_ACTIVATION_AMPLITUDE
+            )
+        steps_done += chunk
+        ready = cache(lambda p: measurement_ready(
+            packets[p], barrier, config.boundary, config.barrier_amplitude_max, config.lobe_sigmas
+        ))
+        for i, b in list(rows.items()):
+            if visited[0] and visited[b] and ready(0) and ready(b):
+                try:
+                    end(i, measure(i, packets[0], packets[b], steps_done,
+                                   max(leakage[0], leakage[b])))
+                except PairStatsError as err:
+                    end(i, err)
+    for i in list(rows):
+        end(i, MeasurementTimeoutError(
+            f"packets did not clear the barrier within {config.max_steps} steps "
+            f"(t = {config.max_steps * config.dt:.6g})"
+        ))
+    return outcomes
+
+
+def _measure(
+    config: ScenarioConfig, barrier: BarrierPotential, param_value: float,
+    psi_a: Wavefunction, psi_b: Wavefunction, steps_done: int, leakage: float,
+) -> tuple[ResultRow, SymmetrizedPair]:
+    """Measure one pair at its measurement time, then at the stability times."""
     pair = make_pair(psi_a, psi_b, config.sign)
     stats = joint_probabilities(
         pair, config.boundary, barrier=barrier,
@@ -381,13 +365,16 @@ def run_resolved(config: ScenarioConfig, param_value: float) -> tuple[ResultRow,
     )
 
     stability: list[float] = []
-    packets = _distinct_packets(psi_a, psi_b)
+    # identical packets share one array and are evolved once
+    packets = (psi_a,) if psi_b is psi_a else (psi_a, psi_b)
     prev_extra = 0
     for fraction in config.stability_fractions:
         extra = int(round(fraction * steps_done))
         if extra > prev_extra:
-            packets, edge = _advance(packets, barrier, extra - prev_extra, config)
-            leakage = max(leakage, edge)
+            params = PropagationParams(dt=config.dt, steps=extra - prev_extra)
+            results = [evolve(psi, barrier, params, config.edge_amplitude_max) for psi in packets]
+            packets = [r.psi for r in results]
+            leakage = max([leakage] + [r.max_edge_amplitude for r in results])
             prev_extra = extra
         later = joint_probabilities(
             make_pair(packets[0], packets[-1], config.sign), config.boundary, barrier=barrier,
@@ -428,6 +415,23 @@ def run_resolved(config: ScenarioConfig, param_value: float) -> tuple[ResultRow,
     return row, pair
 
 
+def run_resolved(config: ScenarioConfig, param_value: float) -> tuple[ResultRow, SymmetrizedPair]:
+    """Run one fully resolved scenario; raises on failure.
+
+    Returns the row and the pair it measured, at the measurement time
+    (before any stability extension).
+    """
+    barrier = config.barrier()
+    if barrier is None:
+        raise ConfigurationError("scenario has no barrier height; resolve_barrier first")
+    (outcome,) = evolve_pair_to_measurement(
+        [config], barrier, lambda _, *state: _measure(config, barrier, param_value, *state)
+    )
+    if isinstance(outcome, PairStatsError):
+        raise outcome
+    return outcome
+
+
 def run_scenario(config: ScenarioConfig) -> ResultRow:
     """Resolve the barrier if needed, run, and measure one scenario.
 
@@ -438,18 +442,20 @@ def run_scenario(config: ScenarioConfig) -> ResultRow:
     return run_resolved(resolved, param_value=resolved.separation)[0]
 
 
-def _sweep_task(task: tuple[ScenarioConfig, str, float]) -> ResultRow:
-    base, parameter, value = task
-    try:
-        cfg = apply_sweep_parameter(base, parameter, value)
-        cfg.validate()
-        return run_resolved(cfg, param_value=value)[0]
-    except PairStatsError as err:
-        return ResultRow(
-            param=float(value),
-            error=f"{type(err).__name__}: {err}",
-            barrier_height=base.barrier_height if base.barrier_height is not None else float("nan"),
-        )
+def _sweep_group(task: tuple[ScenarioConfig, str, list[float]]) -> list[ResultRow]:
+    """One worker's share of a sweep: packet A is evolved once for all its values."""
+    base, parameter, values = task
+    barrier = base.barrier()
+    configs = [apply_sweep_parameter(base, parameter, v) for v in values]
+    outcomes = evolve_pair_to_measurement(
+        configs, barrier,
+        lambda i, *state: _measure(configs[i], barrier, values[i], *state)[0],
+    )
+    return [
+        ResultRow(param=v, error=f"{type(o).__name__}: {o}", barrier_height=base.barrier_height)
+        if isinstance(o, PairStatsError) else o
+        for v, o in zip(values, outcomes)
+    ]
 
 
 def sweep(config: SweepConfig, workers: int = 1) -> list[ResultRow]:
@@ -457,17 +463,22 @@ def sweep(config: SweepConfig, workers: int = 1) -> list[ResultRow]:
 
     Rows come back in the order of `config.values`.  A failing value
     produces an invalid row carrying the error text; the sweep goes on.
-    Any `workers` count gives output identical to the serial run; it is
-    capped at the number of values and of CPUs.
+    Each worker takes every `workers`-th value and evolves packet A once
+    for all of them.  Any `workers` count gives output identical to the
+    serial run; it is capped at the number of values and of CPUs.
     """
     config.validate()
     base, _ = resolve_barrier(config.base)
-    tasks = [(base, config.parameter, float(v)) for v in config.values]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [_sweep_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_task, tasks, chunksize=1))
+    values = [float(v) for v in config.values]
+    workers = max(min(workers, len(values), os.cpu_count() or 1), 1)
+    tasks = [(base, config.parameter, values[j::workers]) for j in range(workers)]
+    if workers == 1:
+        groups = [_sweep_group(tasks[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            groups = list(pool.map(_sweep_group, tasks))
+    # value i went to group i % workers, as its (i // workers)-th row
+    return [groups[i % workers][i // workers] for i in range(len(values))]
 
 
 @dataclass(frozen=True)
@@ -540,135 +551,92 @@ def rows_to_csv(rows: list[ResultRow], out: IO[str]) -> None:
         out.write(row.to_csv_line() + "\n")
 
 
+# (section, key, required) of each ScenarioConfig field in config files;
+# a key left out of a file takes the field's default
+_CONFIG_KEYS = {
+    "grid_half_width": ("grid", "half_width", True),
+    "grid_points": ("grid", "points", True),
+    "packet_center": ("packet", "center", True),
+    "packet_wavenumber": ("packet", "wavenumber", True),
+    "packet_sigma": ("packet", "sigma", True),
+    "separation": ("pair", "separation", False),
+    "wavenumber_offset": ("pair", "wavenumber_offset", False),
+    "sign": ("pair", "sign", False),
+    "barrier_width": ("barrier", "width", True),
+    "barrier_height": ("barrier", "height", False),
+    "barrier_center": ("barrier", "center", False),
+    "calibration_target": ("barrier", "target", False),
+    "calibration_tol": ("barrier", "tol", False),
+    "dt": ("evolution", "dt", False),
+    "max_steps": ("evolution", "max_steps", False),
+    "check_every": ("evolution", "check_every", False),
+    "boundary": ("measurement", "boundary", False),
+    "barrier_amplitude_max": ("measurement", "barrier_amplitude_max", False),
+    "edge_amplitude_max": ("measurement", "edge_amplitude_max", False),
+    "lobe_sigmas": ("measurement", "lobe_sigmas", False),
+    "norm_drift_max": ("measurement", "norm_drift_max", False),
+    "stability_fractions": ("measurement", "stability_fractions", False),
+}
+_CONFIG_SECTIONS = tuple(dict.fromkeys(section for section, _, _ in _CONFIG_KEYS.values()))
+
+
+def _parse_sign(value) -> int:
+    if isinstance(value, str) and value in _SIGN_VALUES:
+        return _SIGN_VALUES[value]
+    if not isinstance(value, str) and value in (BOSON, FERMION):
+        return int(value)
+    raise ConfigurationError(f"sign must be 'boson' or 'fermion', got {value!r}")
+
+
+def _parse_height(value) -> Optional[float]:
+    if value is None or (isinstance(value, str) and value.strip() == "calibrate"):
+        return None
+    return float(value)
+
+
+def _parse_fractions(value) -> tuple[float, ...]:
+    if isinstance(value, str):
+        value = value.replace(",", " ").split()
+    return tuple(float(p) for p in value)
+
+
+_FROM_FILE = {"sign": _parse_sign, "barrier_height": _parse_height,
+              "stability_fractions": _parse_fractions}
+_TO_FILE = {"sign": _SIGN_NAMES.__getitem__, "stability_fractions": list,
+            "barrier_height": lambda height: "calibrate" if height is None else height}
+
+
 def config_to_dict(config: ScenarioConfig) -> dict:
     """Nested dict mirroring the config-file sections."""
-    return {
-        "grid": {
-            "half_width": config.grid_half_width,
-            "points": config.grid_points,
-        },
-        "packet": {
-            "center": config.packet_center,
-            "wavenumber": config.packet_wavenumber,
-            "sigma": config.packet_sigma,
-        },
-        "pair": {
-            "separation": config.separation,
-            "wavenumber_offset": config.wavenumber_offset,
-            "sign": _SIGN_NAMES[config.sign],
-        },
-        "barrier": {
-            "width": config.barrier_width,
-            "height": "calibrate" if config.barrier_height is None else config.barrier_height,
-            "center": config.barrier_center,
-            "target": config.calibration_target,
-            "tol": config.calibration_tol,
-        },
-        "evolution": {
-            "dt": config.dt,
-            "max_steps": config.max_steps,
-            "check_every": config.check_every,
-        },
-        "measurement": {
-            "boundary": config.boundary,
-            "barrier_amplitude_max": config.barrier_amplitude_max,
-            "edge_amplitude_max": config.edge_amplitude_max,
-            "lobe_sigmas": config.lobe_sigmas,
-            "norm_drift_max": config.norm_drift_max,
-            "stability_fractions": list(config.stability_fractions),
-        },
-    }
+    data: dict = {section: {} for section in _CONFIG_SECTIONS}
+    for f in fields(config):
+        section, key, _ = _CONFIG_KEYS[f.name]
+        value = getattr(config, f.name)
+        data[section][key] = _TO_FILE[f.name](value) if f.name in _TO_FILE else value
+    return data
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Inverse of `config_to_dict`; rejects unknown sections and keys."""
-
-    def take(section: dict, name: str, key: str, convert, default=None, required=False):
-        if key not in section:
-            if required:
-                raise ConfigurationError(f"missing key {key!r} in section [{name}]")
-            return default
-        return convert(section.pop(key))
-
     data = {k: dict(v) for k, v in dict(data).items()}
-    known = {"grid", "packet", "pair", "barrier", "evolution", "measurement"}
-    unknown = set(data) - known
+    unknown = set(data) - set(_CONFIG_SECTIONS)
     if unknown:
         raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")
-    grid = data.get("grid", {})
-    packet = data.get("packet", {})
-    pair = data.get("pair", {})
-    barrier = data.get("barrier", {})
-    evolution = data.get("evolution", {})
-    measurement = data.get("measurement", {})
-
-    def parse_sign(value) -> int:
-        if isinstance(value, str):
-            if value not in _SIGN_VALUES:
-                raise ConfigurationError(
-                    f"sign must be 'boson' or 'fermion', got {value!r}"
-                )
-            return _SIGN_VALUES[value]
-        if value in (BOSON, FERMION):
-            return int(value)
-        raise ConfigurationError(f"sign must be 'boson' or 'fermion', got {value!r}")
-
-    def parse_height(value):
-        if value is None or (isinstance(value, str) and value.strip() == "calibrate"):
-            return None
-        return float(value)
-
-    def parse_fractions(value):
-        if isinstance(value, str):
-            parts = [p for p in value.replace(",", " ").split() if p]
-            return tuple(float(p) for p in parts)
-        return tuple(float(p) for p in value)
-
-    config = ScenarioConfig(
-        grid_half_width=take(grid, "grid", "half_width", float, required=True),
-        grid_points=take(grid, "grid", "points", int, required=True),
-        packet_center=take(packet, "packet", "center", float, required=True),
-        packet_wavenumber=take(packet, "packet", "wavenumber", float, required=True),
-        packet_sigma=take(packet, "packet", "sigma", float, required=True),
-        separation=take(pair, "pair", "separation", float, default=0.0),
-        wavenumber_offset=take(pair, "pair", "wavenumber_offset", float, default=0.0),
-        sign=take(pair, "pair", "sign", parse_sign, default=BOSON),
-        barrier_width=take(barrier, "barrier", "width", float, required=True),
-        barrier_height=take(barrier, "barrier", "height", parse_height, default=None),
-        barrier_center=take(barrier, "barrier", "center", float, default=0.0),
-        calibration_target=take(barrier, "barrier", "target", float, default=0.5),
-        calibration_tol=take(barrier, "barrier", "tol", float, default=0.005),
-        dt=take(evolution, "evolution", "dt", float, default=5e-4),
-        max_steps=take(evolution, "evolution", "max_steps", int, default=60_000),
-        check_every=take(evolution, "evolution", "check_every", int, default=200),
-        boundary=take(measurement, "measurement", "boundary", float, default=0.0),
-        barrier_amplitude_max=take(
-            measurement, "measurement", "barrier_amplitude_max", float, default=1e-6
-        ),
-        edge_amplitude_max=take(
-            measurement, "measurement", "edge_amplitude_max", float, default=1e-6
-        ),
-        lobe_sigmas=take(measurement, "measurement", "lobe_sigmas", float, default=5.0),
-        norm_drift_max=take(
-            measurement, "measurement", "norm_drift_max", float, default=1e-8
-        ),
-        stability_fractions=take(
-            measurement, "measurement", "stability_fractions", parse_fractions, default=()
-        ),
-    )
-    for name, section in (
-        ("grid", grid),
-        ("packet", packet),
-        ("pair", pair),
-        ("barrier", barrier),
-        ("evolution", evolution),
-        ("measurement", measurement),
-    ):
-        if section:
+    values = {}
+    for f in fields(ScenarioConfig):
+        section, key, required = _CONFIG_KEYS[f.name]
+        given = data.get(section, {})
+        if key in given:
+            parse = _FROM_FILE.get(f.name, int if f.type == "int" else float)
+            values[f.name] = parse(given.pop(key))
+        elif required:
+            raise ConfigurationError(f"missing key {key!r} in section [{section}]")
+    for section in _CONFIG_SECTIONS:
+        if data.get(section):
             raise ConfigurationError(
-                f"unknown keys in section [{name}]: {sorted(section)}"
+                f"unknown keys in section [{section}]: {sorted(data[section])}"
             )
-    return config
+    return ScenarioConfig(**values)
 
 
 def summary_dict(

@@ -222,6 +222,14 @@ def joint_probabilities(
     )
 
 
+def check_oracle_budget(points: int, max_points: int = _ORACLE_MAX_POINTS) -> None:
+    """Refuse a 2D quadrature over more than `max_points` grid points per axis."""
+    if points > max_points:
+        raise BudgetExceededError(
+            f"2D quadrature oracle limited to {max_points} grid points, got {points}"
+        )
+
+
 def quadrant_quadrature_oracle(
     pair: SymmetrizedPair,
     boundary: float = 0.0,
@@ -234,10 +242,7 @@ def quadrant_quadrature_oracle(
     path in `joint_probabilities`.
     """
     grid = pair.psi_a.grid
-    if grid.points > max_points:
-        raise BudgetExceededError(
-            f"2D quadrature oracle limited to {max_points} grid points, got {grid.points}"
-        )
+    check_oracle_budget(grid.points, max_points)
     i0 = grid.split_index(boundary)
     x = grid.x
     w2 = grid.dx * grid.dx

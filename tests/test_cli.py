@@ -260,6 +260,23 @@ class TestRunCommand:
         assert len(tagged) == 1
         assert float(tagged[0].rsplit("=", 1)[1]) <= 1e-12
 
+    def test_oracle_size_checked_before_evolving(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve called before the oracle size check")
+
+        monkeypatch.setattr(propagator, "evolve", refuse)
+        monkeypatch.setattr(experiment, "evolve", refuse)
+        path = write_ini(tmp_path, height="calibrate")
+        text = Path(path).read_text(encoding="utf-8")
+        text = text.replace("half_width = 64", "half_width = 256")
+        Path(path).write_text(text.replace("points = 2048", "points = 8192"), encoding="utf-8")
+        cli._load_config_file(path)[0].validate()  # only the oracle's size is wrong
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out), "--oracle"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "2D quadrature oracle limited to 4096 grid points, got 8192" in err
+        assert not (out / "run.csv").exists() and not (out / "run.json").exists()
+
     def test_degenerate_fermion_exits_4(self, tmp_path, capsys):
         path = write_ini(tmp_path, sign="fermion", separation="0")
         assert main(["run", "--config", path]) == EXIT_DEGENERATE

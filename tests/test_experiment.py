@@ -17,6 +17,7 @@ from pairstats import experiment
 from pairstats.errors import (
     ConfigurationError,
     MeasurementTimeoutError,
+    PairStatsError,
     PauliDegeneracyError,
 )
 from pairstats.experiment import (
@@ -380,14 +381,15 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return [ResultRow(param=task[2]) for task in tasks]
+            def map(self, fn, tasks):
+                # one task per worker, holding every worker-th value
+                return [[ResultRow(param=v) for v in task[2]] for task in tasks]
 
         def never_run(task):
             raise AssertionError("serial path taken")
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(experiment, "_sweep_task", never_run)
+        monkeypatch.setattr(experiment, "_sweep_group", never_run)
         config = SweepConfig(small_scenario(), "separation_d", (1.0, 2.0, 3.0, 4.0))
         for cpus, workers, want in ((8, 16, 4), (3, 16, 3), (8, 2, 2), (None, 16, None)):
             monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
@@ -401,6 +403,89 @@ class TestSweep:
                 rows = sweep(config, workers=workers)
                 assert requested == [want]
                 assert [row.param for row in rows] == [1.0, 2.0, 3.0, 4.0]
+
+    @staticmethod
+    def single_runs(base, parameter, values):
+        """Each value run on its own through run_resolved, errors recorded as in a sweep."""
+        rows = []
+        for value in values:
+            cfg = apply_sweep_parameter(base, parameter, value)
+            try:
+                cfg.validate()
+                rows.append(run_resolved(cfg, param_value=value)[0])
+            except PairStatsError as err:
+                rows.append(ResultRow(param=value, error=f"{type(err).__name__}: {err}",
+                                      barrier_height=base.barrier_height))
+        return rows
+
+    @pytest.mark.parametrize("base, parameter, values", [
+        # Pauli-degenerate d = 0, a B outside the box, and normal points
+        (small_scenario(sign=FERMION), "separation_d", (3.0, 0.0, 50.0, 1.5)),
+        # identical packets at d = 0 share A, also through the stability extension
+        (small_scenario(stability_fractions=(0.1, 0.2)), "separation_d", (2.0, 0.0, 4.0)),
+        (small_scenario(separation=0.0), "wavenumber_dk", (0.25, 0.0, 0.5)),
+    ])
+    def test_rows_match_single_runs(self, base, parameter, values):
+        expected = self.single_runs(base, parameter, values)
+        assert any(row.error for row in expected) == (base.sign == FERMION)
+        for workers in (1, 2):
+            rows = sweep(SweepConfig(base, parameter, values), workers=workers)
+            assert [r.to_csv_line() for r in rows] == [r.to_csv_line() for r in expected]
+            assert [json.dumps(r.to_dict(), sort_keys=True) for r in rows] == [
+                json.dumps(r.to_dict(), sort_keys=True) for r in expected
+            ]
+
+    def test_packet_a_built_and_evolved_once_per_group(self, monkeypatch):
+        base = small_scenario()
+        values = (0.0, 2.0, 3.0, 4.0)
+        spec_a, chunk_t = base.spec_a(), base.dt * base.check_every
+        origin = {}  # id of a live wavefunction -> "A" or "B"
+        a_builds, a_starts = [], []
+        real_make, real_evolve = experiment.make_gaussian, experiment.evolve
+
+        def make(grid, spec):
+            psi = real_make(grid, spec)
+            origin[id(psi)] = "A" if spec == spec_a else "B"
+            if spec == spec_a:
+                a_builds.append(spec)
+            return psi
+
+        def evolve(psi, *args, **kwargs):
+            result = real_evolve(psi, *args, **kwargs)
+            origin[id(result.psi)] = origin[id(psi)]
+            if origin[id(psi)] == "A":
+                a_starts.append(psi.t)
+            return result
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(experiment, "make_gaussian", make)
+        monkeypatch.setattr(experiment, "evolve", evolve)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+        for workers in (1, 2):
+            a_builds.clear()
+            a_starts.clear()
+            rows = sweep(SweepConfig(base, "separation_d", values), workers=workers)
+            assert all(row.valid for row in rows)
+            assert len(a_builds) == workers
+            # each group's A runs once from launch to its last row's measurement
+            assert a_starts.count(0.0) == workers
+            assert len(a_starts) == sum(
+                round(max(row.t_meas for row in rows[j::workers]) / chunk_t)
+                for j in range(workers)
+            )
 
     def test_invalid_sweep_rejected_before_running(self):
         config = SweepConfig(small_scenario(), "height", (1.0,))
