@@ -46,7 +46,6 @@ from .grid import (
     WavepacketSpec,
     inner_product,
     make_gaussian,
-    momentum_mean,
     position_mean,
     position_std,
     probability_on_side,
@@ -62,7 +61,6 @@ from .propagator import (
     expected_packet_transmission,
     measurement_ready,
     simulated_transmission,
-    step,
 )
 from .twoparticle import (
     BOSON,
@@ -132,7 +130,6 @@ __all__ = [
     "make_pair",
     "mb_probability",
     "measurement_ready",
-    "momentum_mean",
     "occupancy_vectors",
     "pair_family",
     "position_mean",
@@ -143,6 +140,5 @@ __all__ = [
     "run_scenario",
     "side_moments",
     "simulated_transmission",
-    "step",
     "sweep",
 ]

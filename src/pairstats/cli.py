@@ -3,8 +3,10 @@
 Subcommands: occupancy (exact counting tables), calibrate (tune the
 barrier to a target transmission), run (one two-packet scenario),
 sweep (scan separation, boost, or phase), density (CSV dumps for
-plotting).  Scenario knobs come from an INI-style config file; every
-key has a default, unknown keys are rejected.
+plotting).  Scenario knobs come from an INI-style config file: `[grid]`
+half_width and points, `[packet]` center, wavenumber and sigma, and
+`[barrier]` width are required, every other key has a default, and
+unknown sections or keys are rejected.
 
 Exit codes: 0 success, 2 bad usage or config, 3 calibration failure,
 4 degenerate antisymmetric state, 5 sweep with no valid rows.

@@ -17,7 +17,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import cache
 from typing import IO, Callable, Optional
 
 from . import __version__
@@ -26,17 +25,17 @@ from .errors import (
     MeasurementTimeoutError,
     PairStatsError,
     PauliDegeneracyError,
+    PrematureMeasurementError,
 )
 from .grid import Grid1D, WavepacketSpec, Wavefunction, inner_product, make_gaussian
 from .occupancy import be_probability, classify_pair, fd_probability, mb_probability
 from .propagator import (
-    BARRIER_ACTIVATION_AMPLITUDE,
     BarrierPotential,
     CalibrationResult,
     PropagationParams,
-    barrier_region_amplitude,
     calibrate_barrier,
     evolve,
+    evolve_until_measured,
     measurement_ready,
 )
 from .twoparticle import BOSON, FERMION, PAULI_GUARD, SymmetrizedPair, joint_probabilities, make_pair
@@ -275,22 +274,22 @@ def evolve_pair_to_measurement(
 ) -> list:
     """Evolve packet A once and each config's packet B in lockstep; one outcome per config.
 
-    The configs differ only in packet B.  All packets advance through the
-    same `check_every` chunks, so each pair sees exactly the steps it would
-    see alone.  At the first chunk where A and config i's B have both
-    visited the barrier and are ready, the i-th outcome is
-    `measure(i, psi_a, psi_b, steps_done, leakage)`, `leakage` being the
-    peak edge amplitude of the two so far.  A PairStatsError is the outcome
-    of the rows it concerns: a launch check, an edge error of B or an error
-    of `measure` ends one row; an edge error of A or the timeout ends every
-    row still running.
+    The configs differ only in packet B.  Row i needs packets (A, B), or
+    (A, A) when B is A, and `evolve_until_measured` advances every packet
+    through the same `check_every` chunks, so each pair sees exactly the
+    steps it would see alone.  The i-th outcome is
+    `measure(i, psi_a, psi_b, steps_done, leakage)` at the pair's
+    measurement time.  A PairStatsError is the outcome of the rows it
+    concerns: a launch check, an edge error of B or an error of `measure`
+    ends one row; an edge error of A or the timeout ends every row still
+    running.
     """
     config = configs[0]
     grid = config.grid()
-    outcomes: list = [None] * len(configs)
+    outcomes: dict = {}
     # packet 0 is A; row i evolves its own B as packet i + 1, or reuses A when B is A
     packets = {0: make_gaussian(grid, config.spec_a())}
-    rows: dict[int, int] = {}  # running row -> its B packet
+    rows: dict[int, tuple[int, int]] = {}
     for i, cfg in enumerate(configs):
         try:
             cfg.validate()
@@ -306,63 +305,31 @@ def evolve_pair_to_measurement(
         except PairStatsError as err:
             outcomes[i] = err
         else:
-            packets[b], rows[i] = psi_b, b
-
-    def end(i: int, outcome) -> None:
-        outcomes[i] = outcome
-        if b := rows.pop(i):
-            del packets[b]
-
-    visited = dict.fromkeys(packets, False)
-    leakage = dict.fromkeys(packets, 0.0)
-    steps_done = 0
-    while rows and steps_done < config.max_steps:
-        chunk = min(config.check_every, config.max_steps - steps_done)
-        params = PropagationParams(dt=config.dt, steps=chunk)
-        for p in list(packets):
-            try:
-                result = evolve(packets[p], barrier, params, config.edge_amplitude_max)
-            except PairStatsError as err:
-                for i in [i for i, b in rows.items() if p == 0 or b == p]:
-                    end(i, err)
-                if not rows:
-                    break
-                continue
-            packets[p] = result.psi
-            leakage[p] = max(leakage[p], result.max_edge_amplitude)
-            visited[p] = visited[p] or (
-                barrier_region_amplitude(result.psi, barrier) >= BARRIER_ACTIVATION_AMPLITUDE
-            )
-        steps_done += chunk
-        ready = cache(lambda p: measurement_ready(
-            packets[p], barrier, config.boundary, config.barrier_amplitude_max, config.lobe_sigmas
-        ))
-        for i, b in list(rows.items()):
-            if visited[0] and visited[b] and ready(0) and ready(b):
-                try:
-                    end(i, measure(i, packets[0], packets[b], steps_done,
-                                   max(leakage[0], leakage[b])))
-                except PairStatsError as err:
-                    end(i, err)
-    for i in list(rows):
-        end(i, MeasurementTimeoutError(
-            f"packets did not clear the barrier within {config.max_steps} steps "
-            f"(t = {config.max_steps * config.dt:.6g})"
-        ))
-    return outcomes
+            packets[b], rows[i] = psi_b, (0, b)
+    outcomes.update(evolve_until_measured(
+        packets, rows, barrier, measure,
+        dt=config.dt, max_steps=config.max_steps, check_every=config.check_every,
+        boundary=config.boundary, edge_amplitude_max=config.edge_amplitude_max,
+        barrier_amplitude_max=config.barrier_amplitude_max, lobe_sigmas=config.lobe_sigmas,
+    ))
+    timeout = MeasurementTimeoutError(
+        f"packets did not clear the barrier within {config.max_steps} steps "
+        f"(t = {config.max_steps * config.dt:.6g})"
+    )
+    return [outcomes.get(i, timeout) for i in range(len(configs))]
 
 
 def _measure(
     config: ScenarioConfig, barrier: BarrierPotential, param_value: float,
     psi_a: Wavefunction, psi_b: Wavefunction, steps_done: int, leakage: float,
 ) -> tuple[ResultRow, SymmetrizedPair]:
-    """Measure one pair at its measurement time, then at the stability times."""
+    """Measure one pair at its measurement time, then at the stability times.
+
+    The pair comes from `evolve_pair_to_measurement`, ready to measure;
+    the packets evolved on for a stability time must still be ready.
+    """
     pair = make_pair(psi_a, psi_b, config.sign)
-    stats = joint_probabilities(
-        pair, config.boundary, barrier=barrier,
-        barrier_amplitude_max=config.barrier_amplitude_max,
-        lobe_sigmas=config.lobe_sigmas,
-    )
+    stats = joint_probabilities(pair, config.boundary)
 
     stability: list[float] = []
     # identical packets share one array and are evolved once
@@ -376,11 +343,14 @@ def _measure(
             packets = [r.psi for r in results]
             leakage = max([leakage] + [r.max_edge_amplitude for r in results])
             prev_extra = extra
-        later = joint_probabilities(
-            make_pair(packets[0], packets[-1], config.sign), config.boundary, barrier=barrier,
-            barrier_amplitude_max=config.barrier_amplitude_max,
-            lobe_sigmas=config.lobe_sigmas,
-        )
+            for name, psi in zip("AB", packets):
+                if not measurement_ready(psi, barrier, config.boundary,
+                                         config.barrier_amplitude_max, config.lobe_sigmas):
+                    raise PrematureMeasurementError(
+                        f"packet {name} has not cleared the barrier region; "
+                        f"measuring now would split lobes still interacting"
+                    )
+        later = joint_probabilities(make_pair(packets[0], packets[-1], config.sign), config.boundary)
         stability.append(float(later.a))
 
     norm_drift = float(

@@ -209,13 +209,6 @@ def position_std(psi: Wavefunction) -> float:
     return float(np.sqrt(max(var, 0.0)))
 
 
-def momentum_mean(psi: Wavefunction) -> float:
-    """<k> from the discrete spectrum."""
-    spec = np.abs(np.fft.fft(psi.values)) ** 2
-    total = float(np.sum(spec))
-    return float(np.sum(psi.grid.k * spec) / total)
-
-
 def side_moments(
     psi: Wavefunction, side: Side, boundary: float = 0.0
 ) -> tuple[float, float, float]:
@@ -236,12 +229,6 @@ def side_moments(
     mean = float(np.sum(xs * part) / mass)
     var = float(np.sum((xs - mean) ** 2 * part) / mass)
     return mass, mean, float(np.sqrt(max(var, 0.0)))
-
-
-def spectral_norm_sq(psi: Wavefunction) -> float:
-    """Norm squared computed from the spectrum (Parseval route)."""
-    spec = np.abs(np.fft.fft(psi.values)) ** 2
-    return float(np.sum(spec) * psi.grid.dx / psi.grid.points)
 
 
 def dump_wavefunction_csv(psi: Wavefunction, out: IO[str]) -> None:

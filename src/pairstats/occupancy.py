@@ -62,10 +62,6 @@ class OccupancyVector:
     def num_particles(self) -> int:
         return sum(self.counts)
 
-    def sorted_descending(self) -> "OccupancyVector":
-        """Canonical multiset form, for reporting."""
-        return OccupancyVector(sorted(self.counts, reverse=True))
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.counts)
 

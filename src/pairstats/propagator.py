@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import (
     BoundaryContaminationError,
     CalibrationError,
     ConfigurationError,
+    PairStatsError,
     StabilityError,
 )
 from .grid import Grid1D, WavepacketSpec, Wavefunction, make_gaussian, probability_on_side, side_moments
@@ -35,7 +37,7 @@ DEFAULT_LOBE_SIGMAS = 5.0
 _MIN_LOBE_MASS = 1e-4
 
 # amplitude inside the barrier support that counts as "the packet is here";
-# evolution loops wait for this before trusting the cleared-barrier criterion,
+# evolve_until_measured waits for this before trusting the cleared-barrier criterion,
 # otherwise a packet that has not yet arrived already looks cleared
 BARRIER_ACTIVATION_AMPLITUDE = 1e-3
 
@@ -118,12 +120,6 @@ def _phase_factors(grid: Grid1D, barrier: BarrierPotential, dt: float):
     return half_potential, kinetic
 
 
-def step(psi: Wavefunction, barrier: BarrierPotential, dt: float) -> Wavefunction:
-    """Advance one Strang step; asserts the stability bound."""
-    result = evolve(psi, barrier, PropagationParams(dt=dt, steps=1))
-    return result.psi
-
-
 def evolve(
     psi: Wavefunction,
     barrier: BarrierPotential,
@@ -134,7 +130,8 @@ def evolve(
 
     Raises BoundaryContaminationError as soon as the amplitude at either
     edge sample exceeds `edge_amplitude_max`; with the periodic box that
-    means the scenario outgrew the grid.
+    means the scenario outgrew the grid.  The error counts the steps
+    since t = 0, taken at this `dt`.
     """
     grid = psi.grid
     params.validate_on(grid)
@@ -152,7 +149,8 @@ def evolve(
         if edge > edge_amplitude_max:
             raise BoundaryContaminationError(
                 f"edge amplitude {edge:.3g} exceeded {edge_amplitude_max:.3g} "
-                f"after {n + 1} steps (t = {psi.t + (n + 1) * params.dt:.6g})"
+                f"after {round(psi.t / params.dt) + n + 1} steps "
+                f"(t = {psi.t + (n + 1) * params.dt:.6g})"
             )
     out = Wavefunction(grid, values, t=psi.t + params.steps * params.dt)
     return EvolutionResult(psi=out, max_edge_amplitude=float(max_edge))
@@ -244,8 +242,8 @@ def measurement_ready(
     away from the boundary.
 
     A packet that never approached the barrier also satisfies both;
-    evolution loops gate on BARRIER_ACTIVATION_AMPLITUDE having been
-    reached first to tell "cleared" from "not arrived yet".
+    `evolve_until_measured` gates on BARRIER_ACTIVATION_AMPLITUDE having
+    been reached first to tell "cleared" from "not arrived yet".
     """
     if barrier_region_amplitude(psi, barrier) > barrier_amplitude_max:
         return False
@@ -277,6 +275,78 @@ class CalibrationResult:
     measurement_time: float
 
 
+def evolve_until_measured(
+    packets: dict[int, Wavefunction],
+    rows: dict[int, tuple[int, ...]],
+    barrier: BarrierPotential,
+    measure: Callable,
+    *,
+    dt: float,
+    max_steps: int,
+    check_every: int,
+    boundary: float,
+    edge_amplitude_max: float,
+    barrier_amplitude_max: float,
+    lobe_sigmas: float,
+) -> dict:
+    """Evolve packets in lockstep until each row's packets can be measured.
+
+    `rows` maps each row to the keys of the `packets` it needs; a key may
+    repeat, as in an identical-packet pair (0, 0).  Every `check_every`
+    steps each live packet gets one `evolve` call, in key order.  At the
+    first chunk where all of a row's packets have visited the barrier and
+    pass `measurement_ready`, the row's outcome is
+    `measure(row, *states, steps_done, leakage)`, `leakage` being the
+    peak edge amplitude of those packets so far.  A PairStatsError from
+    `evolve` is the outcome of every row using that packet; one from
+    `measure` is the outcome of its own row.  Packets no running row uses
+    are dropped.  Rows not measured within `max_steps` are missing from
+    the returned {row: outcome}.
+    """
+    rows = dict(rows)
+    packets = {k: packets[k] for k in sorted({k for keys in rows.values() for k in keys})}
+    visited = dict.fromkeys(packets, False)
+    leakage = dict.fromkeys(packets, 0.0)
+    outcomes: dict = {}
+
+    def end(row: int, outcome) -> None:
+        outcomes[row] = outcome
+        for k in set(rows.pop(row)).difference(*rows.values()):
+            del packets[k]
+
+    steps_done = 0
+    while rows and steps_done < max_steps:
+        chunk = min(check_every, max_steps - steps_done)
+        params = PropagationParams(dt=dt, steps=chunk)
+        for k in list(packets):
+            if k not in packets:  # its rows ended earlier in this chunk
+                continue
+            try:
+                result = evolve(packets[k], barrier, params, edge_amplitude_max)
+            except PairStatsError as err:
+                for row in [row for row, keys in rows.items() if k in keys]:
+                    end(row, err)
+                continue
+            packets[k] = result.psi
+            leakage[k] = max(leakage[k], result.max_edge_amplitude)
+            visited[k] = visited[k] or (
+                barrier_region_amplitude(result.psi, barrier) >= BARRIER_ACTIVATION_AMPLITUDE
+            )
+        steps_done += chunk
+        ready = cache(lambda k: measurement_ready(
+            packets[k], barrier, boundary, barrier_amplitude_max, lobe_sigmas
+        ))
+        for row, keys in list(rows.items()):
+            if all(visited[k] for k in keys) and all(map(ready, keys)):
+                try:
+                    outcome = measure(row, *(packets[k] for k in keys), steps_done,
+                                      max(leakage[k] for k in keys))
+                except PairStatsError as err:
+                    outcome = err
+                end(row, outcome)
+    return outcomes
+
+
 def simulated_transmission(
     grid: Grid1D,
     spec: WavepacketSpec,
@@ -290,24 +360,21 @@ def simulated_transmission(
     lobe_sigmas: float = DEFAULT_LOBE_SIGMAS,
 ) -> tuple[float, float]:
     """Run until the packet has visited and cleared the barrier; return (T, t_meas)."""
-    psi = make_gaussian(grid, spec)
-    steps_done = 0
-    visited = False
-    while steps_done < max_steps:
-        chunk = min(check_every, max_steps - steps_done)
-        result = evolve(psi, barrier, PropagationParams(dt=dt, steps=chunk), edge_amplitude_max)
-        psi = result.psi
-        steps_done += chunk
-        if not visited:
-            visited = barrier_region_amplitude(psi, barrier) >= BARRIER_ACTIVATION_AMPLITUDE
-        if visited and measurement_ready(
-            psi, barrier, boundary, barrier_amplitude_max, lobe_sigmas
-        ):
-            return probability_on_side(psi, "positive", boundary), psi.t
-    raise CalibrationError(
-        f"measurement criterion not met within {max_steps} steps "
-        f"(t = {max_steps * dt:.6g}) for barrier height {barrier.height:.6g}"
-    )
+    outcome = evolve_until_measured(
+        {0: make_gaussian(grid, spec)}, {0: (0,)}, barrier,
+        lambda _, psi, *__: (probability_on_side(psi, "positive", boundary), psi.t),
+        dt=dt, max_steps=max_steps, check_every=check_every, boundary=boundary,
+        edge_amplitude_max=edge_amplitude_max,
+        barrier_amplitude_max=barrier_amplitude_max, lobe_sigmas=lobe_sigmas,
+    ).get(0)
+    if outcome is None:
+        raise CalibrationError(
+            f"measurement criterion not met within {max_steps} steps "
+            f"(t = {max_steps * dt:.6g}) for barrier height {barrier.height:.6g}"
+        )
+    if isinstance(outcome, PairStatsError):
+        raise outcome
+    return outcome
 
 
 def calibrate_barrier(

@@ -25,7 +25,6 @@ integration is kept as an oracle to guard the factorized path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .errors import (
     BudgetExceededError,
     ConsistencyError,
     PauliDegeneracyError,
-    PrematureMeasurementError,
 )
 from .grid import (
     Wavefunction,
@@ -148,39 +146,12 @@ def joint_density(pair: SymmetrizedPair, x1, x2):
     return dens
 
 
-def joint_probabilities(
-    pair: SymmetrizedPair,
-    boundary: float = 0.0,
-    barrier=None,
-    barrier_amplitude_max: Optional[float] = None,
-    lobe_sigmas: Optional[float] = None,
-) -> JointStats:
+def joint_probabilities(pair: SymmetrizedPair, boundary: float = 0.0) -> JointStats:
     """Quadrant probabilities from the factorized 1D integrals.
 
-    When `barrier` is given, both packets must satisfy the measurement
-    criterion (cleared the barrier, lobes detached from the boundary),
-    with the propagator's default thresholds unless overridden here;
-    without a barrier the caller vouches for the timing.
+    The caller vouches for the timing; `propagator.evolve_until_measured`
+    hands over only packets that have cleared the barrier.
     """
-    if barrier is not None:
-        from .propagator import (
-            DEFAULT_BARRIER_AMPLITUDE_MAX,
-            DEFAULT_LOBE_SIGMAS,
-            measurement_ready,
-        )
-
-        amp_max = (
-            DEFAULT_BARRIER_AMPLITUDE_MAX
-            if barrier_amplitude_max is None
-            else barrier_amplitude_max
-        )
-        sigmas = DEFAULT_LOBE_SIGMAS if lobe_sigmas is None else lobe_sigmas
-        for name, psi in (("A", pair.psi_a), ("B", pair.psi_b)):
-            if not measurement_ready(psi, barrier, boundary, amp_max, sigmas):
-                raise PrematureMeasurementError(
-                    f"packet {name} has not cleared the barrier region; "
-                    f"measuring now would split lobes still interacting"
-                )
     t_a = probability_on_side(pair.psi_a, "positive", boundary)
     r_a = probability_on_side(pair.psi_a, "negative", boundary)
     t_b = probability_on_side(pair.psi_b, "positive", boundary)

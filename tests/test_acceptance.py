@@ -263,7 +263,7 @@ def test_criterion_5_consistency_oracles(acceptance_report):
         )
         row, pair = run_resolved(config, param_value=2.0)
         rows.append(row)
-        fast = joint_probabilities(pair, barrier=config.barrier())
+        fast = joint_probabilities(pair)
         slow = quadrant_quadrature_oracle(pair)
         worst = max(
             worst,

@@ -5,11 +5,13 @@ experiment tests (one packet flight ~0.5 s) so the file stays quick;
 the production configurations are exercised by the acceptance suite.
 """
 
+import configparser
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,7 @@ from pairstats.cli import (
     EXIT_USAGE,
     main,
 )
-from pairstats.experiment import config_from_dict
+from pairstats.experiment import ScenarioConfig, config_from_dict
 
 SMALL_INI = """\
 [grid]
@@ -132,6 +134,25 @@ class TestParserBasics:
             capture_output=True, text=True, timeout=120, check=True,
         )
         assert result.stdout.strip() == "False"
+
+
+class TestReadmeScenarioBlock:
+    def test_block_lists_every_key_with_its_default(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Scenario files", 1)[1]
+        block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block, encoding="utf-8")
+        config, sweep_block = cli._load_config_file(str(path))
+        assert sweep_block is None
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+        parser.read_string(block)
+        listed = {(section, key) for section in parser.sections() for key in parser[section]}
+        assert listed == {(section, key) for section, key, _ in experiment._CONFIG_KEYS.values()}
+        optional = [f for f in fields(ScenarioConfig) if not experiment._CONFIG_KEYS[f.name][2]]
+        assert {f.name: getattr(config, f.name) for f in optional} == {
+            f.name: f.default for f in optional
+        }
 
 
 class TestConfigFileErrors:

@@ -13,12 +13,13 @@ from dataclasses import fields, replace
 import pytest
 
 import pairstats
-from pairstats import experiment
+from pairstats import experiment, propagator
 from pairstats.errors import (
     ConfigurationError,
     MeasurementTimeoutError,
     PairStatsError,
     PauliDegeneracyError,
+    PrematureMeasurementError,
 )
 from pairstats.experiment import (
     CSV_COLUMNS,
@@ -32,6 +33,7 @@ from pairstats.experiment import (
     config_from_dict,
     config_to_dict,
     default_scenario,
+    evolve_pair_to_measurement,
     resolve_barrier,
     rows_to_csv,
     run_resolved,
@@ -40,7 +42,9 @@ from pairstats.experiment import (
     sweep,
     write_summary_json,
 )
+from pairstats.grid import WavepacketSpec, make_gaussian
 from pairstats.occupancy import PAIR_LABELS
+from pairstats.propagator import BarrierPotential, measurement_ready
 from pairstats.twoparticle import BOSON, FERMION, joint_probabilities
 
 
@@ -317,12 +321,41 @@ class TestRunScenario:
             return real_evolve(psi, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "evolve", counting_evolve)
+        monkeypatch.setattr(propagator, "evolve", counting_evolve)
         config = small_scenario(separation=0.0, stability_fractions=(0.1,))
         row, pair = run_resolved(config, param_value=0.0)
         assert pair.psi_b is pair.psi_a
         # one call per chunk up to t_meas, plus one for the extension
         chunks = round(row.t_meas / (config.dt * config.check_every))
         assert len(calls) == chunks + 1
+
+    def test_measure_sees_only_packets_ready_under_the_config(self):
+        # thresholds stricter than the propagator defaults (1e-6, 5.0)
+        base = small_scenario(barrier_amplitude_max=1e-8, lobe_sigmas=8.0)
+        configs = [apply_sweep_parameter(base, "separation_d", d) for d in (0.0, 2.0, 4.0)]
+        barrier = base.barrier()
+        seen = []
+
+        def measure(i, psi_a, psi_b, steps_done, leakage):
+            seen.append(i)
+            for psi in (psi_a, psi_b):
+                assert psi.t == pytest.approx(steps_done * base.dt, abs=1e-9)
+                assert measurement_ready(psi, barrier, base.boundary,
+                                         base.barrier_amplitude_max, base.lobe_sigmas)
+            return i
+
+        assert evolve_pair_to_measurement(configs, barrier, measure) == [0, 1, 2]
+        assert sorted(seen) == [0, 1, 2]
+
+    def test_unready_stability_packets_are_refused(self):
+        # launch states sitting on the barrier, re-measured one step later
+        config = small_scenario(stability_fractions=(0.1,))
+        grid = config.grid()
+        psi_a = make_gaussian(grid, WavepacketSpec(-1.0, 0.0, 0.8))
+        psi_b = make_gaussian(grid, WavepacketSpec(-1.5, 0.0, 0.8))
+        barrier = BarrierPotential(8.0, 0.5)
+        with pytest.raises(PrematureMeasurementError, match="packet A has not cleared"):
+            experiment._measure(config, barrier, 0.0, psi_a, psi_b, 10, 0.0)
 
     def test_timeout_is_reported(self):
         with pytest.raises(MeasurementTimeoutError):
@@ -472,6 +505,7 @@ class TestSweep:
 
         monkeypatch.setattr(experiment, "make_gaussian", make)
         monkeypatch.setattr(experiment, "evolve", evolve)
+        monkeypatch.setattr(propagator, "evolve", evolve)
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
         for workers in (1, 2):

@@ -25,12 +25,10 @@ from pairstats.grid import (
     half_line_overlap,
     inner_product,
     make_gaussian,
-    momentum_mean,
     position_mean,
     position_std,
     probability_on_side,
     side_moments,
-    spectral_norm_sq,
 )
 
 
@@ -133,7 +131,8 @@ class TestMakeGaussian:
         psi = make_gaussian(grid, spec)
         assert position_mean(psi) == pytest.approx(-5.0, abs=1e-10)
         assert position_std(psi) == pytest.approx(1.5, abs=1e-8)
-        assert momentum_mean(psi) == pytest.approx(8.0, abs=1e-10)
+        spectrum = np.abs(np.fft.fft(psi.values)) ** 2
+        assert np.sum(grid.k * spectrum) / np.sum(spectrum) == pytest.approx(8.0, abs=1e-10)
 
     def test_validates_spec(self, grid):
         with pytest.raises(ConfigurationError):
@@ -244,12 +243,6 @@ class TestSideMoments:
         m_neg = side_moments(psi, "negative")[0]
         m_pos = side_moments(psi, "positive")[0]
         assert m_neg + m_pos == pytest.approx(1.0, abs=1e-14)
-
-
-class TestSpectralNorm:
-    def test_parseval(self, grid):
-        psi = make_gaussian(grid, WavepacketSpec(-4.0, 8.0, 1.0))
-        assert spectral_norm_sq(psi) == pytest.approx(psi.norm_sq(), rel=1e-12)
 
 
 class TestDumpCsv:

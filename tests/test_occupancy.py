@@ -51,11 +51,6 @@ class TestOccupancyVector:
         assert OccupancyVector((1, 1)) == OccupancyVector([1, 1])
         assert len({OccupancyVector((2, 0)), OccupancyVector((2, 0))}) == 1
 
-    def test_sorted_descending(self):
-        assert OccupancyVector((0, 3, 1)).sorted_descending() == OccupancyVector(
-            (3, 1, 0)
-        )
-
     def test_rejects_negative_and_empty(self):
         with pytest.raises(ValueError):
             OccupancyVector((1, -1))

@@ -42,7 +42,6 @@ from pairstats.propagator import (
     expected_packet_transmission,
     measurement_ready,
     simulated_transmission,
-    step,
 )
 
 
@@ -132,13 +131,6 @@ class TestFreeEvolution:
         out = evolve(psi, FREE, PropagationParams(dt=1e-3, steps=2000)).psi
         assert abs(out.norm_sq() - psi.norm_sq()) < 1e-11
 
-    def test_step_equals_single_step_evolve(self, grid):
-        psi = make_gaussian(grid, WavepacketSpec(-12.0, 2.0, 1.0))
-        a = step(psi, FREE, 1e-3)
-        b = evolve(psi, FREE, PropagationParams(dt=1e-3, steps=1)).psi
-        assert a.t == b.t == pytest.approx(1e-3)
-        np.testing.assert_array_equal(a.values, b.values)
-
     def test_contained_run_reports_small_edge_amplitude(self, grid):
         psi = make_gaussian(grid, WavepacketSpec(-12.0, 2.0, 1.0))
         result = evolve(psi, FREE, PropagationParams(dt=1e-3, steps=500))
@@ -150,6 +142,18 @@ class TestFreeEvolution:
         # carrier velocity 8 reaches the right edge near t = 3
         with pytest.raises(BoundaryContaminationError):
             evolve(psi, FREE, PropagationParams(dt=1e-3, steps=4000))
+
+    def test_contamination_counts_steps_since_launch(self):
+        g = Grid1D(half_width=16.0, points=512)
+        psi = make_gaussian(g, WavepacketSpec(-8.0, 8.0, 1.0))
+        with pytest.raises(BoundaryContaminationError) as whole:
+            evolve(psi, FREE, PropagationParams(dt=1e-3, steps=4000))
+        # the same flight in 500-step chunks fails in a later chunk
+        with pytest.raises(BoundaryContaminationError) as chunked:
+            while True:
+                psi = evolve(psi, FREE, PropagationParams(dt=1e-3, steps=500)).psi
+        assert psi.t > 0.5
+        assert str(chunked.value) == str(whole.value)
 
 
 class TestPlaneTransmission:

@@ -29,10 +29,8 @@ from pairstats.errors import (
     BudgetExceededError,
     ConsistencyError,
     PauliDegeneracyError,
-    PrematureMeasurementError,
 )
 from pairstats.grid import Grid1D, Wavefunction, WavepacketSpec, make_gaussian
-from pairstats.propagator import BarrierPotential
 from pairstats.twoparticle import (
     BOSON,
     FERMION,
@@ -231,33 +229,6 @@ class TestFactorizedAgainstQuadrature:
         pair = make_pair(psi_a, psi_b, BOSON)
         with pytest.raises(BudgetExceededError):
             quadrant_quadrature_oracle(pair)
-
-
-class TestMeasurementGating:
-    def test_unready_packets_are_refused(self, grid):
-        psi_a = make_gaussian(grid, WavepacketSpec(-1.0, 0.0, 0.8))
-        psi_b = make_gaussian(grid, WavepacketSpec(-1.5, 0.0, 0.8))
-        pair = make_pair(psi_a, psi_b, BOSON)
-        barrier = BarrierPotential(8.0, 0.5)
-        with pytest.raises(PrematureMeasurementError):
-            joint_probabilities(pair, barrier=barrier)
-
-    def test_thresholds_thread_through(self, grid):
-        psi_a = make_gaussian(grid, WavepacketSpec(-1.0, 0.0, 0.8))
-        psi_b = make_gaussian(grid, WavepacketSpec(-1.5, 0.0, 0.8))
-        pair = make_pair(psi_a, psi_b, BOSON)
-        barrier = BarrierPotential(8.0, 0.5)
-        stats = joint_probabilities(
-            pair, barrier=barrier, barrier_amplitude_max=1.0, lobe_sigmas=0.25
-        )
-        assert stats.sum_check == pytest.approx(1.0, abs=1e-12)
-
-    def test_no_barrier_means_no_gate(self, grid):
-        psi_a = make_gaussian(grid, WavepacketSpec(-1.0, 0.0, 0.8))
-        psi_b = make_gaussian(grid, WavepacketSpec(-1.5, 0.0, 0.8))
-        pair = make_pair(psi_a, psi_b, BOSON)
-        stats = joint_probabilities(pair)
-        assert stats.sum_check == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDensityDump:
