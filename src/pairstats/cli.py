@@ -125,6 +125,12 @@ def _say(args, text: str) -> None:
         print(text, file=sys.stderr)
 
 
+def _say_calibration_runs(args, calibration) -> None:
+    """One line per full calibration run, in run order."""
+    for v0, t in calibration.history:
+        _say(args, f"  height {v0:.10g} -> T = {t:.8f}")
+
+
 def _row_headline(row: ResultRow) -> str:
     if row.error is not None:
         return f"param={row.param:.6g}  error: {row.error}"
@@ -179,8 +185,7 @@ def cmd_calibrate(args) -> int:
         resolved, calibration = resolve_barrier(config)
         transmission = calibration.transmission
         t_meas = calibration.measurement_time
-        for v0, t in calibration.history:
-            _say(args, f"  height {v0:.10g} -> T = {t:.8f}")
+        _say_calibration_runs(args, calibration)
     else:
         _say(args, f"height fixed at {config.barrier_height}; measuring transmission")
         resolved, calibration = config, None
@@ -221,6 +226,7 @@ def cmd_run(args) -> int:
         check_oracle_budget(config.grid_points)
     resolved, calibration = resolve_barrier(config)
     if calibration is not None:
+        _say_calibration_runs(args, calibration)
         _say(args, f"calibrated barrier height {resolved.barrier_height:.10g} "
                    f"(T = {calibration.transmission:.6f})")
     row, pair = run_resolved(resolved, param_value=resolved.separation)
@@ -257,6 +263,7 @@ def cmd_sweep(args) -> int:
     sweep_config.validate()
     resolved_base, calibration = resolve_barrier(base)
     if calibration is not None:
+        _say_calibration_runs(args, calibration)
         _say(args, f"calibrated barrier height {resolved_base.barrier_height:.10g} "
                    f"(T = {calibration.transmission:.6f})")
     rows = sweep(

@@ -32,7 +32,8 @@ class BudgetExceededError(PairStatsError):
 class CalibrationError(PairStatsError):
     """Barrier calibration failed to bracket or converge.
 
-    Carries the bracket history as a list of (v0, transmission) pairs.
+    Carries the runs made so far as a list of (v0, transmission)
+    pairs, in run order.
     """
 
     def __init__(self, message, history=None):

@@ -31,6 +31,9 @@ from .errors import ConfigurationError, GridMismatchError
 
 Side = Literal["negative", "positive"]
 
+# 16 MiB per complex128 array; a run holds several such arrays per packet
+MAX_POINTS = 2**20
+
 _SIDES = ("negative", "positive")
 
 
@@ -48,6 +51,10 @@ class Grid1D:
         if p < 2 or (p & (p - 1)) != 0:
             raise ConfigurationError(
                 f"points must be a power of two >= 2 for the spectral step, got {p}"
+            )
+        if p > MAX_POINTS:
+            raise ConfigurationError(
+                f"points must be <= {MAX_POINTS} (16 MiB per complex array), got {p}"
             )
 
     @property

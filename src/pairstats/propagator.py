@@ -266,7 +266,12 @@ def barrier_region_amplitude(psi: Wavefunction, barrier: BarrierPotential) -> fl
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Calibrated barrier plus the bisection record."""
+    """Calibrated barrier plus the record of the runs made.
+
+    `history` holds one (height, transmission) pair per full run, in run
+    order, and `iterations` is its length.  The accepted height is always
+    one of them: its transmission and measurement time come from its run.
+    """
 
     barrier: BarrierPotential
     transmission: float
@@ -377,6 +382,27 @@ def simulated_transmission(
     return outcome
 
 
+def _analytic_seed(transmission: Callable[[float], float], target: float, v_hi: float) -> float:
+    """Height where a transmission curve falling in height crosses `target`.
+
+    Doubles `v_hi` (up to 1e6) until it transmits at or below target,
+    then bisects [0, v_hi]: at most 80 halvings, stopping early once the
+    midpoint lands on a bracket end, after which no halving moves it.
+    """
+    v_lo = 0.0
+    while transmission(v_hi) > target and v_hi < 1e6:
+        v_hi *= 2.0
+    for _ in range(80):
+        mid = 0.5 * (v_lo + v_hi)
+        if mid == v_lo or mid == v_hi:
+            break
+        if transmission(mid) > target:
+            v_lo = mid
+        else:
+            v_hi = mid
+    return 0.5 * (v_lo + v_hi)
+
+
 def calibrate_barrier(
     grid: Grid1D,
     spec: WavepacketSpec,
@@ -396,10 +422,21 @@ def calibrate_barrier(
     """Find the barrier height whose simulated transmission hits `target`.
 
     Transmission is measured from a full split-operator run of the packet
-    in `spec`, not from the analytic formula; the analytic
-    momentum-averaged curve only seeds the initial bracket.  Bisection on
-    the height then narrows until |T - target| <= tol.  The bracket
-    record is kept in the result (and in the error on failure).
+    in `spec`, not from the analytic formula.  The analytic
+    momentum-averaged curve seeds the bracket [0.75, 1.3] x seed, which
+    is widened if needed, and bisection on the height then narrows until
+    |T - target| <= tol.
+
+    A height is run only when no run made so far settles its side.  With
+    T falling in height, a run below target - tol puts every greater
+    height below as well, and a run above target + tol puts every smaller
+    height above.  The bisection path predicted on the analytic curve is
+    run finest midpoint first, so when the prediction holds, the accepted
+    midpoint and the two that bracket it are the only runs.  The height
+    found is the one a bisection running every point would accept, as
+    long as T falls monotonically in height.  `history` lists the runs
+    made, in run order, and `max_iterations` caps how many there are;
+    the error on failure carries the same record.
     """
     if not 0.0 < target <= 1.0:
         raise ConfigurationError(f"target transmission must be in (0, 1], got {target}")
@@ -410,30 +447,25 @@ def calibrate_barrier(
     def analytic(v0: float) -> float:
         return expected_packet_transmission(spec, BarrierPotential(v0, width, center))
 
-    # seed: bisect the cheap analytic curve to land the bracket near the answer
-    v_lo_a, v_hi_a = 0.0, max(spec.wavenumber**2, 1.0)
-    while analytic(v_hi_a) > target and v_hi_a < 1e6:
-        v_hi_a *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (v_lo_a + v_hi_a)
-        if analytic(mid) > target:
-            v_lo_a = mid
-        else:
-            v_hi_a = mid
-    seed = 0.5 * (v_lo_a + v_hi_a)
+    seed = _analytic_seed(analytic, target, max(spec.wavenumber**2, 1.0))
 
     history: list[tuple[float, float]] = []
     t_meas_seen: dict[float, float] = {}
 
-    def simulate(v0: float) -> float:
-        barrier = BarrierPotential(v0, width, center)
-        transmission, t_meas = simulated_transmission(
-            grid, spec, barrier, dt, max_steps, check_every, boundary,
-            edge_amplitude_max, barrier_amplitude_max, lobe_sigmas,
-        )
-        history.append((v0, transmission))
-        t_meas_seen[v0] = t_meas
-        return transmission
+    def side(v0: float) -> float:
+        """T at v0, or the T of an earlier run that puts v0 on the same side of tol."""
+        if v0 not in t_meas_seen:
+            for v, t in history:
+                if (v < v0 and t < target - tol) or (v > v0 and t > target + tol):
+                    return t
+            barrier = BarrierPotential(v0, width, center)
+            transmission, t_meas = simulated_transmission(
+                grid, spec, barrier, dt, max_steps, check_every, boundary,
+                edge_amplitude_max, barrier_amplitude_max, lobe_sigmas,
+            )
+            history.append((v0, transmission))
+            t_meas_seen[v0] = t_meas
+        return dict(history)[v0]
 
     def done(v0: float, transmission: float) -> CalibrationResult:
         return CalibrationResult(
@@ -447,9 +479,29 @@ def calibrate_barrier(
     def over_budget() -> bool:
         return len(history) >= max_iterations
 
-    # low edge of the bracket must transmit at or above target
     lo = max(0.75 * seed, 0.0)
-    t_lo = simulate(lo)
+    hi = 1.3 * seed if seed > 0 else 1.0
+
+    # predict the bisection path on the analytic curve, then run its
+    # midpoints finest first; the code below replays the bisection
+    # through side(), which only runs heights these runs do not settle
+    predicted: list[float] = []
+    p_lo, p_hi = lo, hi
+    for _ in range(max_iterations):
+        mid = 0.5 * (p_lo + p_hi)
+        predicted.append(mid)
+        t_mid = analytic(mid)
+        if abs(t_mid - target) <= tol:
+            break
+        if t_mid > target:
+            p_lo = mid
+        else:
+            p_hi = mid
+    for mid in reversed(predicted):
+        side(mid)
+
+    # low edge of the bracket must transmit at or above target
+    t_lo = side(lo)
     if abs(t_lo - target) <= tol:
         return done(lo, t_lo)
     while t_lo < target:
@@ -459,7 +511,7 @@ def calibrate_barrier(
                 history,
             )
         lo = 0.0 if lo < 0.05 * seed else 0.5 * lo
-        t_lo = simulate(lo)
+        t_lo = side(lo)
         if abs(t_lo - target) <= tol:
             return done(lo, t_lo)
         if over_budget():
@@ -468,14 +520,13 @@ def calibrate_barrier(
             )
 
     # high edge must transmit at or below target
-    hi = 1.3 * seed if seed > 0 else 1.0
-    t_hi = simulate(hi)
+    t_hi = side(hi)
     if abs(t_hi - target) <= tol:
         return done(hi, t_hi)
     while t_hi > target:
         lo, t_lo = hi, t_hi
         hi *= 1.6
-        t_hi = simulate(hi)
+        t_hi = side(hi)
         if abs(t_hi - target) <= tol:
             return done(hi, t_hi)
         if over_budget():
@@ -495,7 +546,7 @@ def calibrate_barrier(
                 history,
             )
         mid = 0.5 * (lo + hi)
-        t_mid = simulate(mid)
+        t_mid = side(mid)
         if abs(t_mid - target) <= tol:
             return done(mid, t_mid)
         if t_mid > target:

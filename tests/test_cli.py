@@ -11,7 +11,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -26,6 +26,7 @@ from pairstats.cli import (
     main,
 )
 from pairstats.experiment import ScenarioConfig, config_from_dict
+from pairstats.propagator import BarrierPotential, CalibrationResult
 
 SMALL_INI = """\
 [grid]
@@ -210,6 +211,22 @@ class TestConfigFileErrors:
         assert f"{field} must be finite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "calibrate"])
+    def test_grid_over_the_memory_cap_exits_2_before_evolving(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve called on a rejected config")
+
+        monkeypatch.setattr(propagator, "evolve", refuse)
+        monkeypatch.setattr(experiment, "evolve", refuse)
+        path = write_ini(tmp_path, height="calibrate", sweep_values="3")
+        Path(path).write_text(Path(path).read_text(encoding="utf-8").replace(
+            "points = 2048", f"points = {2**21}"), encoding="utf-8")
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert "points must be <= 1048576" in capsys.readouterr().err
+
+
 class TestRunCommand:
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         path = write_ini(tmp_path)
@@ -391,6 +408,21 @@ class TestCalibrateCommand:
         assert report["kind"] == "calibration"
         assert 0.4 < report["transmission"] < 0.6
         assert "calibration" not in report  # no bisection happened
+
+    @pytest.mark.parametrize("command", ["calibrate", "run", "sweep"])
+    def test_verbose_lists_every_calibration_run(self, tmp_path, capsys, monkeypatch, command):
+        fake = CalibrationResult(
+            barrier=BarrierPotential(26.787825, 0.5), transmission=0.5012, iterations=2,
+            history=((30.5, 0.4321), (26.787825, 0.5012)), measurement_time=2.9,
+        )
+        monkeypatch.setattr(cli, "resolve_barrier", lambda config: (
+            replace(config, barrier_height=fake.barrier.height), fake))
+        path = write_ini(tmp_path, height="calibrate", sweep_values="3")
+        assert main([command, "--config", path, "--out", str(tmp_path / "out"),
+                     "--verbose"]) == EXIT_OK
+        err = capsys.readouterr().err
+        first = err.index("  height 30.5 -> T = 0.43210000\n")
+        assert err.index("  height 26.787825 -> T = 0.50120000\n") > first
 
     def test_calibration_search_hits_target(self, tmp_path, capsys):
         path = write_ini(tmp_path, height="calibrate",

@@ -121,6 +121,10 @@ class TestScenarioConfig:
                 small_scenario(stability_fractions=bad).validate()
         small_scenario(stability_fractions=(0.25, 0.5)).validate()
 
+    def test_rejects_grid_over_the_memory_cap(self):
+        with pytest.raises(ConfigurationError, match="points must be <= 1048576"):
+            small_scenario(grid_points=2**21).validate()
+
     def test_rejects_non_finite_floats(self):
         config = small_scenario()
         float_fields = [

@@ -79,6 +79,12 @@ class TestGrid1D:
         with pytest.raises(ConfigurationError):
             Grid1D(half_width=8.0, points=1)
 
+    def test_rejects_grids_over_the_memory_cap(self):
+        # checked before any array is built: 2**21 points would need 32 MiB each
+        with pytest.raises(ConfigurationError, match=r"points must be <= 1048576 .*got 2097152"):
+            Grid1D(half_width=8.0, points=2**21)
+        assert Grid1D(half_width=8.0, points=2**20).points == 2**20
+
 
 class TestWavefunction:
     def test_values_are_read_only(self, grid):

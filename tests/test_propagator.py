@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from pairstats import propagator
 from pairstats.errors import (
     BoundaryContaminationError,
     CalibrationError,
@@ -33,6 +34,7 @@ from pairstats.grid import (
 )
 from pairstats.propagator import (
     BARRIER_ACTIVATION_AMPLITUDE,
+    _analytic_seed,
     BarrierPotential,
     PropagationParams,
     analytic_plane_transmission,
@@ -346,3 +348,123 @@ class TestCalibration:
                 grid, spec, width=0.5, target=0.5, tol=1e-9,
                 dt=5e-4, max_steps=12_000, check_every=200, max_iterations=3,
             )
+
+
+def eighty_halvings(transmission, target, v_hi):
+    """The analytic seed as first written: always 80 halvings of [0, v_hi]."""
+    v_lo = 0.0
+    while transmission(v_hi) > target and v_hi < 1e6:
+        v_hi *= 2.0
+    for _ in range(80):
+        mid = 0.5 * (v_lo + v_hi)
+        if transmission(mid) > target:
+            v_lo = mid
+        else:
+            v_hi = mid
+    return 0.5 * (v_lo + v_hi)
+
+
+CAL_SPEC = WavepacketSpec(center=-10.0, wavenumber=8.0, sigma=1.0)
+CAL_RUN = dict(dt=5e-4, max_steps=12_000, check_every=200, boundary=0.0, edge_amplitude_max=1e-6)
+CAL_TARGET, CAL_TOL = 0.5, 0.005
+# near the simulated root of CAL_SPEC on a width-0.5 barrier, 1024-point grid
+CAL_ROOT = 26.6
+
+
+def reference_calibration(grid, width):
+    """Calibration as a plain bisection that runs every height it visits.
+
+    Same seed, bracket, widening factors and bisection as
+    calibrate_barrier; returns (height, T, t_meas, runs made).
+    """
+    seed = eighty_halvings(
+        lambda v0: propagator.expected_packet_transmission(CAL_SPEC, BarrierPotential(v0, width)),
+        CAL_TARGET, max(CAL_SPEC.wavenumber**2, 1.0),
+    )
+    runs = []
+
+    def simulate(v0):
+        runs.append(v0)
+        assert len(runs) <= 40
+        return simulated_transmission(grid, CAL_SPEC, BarrierPotential(v0, width), **CAL_RUN)
+
+    def within(t):
+        return abs(t - CAL_TARGET) <= CAL_TOL
+
+    lo = 0.75 * seed
+    t_lo, m_lo = simulate(lo)
+    if within(t_lo):
+        return lo, t_lo, m_lo, len(runs)
+    while t_lo < CAL_TARGET:
+        assert lo > 0.0
+        lo = 0.0 if lo < 0.05 * seed else 0.5 * lo
+        t_lo, m_lo = simulate(lo)
+        if within(t_lo):
+            return lo, t_lo, m_lo, len(runs)
+    hi = 1.3 * seed
+    t_hi, m_hi = simulate(hi)
+    if within(t_hi):
+        return hi, t_hi, m_hi, len(runs)
+    while t_hi > CAL_TARGET:
+        lo = hi
+        hi *= 1.6
+        t_hi, m_hi = simulate(hi)
+        if within(t_hi):
+            return hi, t_hi, m_hi, len(runs)
+    while True:
+        assert hi - lo > 1e-12 * hi
+        mid = 0.5 * (lo + hi)
+        t_mid, m_mid = simulate(mid)
+        if within(t_mid):
+            return mid, t_mid, m_mid, len(runs)
+        if t_mid > CAL_TARGET:
+            lo = mid
+        else:
+            hi = mid
+
+
+def falling_through(root):
+    """A stand-in analytic curve that crosses 1/2 at `root`."""
+    return lambda spec, barrier: 1.0 / (1.0 + (barrier.height / root) ** 4)
+
+
+class TestCalibrationRunsOnlyWhatItNeeds:
+    def test_seed_stops_halving_once_the_midpoint_stops_moving(self):
+        def barrier_curve(v0):
+            return expected_packet_transmission(CAL_SPEC, BarrierPotential(v0, 1.0))
+
+        calls = []
+
+        def counted(v0):
+            calls.append(v0)
+            return barrier_curve(v0)
+
+        seed = _analytic_seed(counted, 0.5, 64.0)
+        assert seed == eighty_halvings(barrier_curve, 0.5, 64.0)
+        # one look at v_hi, then 54 halvings of [0, 64] reach the float
+        # spacing of a seed in [16, 32); the old loop always made 81 calls
+        assert 16.0 <= seed < 32.0
+        assert len(calls) == 55
+
+    @pytest.mark.parametrize("analytic_root", [
+        None,               # (a) the real analytic curve predicts the path
+        CAL_ROOT / 1.2,     # (b) wrong prediction, root still inside the bracket
+        CAL_ROOT / 0.6,     # (c) root below 0.75 x seed: the bracket is lowered
+        CAL_ROOT / 1.5,     # (d) root above 1.3 x seed: the bracket is raised
+    ])
+    def test_same_height_as_a_bisection_that_runs_every_point(
+        self, grid, monkeypatch, analytic_root
+    ):
+        if analytic_root is not None:
+            monkeypatch.setattr(propagator, "expected_packet_transmission",
+                                falling_through(analytic_root))
+        height, transmission, t_meas, reference_runs = reference_calibration(grid, 0.5)
+        result = calibrate_barrier(grid, CAL_SPEC, width=0.5, target=CAL_TARGET, tol=CAL_TOL,
+                                   **CAL_RUN)
+        assert result.barrier.height == height
+        assert result.transmission == transmission
+        assert result.measurement_time == t_meas
+        assert result.iterations == len(result.history)
+        assert result.barrier.height in [h for h, _ in result.history]
+        if analytic_root is None:
+            assert result.iterations < reference_runs
