@@ -3,7 +3,7 @@
 Sweeps the separation for both exchange signs over one calibrated
 barrier.  Bosons never drop below the distinguishable point a = 1/4
 and fermions never rise above it; both tails approach 1/4 as the
-packets decohere.  Around twenty seconds on one core.
+packets decohere.  About six seconds on one core.
 """
 
 import dataclasses

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +49,7 @@ from .experiment import (
 )
 from .grid import dump_wavefunction_csv, make_gaussian
 from .occupancy import (
+    DEFAULT_ENUMERATION_BUDGET,
     be_probability,
     enumerate_mb_oracle,
     fd_probability,
@@ -149,6 +151,12 @@ def cmd_occupancy(args) -> int:
     n, m = args.particles, args.states
     if n < 0 or m < 1:
         raise ConfigurationError(f"need N >= 0 and M >= 1, got N={n} M={m}")
+    rows = math.comb(n + m - 1, n)
+    if rows > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"N={n} M={m} has {rows} occupancy vectors, over the table budget "
+            f"{DEFAULT_ENUMERATION_BUDGET}"
+        )
     kinds = ("mb", "be", "fd") if args.stats == "all" else (args.stats,)
     for kind in kinds:
         print(f"N={n} M={m} statistics={kind}")
@@ -190,16 +198,7 @@ def cmd_calibrate(args) -> int:
         _say(args, f"height fixed at {config.barrier_height}; measuring transmission")
         resolved, calibration = config, None
         transmission, t_meas = simulated_transmission(
-            config.grid(),
-            config.spec_a(),
-            config.barrier(),
-            config.dt,
-            config.max_steps,
-            config.check_every,
-            config.boundary,
-            config.edge_amplitude_max,
-            config.barrier_amplitude_max,
-            config.lobe_sigmas,
+            config.grid(), config.spec_a(), config.barrier(), **config.loop_settings()
         )
     report = {
         "toolkit_version": __version__,
@@ -303,6 +302,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_density(args) -> int:
+    if args.max_points < 1:
+        raise ConfigurationError(f"--max-points must be >= 1, got {args.max_points}")
     config, _ = _scenario_from_args(args)
     config.validate()
     out = _out_dir(args)

@@ -1,10 +1,11 @@
 """Scenario orchestration: configs, single runs, sweeps and reports.
 
 A scenario launches two Gaussian packets at a rectangular barrier,
-evolves them under the same Hamiltonian until both have visited and
-cleared the barrier, symmetrizes, and integrates the four side
-quadrants.  Packet B is packet A displaced by `separation` away from
-the barrier and optionally boosted by `wavenumber_offset`.
+follows them until both have cleared it, symmetrizes, and integrates
+the four side quadrants.  Packet B is packet A displaced by
+`separation` away from the barrier and optionally boosted by
+`wavenumber_offset`; it is never evolved itself, but read off the
+packet launched at A's centre with B's wavenumber.
 
 Everything is deterministic: identical configs produce byte-identical
 CSV/JSON outputs, with any number of sweep workers.
@@ -33,10 +34,14 @@ from .propagator import (
     BarrierPotential,
     CalibrationResult,
     PropagationParams,
+    SHIFT_BARRIER_AMPLITUDE_MAX,
+    barrier_region_amplitude,
     calibrate_barrier,
     evolve,
     evolve_until_measured,
+    lobes_outgoing,
     measurement_ready,
+    shift_lobes,
 )
 from .twoparticle import BOSON, FERMION, PAULI_GUARD, SymmetrizedPair, joint_probabilities, make_pair
 
@@ -112,6 +117,13 @@ class ScenarioConfig:
 
     def identical_packets(self) -> bool:
         return self.separation == 0.0 and self.wavenumber_offset == 0.0
+
+    def loop_settings(self) -> dict:
+        """Step size, step budget and measurement gate, as keywords of the propagator's loops."""
+        return {name: getattr(self, name) for name in (
+            "dt", "max_steps", "check_every", "boundary",
+            "edge_amplitude_max", "barrier_amplitude_max", "lobe_sigmas",
+        )}
 
     def validate(self) -> None:
         for f in fields(self):
@@ -251,19 +263,9 @@ def resolve_barrier(
     if config.barrier_height is not None:
         return config, None
     calibration = calibrate_barrier(
-        config.grid(),
-        config.spec_a(),
-        config.barrier_width,
-        target=config.calibration_target,
-        tol=config.calibration_tol,
-        center=config.barrier_center,
-        dt=config.dt,
-        max_steps=config.max_steps,
-        check_every=config.check_every,
-        boundary=config.boundary,
-        edge_amplitude_max=config.edge_amplitude_max,
-        barrier_amplitude_max=config.barrier_amplitude_max,
-        lobe_sigmas=config.lobe_sigmas,
+        config.grid(), config.spec_a(), config.barrier_width,
+        target=config.calibration_target, tol=config.calibration_tol,
+        center=config.barrier_center, **config.loop_settings(),
     )
     resolved = replace(config, barrier_height=calibration.barrier.height)
     return resolved, calibration
@@ -272,29 +274,35 @@ def resolve_barrier(
 def evolve_pair_to_measurement(
     configs: list[ScenarioConfig], barrier: BarrierPotential, measure: Callable
 ) -> list:
-    """Evolve packet A once and each config's packet B in lockstep; one outcome per config.
+    """Follow packet A and each config's packet B to its measurement; one outcome per config.
 
-    The configs differ only in packet B.  Row i needs packets (A, B), or
-    (A, A) when B is A, and `evolve_until_measured` advances every packet
-    through the same `check_every` chunks, so each pair sees exactly the
-    steps it would see alone.  The i-th outcome is
-    `measure(i, psi_a, psi_b, steps_done, leakage)` at the pair's
-    measurement time.  A PairStatsError is the outcome of the rows it
-    concerns: a launch check, an edge error of B or an error of `measure`
-    ends one row; an edge error of A or the timeout ends every row still
-    running.
+    The configs differ only in packet B.  Only A and one source per
+    distinct wavenumber of B (launched at A's centre; A itself when the
+    wavenumbers agree) are evolved; config i's B is read off its source
+    by `shift_lobes`.  It is measured at the first chunk where A and the
+    source are ready, the source is below SHIFT_BARRIER_AMPLITUDE_MAX on
+    the barrier unless B is the source, and B is `measurement_ready` and
+    `lobes_outgoing`: the outcome is `measure(i, psi_a, psi_b, source,
+    steps_done, leakage)`, the leakage being that of A and the source
+    and B's edge amplitude at launch (after that B trails its source).
+    A PairStatsError is the outcome of the configs it concerns: a launch
+    check or an error of `measure` ends one, an edge error of a source
+    its configs, an edge error of A or the timeout all running.
     """
     config = configs[0]
     grid = config.grid()
+    packets = [make_gaussian(grid, config.spec_a())]
+    source_of = {config.packet_wavenumber: 0}  # B's wavenumber -> index of its source
     outcomes: dict = {}
-    # packet 0 is A; row i evolves its own B as packet i + 1, or reuses A when B is A
-    packets = {0: make_gaussian(grid, config.spec_a())}
-    rows: dict[int, tuple[int, int]] = {}
+    running: dict[int, tuple[int, float]] = {}  # config -> its source, B's launch edge amplitude
     for i, cfg in enumerate(configs):
         try:
             cfg.validate()
-            b = 0 if cfg.identical_packets() else i + 1
-            psi_b = packets[0] if b == 0 else make_gaussian(grid, cfg.spec_b())
+            k_b = cfg.spec_b().wavenumber
+            if k_b not in source_of:
+                source_of[k_b] = len(packets)
+                packets.append(make_gaussian(grid, replace(cfg.spec_a(), wavenumber=k_b)))
+            psi_b = shift_lobes(packets[source_of[k_b]], cfg.separation, k_b)
             if cfg.sign == FERMION:
                 s0 = inner_product(packets[0], psi_b)
                 if not (1.0 - abs(s0) ** 2) > PAULI_GUARD:
@@ -305,35 +313,67 @@ def evolve_pair_to_measurement(
         except PairStatsError as err:
             outcomes[i] = err
         else:
-            packets[b], rows[i] = psi_b, (0, b)
-    outcomes.update(evolve_until_measured(
-        packets, rows, barrier, measure,
-        dt=config.dt, max_steps=config.max_steps, check_every=config.check_every,
-        boundary=config.boundary, edge_amplitude_max=config.edge_amplitude_max,
-        barrier_amplitude_max=config.barrier_amplitude_max, lobe_sigmas=config.lobe_sigmas,
-    ))
-    timeout = MeasurementTimeoutError(
-        f"packets did not clear the barrier within {config.max_steps} steps "
-        f"(t = {config.max_steps * config.dt:.6g})"
-    )
-    return [outcomes.get(i, timeout) for i in range(len(configs))]
+            running[i] = source_of[k_b], float(max(abs(psi_b.values[0]), abs(psi_b.values[-1])))
+
+    def measure_cleared(states, ready, steps_done, leakage) -> bool:
+        for i, (j, launch_edge) in list(running.items()):
+            cfg, source = configs[i], states[j]
+            if isinstance(source, PairStatsError):
+                outcomes[i] = source
+                del running[i]
+                continue
+            if not (ready[0] and ready[j]) or (
+                cfg.separation != 0.0
+                and barrier_region_amplitude(source, barrier) > SHIFT_BARRIER_AMPLITUDE_MAX
+            ):
+                continue
+            psi_b = shift_lobes(source, cfg.separation, cfg.spec_b().wavenumber)
+            if not (measurement_ready(psi_b, barrier, cfg.boundary, cfg.barrier_amplitude_max,
+                                      cfg.lobe_sigmas) and lobes_outgoing(psi_b, cfg.boundary)):
+                continue
+            del running[i]
+            try:
+                outcomes[i] = measure(i, states[0], psi_b, source, steps_done,
+                                      max(leakage[0], leakage[j], launch_edge))
+            except PairStatsError as err:
+                outcomes[i] = err
+        # a source no running config reads B off is not evolved further
+        for j in set(source_of.values()) - {0} - {j for j, _ in running.values()}:
+            states[j] = None
+        return not running
+
+    try:
+        if running and evolve_until_measured(
+            packets, barrier, measure_cleared, **config.loop_settings()
+        ) is None:
+            raise MeasurementTimeoutError(
+                f"packets did not clear the barrier within {config.max_steps} steps "
+                f"(t = {config.max_steps * config.dt:.6g})"
+            )
+    except PairStatsError as err:
+        outcomes.update(dict.fromkeys(running, err))
+    return [outcomes[i] for i in range(len(configs))]
 
 
 def _measure(
     config: ScenarioConfig, barrier: BarrierPotential, param_value: float,
-    psi_a: Wavefunction, psi_b: Wavefunction, steps_done: int, leakage: float,
+    psi_a: Wavefunction, psi_b: Wavefunction, source: Wavefunction, steps_done: int,
+    leakage: float,
 ) -> tuple[ResultRow, SymmetrizedPair]:
     """Measure one pair at its measurement time, then at the stability times.
 
-    The pair comes from `evolve_pair_to_measurement`, ready to measure;
-    the packets evolved on for a stability time must still be ready.
+    The pair comes from `evolve_pair_to_measurement`, ready to measure,
+    with the source B was read off.  For a stability time A and the
+    source are evolved on and B is read off again; both packets must
+    still be ready.
     """
     pair = make_pair(psi_a, psi_b, config.sign)
     stats = joint_probabilities(pair, config.boundary)
 
     stability: list[float] = []
-    # identical packets share one array and are evolved once
-    packets = (psi_a,) if psi_b is psi_a else (psi_a, psi_b)
+    # identical packets and B read off A share one evolution
+    packets = [psi_a] if source is psi_a else [psi_a, source]
+    later_b = psi_b
     prev_extra = 0
     for fraction in config.stability_fractions:
         extra = int(round(fraction * steps_done))
@@ -341,16 +381,17 @@ def _measure(
             params = PropagationParams(dt=config.dt, steps=extra - prev_extra)
             results = [evolve(psi, barrier, params, config.edge_amplitude_max) for psi in packets]
             packets = [r.psi for r in results]
+            later_b = shift_lobes(packets[-1], config.separation, config.spec_b().wavenumber)
             leakage = max([leakage] + [r.max_edge_amplitude for r in results])
             prev_extra = extra
-            for name, psi in zip("AB", packets):
+            for name, psi in zip("AB", (packets[0], later_b)):
                 if not measurement_ready(psi, barrier, config.boundary,
                                          config.barrier_amplitude_max, config.lobe_sigmas):
                     raise PrematureMeasurementError(
                         f"packet {name} has not cleared the barrier region; "
                         f"measuring now would split lobes still interacting"
                     )
-        later = joint_probabilities(make_pair(packets[0], packets[-1], config.sign), config.boundary)
+        later = joint_probabilities(make_pair(packets[0], later_b, config.sign), config.boundary)
         stability.append(float(later.a))
 
     norm_drift = float(
@@ -433,22 +474,29 @@ def sweep(config: SweepConfig, workers: int = 1) -> list[ResultRow]:
 
     Rows come back in the order of `config.values`.  A failing value
     produces an invalid row carrying the error text; the sweep goes on.
-    Each worker takes every `workers`-th value and evolves packet A once
-    for all of them.  Any `workers` count gives output identical to the
-    serial run; it is capped at the number of values and of CPUs.
+    Values sharing B's wavenumber form a group, whose B packets are read
+    off one source (a separation or phase sweep is one group).  Each
+    worker takes every `workers`-th group and evolves packet A once for
+    all of them.  Any `workers` count gives output identical to the
+    serial run; it is capped at the number of groups and of CPUs.
     """
     config.validate()
     base, _ = resolve_barrier(config.base)
     values = [float(v) for v in config.values]
-    workers = max(min(workers, len(values), os.cpu_count() or 1), 1)
-    tasks = [(base, config.parameter, values[j::workers]) for j in range(workers)]
+    groups: dict[float, list[int]] = {}
+    for i, v in enumerate(values):
+        k_b = apply_sweep_parameter(base, config.parameter, v).spec_b().wavenumber
+        groups.setdefault(k_b, []).append(i)
+    workers = max(min(workers, len(groups), os.cpu_count() or 1), 1)
+    shares = [sum(list(groups.values())[j::workers], []) for j in range(workers)]
+    tasks = [(base, config.parameter, [values[i] for i in share]) for share in shares]
     if workers == 1:
-        groups = [_sweep_group(tasks[0])]
+        results = [_sweep_group(tasks[0])]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_sweep_group, tasks))
-    # value i went to group i % workers, as its (i // workers)-th row
-    return [groups[i % workers][i // workers] for i in range(len(values))]
+            results = list(pool.map(_sweep_group, tasks))
+    rows = {i: row for share, share_rows in zip(shares, results) for i, row in zip(share, share_rows)}
+    return [rows[i] for i in range(len(values))]
 
 
 @dataclass(frozen=True)

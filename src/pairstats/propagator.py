@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -256,12 +256,48 @@ def measurement_ready(
     return True
 
 
+def lobes_outgoing(psi: Wavefunction, boundary: float) -> bool:
+    """True when no noticeable mass moves towards `boundary` from either side.
+
+    B read off a cleared source before B reached the barrier fails this.
+    """
+    right = np.fft.ifft(np.fft.fft(psi.values) * (psi.grid.k > 0))
+    i0 = psi.grid.split_index(boundary)
+    inbound = np.sum(np.abs(right[:i0]) ** 2) + np.sum(np.abs(psi.values[i0:] - right[i0:]) ** 2)
+    return bool(inbound * psi.grid.dx < _MIN_LOBE_MASS)
+
+
 def barrier_region_amplitude(psi: Wavefunction, barrier: BarrierPotential) -> float:
     """Largest |psi| over the barrier support samples."""
     mask = barrier.sample_mask(psi.grid)
     if not np.any(mask):
         return 0.0
     return float(np.max(np.abs(psi.values[mask])))
+
+
+# largest amplitude the source may keep on the barrier when B is read off
+# it: the shift carries that amplitude as if it flew free, which moves a by
+# up to ~2.5 x amplitude^2 (close packets on a width-1.0 barrier's draining
+# resonance).  A lower floor waits longer for the resonance to drain, and so
+# pushes the measurement and its stability times later.
+SHIFT_BARRIER_AMPLITUDE_MAX = 5e-5
+
+
+def shift_lobes(source: Wavefunction, separation: float, wavenumber: float) -> Wavefunction:
+    """Packet B, launched `separation` d behind `source` at `wavenumber`, read off the source.
+
+    The barrier's S-matrix is diagonal in |k|: B's right-moving part
+    (incident packet, then transmitted lobe) is the source's moved back
+    by d, e^{+ikd}; its left-moving part (reflected lobe) is moved
+    forward by d, e^{-ikd}; the launch phase e^{-i k_B d} matches the
+    amplitudes.  Exact once the source has left the barrier: amplitude
+    still on it is carried as if it flew free, so read B off only a
+    source below SHIFT_BARRIER_AMPLITUDE_MAX there.
+    """
+    if separation == 0.0:
+        return source
+    phase = np.exp(1j * (np.abs(source.grid.k) - wavenumber) * separation)
+    return Wavefunction(source.grid, np.fft.ifft(np.fft.fft(source.values) * phase), source.t)
 
 
 @dataclass(frozen=True)
@@ -281,8 +317,7 @@ class CalibrationResult:
 
 
 def evolve_until_measured(
-    packets: dict[int, Wavefunction],
-    rows: dict[int, tuple[int, ...]],
+    packets: list[Wavefunction],
     barrier: BarrierPotential,
     measure: Callable,
     *,
@@ -293,63 +328,51 @@ def evolve_until_measured(
     edge_amplitude_max: float,
     barrier_amplitude_max: float,
     lobe_sigmas: float,
-) -> dict:
-    """Evolve packets in lockstep until each row's packets can be measured.
+):
+    """Evolve packets in step, offering them to `measure` after every chunk.
 
-    `rows` maps each row to the keys of the `packets` it needs; a key may
-    repeat, as in an identical-packet pair (0, 0).  Every `check_every`
-    steps each live packet gets one `evolve` call, in key order.  At the
-    first chunk where all of a row's packets have visited the barrier and
-    pass `measurement_ready`, the row's outcome is
-    `measure(row, *states, steps_done, leakage)`, `leakage` being the
-    peak edge amplitude of those packets so far.  A PairStatsError from
-    `evolve` is the outcome of every row using that packet; one from
-    `measure` is the outcome of its own row.  Packets no running row uses
-    are dropped.  Rows not measured within `max_steps` are missing from
-    the returned {row: outcome}.
+    Every `check_every` steps each packet gets one `evolve` call.  A
+    packet is ready once it has visited the barrier (reached
+    BARRIER_ACTIVATION_AMPLITUDE there at a chunk end) and passes
+    `measurement_ready` with the given thresholds.  After each chunk
+    `measure(states, ready, steps_done, leakage)` runs with the list of
+    the packets' states, their ready flags and their peak edge
+    amplitudes so far; it may set a state to None to stop evolving that
+    packet.  Returns its first truthy value, or None when `max_steps`
+    run out.  An `evolve` error of the first packet propagates; that of
+    a later packet takes the packet's place in `states`.
     """
-    rows = dict(rows)
-    packets = {k: packets[k] for k in sorted({k for keys in rows.values() for k in keys})}
-    visited = dict.fromkeys(packets, False)
-    leakage = dict.fromkeys(packets, 0.0)
-    outcomes: dict = {}
-
-    def end(row: int, outcome) -> None:
-        outcomes[row] = outcome
-        for k in set(rows.pop(row)).difference(*rows.values()):
-            del packets[k]
-
+    states = list(packets)
+    visited = [False] * len(states)
+    leakage = [0.0] * len(states)
     steps_done = 0
-    while rows and steps_done < max_steps:
-        chunk = min(check_every, max_steps - steps_done)
-        params = PropagationParams(dt=dt, steps=chunk)
-        for k in list(packets):
-            if k not in packets:  # its rows ended earlier in this chunk
+    while steps_done < max_steps:
+        params = PropagationParams(dt=dt, steps=min(check_every, max_steps - steps_done))
+        steps_done += params.steps
+        for j, psi in enumerate(states):
+            if not isinstance(psi, Wavefunction):
                 continue
             try:
-                result = evolve(packets[k], barrier, params, edge_amplitude_max)
+                result = evolve(psi, barrier, params, edge_amplitude_max)
             except PairStatsError as err:
-                for row in [row for row, keys in rows.items() if k in keys]:
-                    end(row, err)
+                if j == 0:
+                    raise
+                states[j] = err
                 continue
-            packets[k] = result.psi
-            leakage[k] = max(leakage[k], result.max_edge_amplitude)
-            visited[k] = visited[k] or (
+            states[j] = result.psi
+            leakage[j] = max(leakage[j], result.max_edge_amplitude)
+            visited[j] = visited[j] or (
                 barrier_region_amplitude(result.psi, barrier) >= BARRIER_ACTIVATION_AMPLITUDE
             )
-        steps_done += chunk
-        ready = cache(lambda k: measurement_ready(
-            packets[k], barrier, boundary, barrier_amplitude_max, lobe_sigmas
-        ))
-        for row, keys in list(rows.items()):
-            if all(visited[k] for k in keys) and all(map(ready, keys)):
-                try:
-                    outcome = measure(row, *(packets[k] for k in keys), steps_done,
-                                      max(leakage[k] for k in keys))
-                except PairStatsError as err:
-                    outcome = err
-                end(row, outcome)
-    return outcomes
+        ready = [
+            seen and isinstance(psi, Wavefunction)
+            and measurement_ready(psi, barrier, boundary, barrier_amplitude_max, lobe_sigmas)
+            for seen, psi in zip(visited, states)
+        ]
+        outcome = measure(states, ready, steps_done, leakage)
+        if outcome:
+            return outcome
+    return None
 
 
 def simulated_transmission(
@@ -366,19 +389,19 @@ def simulated_transmission(
 ) -> tuple[float, float]:
     """Run until the packet has visited and cleared the barrier; return (T, t_meas)."""
     outcome = evolve_until_measured(
-        {0: make_gaussian(grid, spec)}, {0: (0,)}, barrier,
-        lambda _, psi, *__: (probability_on_side(psi, "positive", boundary), psi.t),
+        [make_gaussian(grid, spec)], barrier,
+        lambda states, ready, *_: ready[0] and (
+            probability_on_side(states[0], "positive", boundary), states[0].t
+        ),
         dt=dt, max_steps=max_steps, check_every=check_every, boundary=boundary,
         edge_amplitude_max=edge_amplitude_max,
         barrier_amplitude_max=barrier_amplitude_max, lobe_sigmas=lobe_sigmas,
-    ).get(0)
+    )
     if outcome is None:
         raise CalibrationError(
             f"measurement criterion not met within {max_steps} steps "
             f"(t = {max_steps * dt:.6g}) for barrier height {barrier.height:.6g}"
         )
-    if isinstance(outcome, PairStatsError):
-        raise outcome
     return outcome
 
 

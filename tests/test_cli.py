@@ -108,6 +108,20 @@ class TestOccupancyCommand:
         assert "error:" in capsys.readouterr().err
         assert main(["occupancy", "2", "0"]) == EXIT_USAGE
 
+    def test_table_over_the_budget_exits_2_before_printing(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "DEFAULT_ENUMERATION_BUDGET", 100)
+        # C(8, 4) = 70 vectors fit, C(9, 5) = 126 do not
+        assert main(["occupancy", "4", "5", "--stats", "mb"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 70 + 4
+        assert main(["occupancy", "5", "5"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has 126 occupancy vectors, over the table budget 100" in captured.err
+        monkeypatch.undo()
+        # C(79, 40) ~ 5.4e22 rows
+        assert main(["occupancy", "40", "40"]) == EXIT_USAGE
+        assert "over the table budget 10000000" in capsys.readouterr().err
+
 
 class TestParserBasics:
     def test_version_flag(self, capsys):
@@ -395,6 +409,21 @@ class TestDensityCommand:
             assert float(dens) >= -1e-15
             if x1 == x2:
                 assert abs(float(dens)) < 1e-13
+
+    @pytest.mark.parametrize("max_points", ["0", "-3"])
+    def test_bad_max_points_exits_2_before_evolving(self, tmp_path, capsys, monkeypatch,
+                                                     max_points):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolved before rejecting --max-points")
+
+        monkeypatch.setattr(propagator, "evolve", no_evolve)
+        path = write_ini(tmp_path)
+        out = tmp_path / "out"
+        code = main(["density", "joint", "--evolved", "--config", path, "--out", str(out),
+                     "--max-points", max_points])
+        assert code == EXIT_USAGE
+        assert f"--max-points must be >= 1, got {max_points}" in capsys.readouterr().err
+        assert not (out / "density_joint.csv").exists()
 
 
 class TestCalibrateCommand:

@@ -44,8 +44,8 @@ from pairstats.experiment import (
 )
 from pairstats.grid import WavepacketSpec, make_gaussian
 from pairstats.occupancy import PAIR_LABELS
-from pairstats.propagator import BarrierPotential, measurement_ready
-from pairstats.twoparticle import BOSON, FERMION, joint_probabilities
+from pairstats.propagator import BarrierPotential, PropagationParams, evolve, measurement_ready
+from pairstats.twoparticle import BOSON, FERMION, joint_probabilities, make_pair
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
@@ -340,9 +340,9 @@ class TestRunScenario:
         barrier = base.barrier()
         seen = []
 
-        def measure(i, psi_a, psi_b, steps_done, leakage):
+        def measure(i, psi_a, psi_b, source, steps_done, leakage):
             seen.append(i)
-            for psi in (psi_a, psi_b):
+            for psi in (psi_a, psi_b, source):
                 assert psi.t == pytest.approx(steps_done * base.dt, abs=1e-9)
                 assert measurement_ready(psi, barrier, base.boundary,
                                          base.barrier_amplitude_max, base.lobe_sigmas)
@@ -359,7 +359,21 @@ class TestRunScenario:
         psi_b = make_gaussian(grid, WavepacketSpec(-1.5, 0.0, 0.8))
         barrier = BarrierPotential(8.0, 0.5)
         with pytest.raises(PrematureMeasurementError, match="packet A has not cleared"):
-            experiment._measure(config, barrier, 0.0, psi_a, psi_b, 10, 0.0)
+            experiment._measure(config, barrier, 0.0, psi_a, psi_b, psi_a, 10, 0.0)
+
+    def test_b_launched_at_the_box_edge_is_measured_after_it_scatters_and_invalid(self):
+        # B starts 6.05 sigma from the left edge: its launch tail already
+        # exceeds edge_amplitude_max there, and it reaches the barrier at
+        # t ~ 6.5, long after A (and so the B read off A) cleared it
+        config = small_scenario(packet_sigma=2.0, packet_center=-24.0, separation=27.9,
+                                barrier_amplitude_max=1e-3, max_steps=40_000)
+        launch_b = make_gaussian(config.grid(), config.spec_b())
+        edge_b = max(abs(launch_b.values[0]), abs(launch_b.values[-1]))
+        assert edge_b > config.edge_amplitude_max
+        row, _ = run_resolved(config, param_value=config.separation)
+        assert row.error is None and not row.valid
+        assert row.leakage == pytest.approx(edge_b, rel=1e-6)
+        assert row.t_meas > abs(config.spec_b().center) / config.packet_wavenumber
 
     def test_timeout_is_reported(self):
         with pytest.raises(MeasurementTimeoutError):
@@ -396,10 +410,11 @@ class TestSweep:
         assert [row.param for row in rows] == [4.0, 2.0, 3.0]
 
     def test_parallel_matches_serial(self):
+        # one group per distinct wavenumber of B, so two workers both run
         config = SweepConfig(
             base=small_scenario(),
-            parameter="separation_d",
-            values=(2.0, 3.0, 4.0),
+            parameter="wavenumber_dk",
+            values=(-0.25, 0.25, 0.5),
         )
         serial = [row.to_csv_line() for row in sweep(config, workers=1)]
         parallel = [row.to_csv_line() for row in sweep(config, workers=2)]
@@ -427,7 +442,7 @@ class TestSweep:
 
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiment, "_sweep_group", never_run)
-        config = SweepConfig(small_scenario(), "separation_d", (1.0, 2.0, 3.0, 4.0))
+        config = SweepConfig(small_scenario(), "wavenumber_dk", (1.0, 2.0, 3.0, 4.0))
         for cpus, workers, want in ((8, 16, 4), (3, 16, 3), (8, 2, 2), (None, 16, None)):
             monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
             requested.clear()
@@ -473,11 +488,12 @@ class TestSweep:
             ]
 
     def test_packet_a_built_and_evolved_once_per_group(self, monkeypatch):
+        # one group of values per wavenumber of B, so two workers both run
         base = small_scenario()
-        values = (0.0, 2.0, 3.0, 4.0)
+        values = (0.0, 0.25, 0.5, 0.75)
         spec_a, chunk_t = base.spec_a(), base.dt * base.check_every
         origin = {}  # id of a live wavefunction -> "A" or "B"
-        a_builds, a_starts = [], []
+        a_builds, a_starts, b_starts = [], [], []
         real_make, real_evolve = experiment.make_gaussian, experiment.evolve
 
         def make(grid, spec):
@@ -490,8 +506,7 @@ class TestSweep:
         def evolve(psi, *args, **kwargs):
             result = real_evolve(psi, *args, **kwargs)
             origin[id(result.psi)] = origin[id(psi)]
-            if origin[id(psi)] == "A":
-                a_starts.append(psi.t)
+            (a_starts if origin[id(psi)] == "A" else b_starts).append(psi.t)
             return result
 
         class InlinePool:
@@ -515,7 +530,8 @@ class TestSweep:
         for workers in (1, 2):
             a_builds.clear()
             a_starts.clear()
-            rows = sweep(SweepConfig(base, "separation_d", values), workers=workers)
+            b_starts.clear()
+            rows = sweep(SweepConfig(base, "wavenumber_dk", values), workers=workers)
             assert all(row.valid for row in rows)
             assert len(a_builds) == workers
             # each group's A runs once from launch to its last row's measurement
@@ -524,11 +540,132 @@ class TestSweep:
                 round(max(row.t_meas for row in rows[j::workers]) / chunk_t)
                 for j in range(workers)
             )
+            # B's source for each offset runs only until its row is measured
+            assert len(b_starts) == sum(round(row.t_meas / chunk_t) for row in rows[1:])
+
+    def test_edge_error_of_a_source_ends_only_its_own_rows(self):
+        # the source for offset -40 runs into the left edge at t ~ 1.4, long
+        # before the offset-0 row, evolved in the same call, is measured
+        base = small_scenario()
+        rows = sweep(SweepConfig(base, "wavenumber_dk", (-40.0, 0.0)))
+        assert rows[0].error.startswith("BoundaryContaminationError: edge amplitude")
+        alone = sweep(SweepConfig(base, "wavenumber_dk", (0.0,)))
+        assert rows[1].valid and rows[1].to_csv_line() == alone[0].to_csv_line()
+
+    def test_separation_sweep_evolves_only_packet_a_in_process(self, monkeypatch):
+        base = small_scenario()
+        built, calls = [], []
+        real_make, real_evolve = experiment.make_gaussian, experiment.evolve
+
+        def make(grid, spec):
+            built.append(spec)
+            return real_make(grid, spec)
+
+        def evolve(psi, *args, **kwargs):
+            result = real_evolve(psi, *args, **kwargs)
+            calls.append((psi, result.psi))
+            return result
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        monkeypatch.setattr(experiment, "make_gaussian", make)
+        monkeypatch.setattr(experiment, "evolve", evolve)
+        monkeypatch.setattr(propagator, "evolve", evolve)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+        rows = sweep(SweepConfig(base, "separation_d", (0.0, 1.37, 3.0, 4.5)), workers=4)
+        assert all(row.valid for row in rows)
+        assert built == [base.spec_a()]
+        # one chain of calls: packet A from its launch to the last row's measurement
+        assert calls[0][0].t == 0.0
+        assert all(psi is out for (psi, _), (_, out) in zip(calls[1:], calls))
+        chunk_t = base.dt * base.check_every
+        assert len(calls) == round(max(row.t_meas for row in rows) / chunk_t)
 
     def test_invalid_sweep_rejected_before_running(self):
         config = SweepConfig(small_scenario(), "height", (1.0,))
         with pytest.raises(ConfigurationError):
             sweep(config)
+
+
+def direct_reference(config: ScenarioConfig, t_meas: float):
+    """Packets A and B each evolved by plain `evolve` calls, in `check_every`
+    chunks, to `t_meas` and on to each stability time; the stats and the
+    packets at `t_meas`, and the stability a values."""
+    grid, barrier = config.grid(), config.barrier()
+    packets = [make_gaussian(grid, config.spec_a()), make_gaussian(grid, config.spec_b())]
+
+    def advance(packets, steps):
+        while steps > 0:
+            params = PropagationParams(dt=config.dt, steps=min(steps, config.check_every))
+            packets = [evolve(psi, barrier, params, config.edge_amplitude_max).psi
+                       for psi in packets]
+            steps -= params.steps
+        return packets
+
+    def measured(packets):
+        return joint_probabilities(make_pair(*packets, config.sign), config.boundary)
+
+    steps = round(t_meas / config.dt)
+    at_t_meas = packets = advance(packets, steps)
+    stats, stability, done = measured(packets), [], 0
+    for fraction in config.stability_fractions:
+        extra = int(round(fraction * steps))
+        packets = advance(packets, extra - done)
+        done = extra
+        stability.append(measured(packets).a)
+    return stats, at_t_meas, stability
+
+
+class TestDirectReference:
+    """Rows, with packet B read off its source, against B evolved for real."""
+
+    @staticmethod
+    def check(config, row, pair=None, tol=1e-10):
+        assert row.valid and row.error is None
+        stats, packets, stability = direct_reference(config, row.t_meas)
+        if pair is not None:
+            # amplitudes too, launch phase included; they may differ where
+            # the gate lets amplitude stay, on the barrier
+            for psi, reference in zip((pair.psi_a, pair.psi_b), packets):
+                assert abs(psi.values - reference.values).max() <= config.barrier_amplitude_max
+        for name in ("a", "p11", "p20", "p02", "t_b"):
+            assert getattr(row, name) == pytest.approx(getattr(stats, name), abs=tol), name
+        assert row.s_abs == pytest.approx(abs(stats.s), abs=tol)
+        assert row.stability_a == pytest.approx(tuple(stability), abs=tol)
+
+    @pytest.mark.parametrize("base, parameter, values", [
+        (small_scenario(), "separation_d", (0.0, 1.37, 3.0)),
+        (small_scenario(), "phase_k0d", (17.0,)),
+        # a stability time evolves B's source, recovered from B, on
+        (small_scenario(separation=2.0, stability_fractions=(0.1,)), "wavenumber_dk", (-0.3, 0.5)),
+    ])
+    def test_sweep_rows(self, base, parameter, values):
+        rows = sweep(SweepConfig(base, parameter, values))
+        for value, row in zip(values, rows):
+            self.check(apply_sweep_parameter(base, parameter, value), row)
+
+    @pytest.mark.parametrize("separation", [1.5, 2.718])
+    def test_fermion_rows_with_stability_times(self, separation):
+        config = small_scenario(sign=FERMION, separation=separation,
+                                stability_fractions=(0.1, 0.2))
+        self.check(config, *run_resolved(config, param_value=separation))
+
+    def test_b_is_read_off_only_a_source_drained_from_the_barrier(self):
+        # a width-1.0 barrier holds a slowly draining resonance: at the
+        # relaxed gate 1e-3 the source still has amplitude on it, which the
+        # shift would carry as if it flew free (a off by 1.2e-6 here)
+        config = small_scenario(barrier_width=1.0, barrier_height=28.67, sign=FERMION,
+                                separation=0.5, barrier_amplitude_max=1e-3, max_steps=16_000)
+        self.check(config, run_resolved(config, param_value=0.5)[0], tol=1e-8)
+
+    def test_pair_run_scenario(self):
+        # the benchmark's seed-0 pair_run: the quick_run box, fermions at d = 1.5
+        config = replace(small_scenario(), grid_points=4096, packet_center=-20.0,
+                         separation=1.5, sign=FERMION, max_steps=60_000,
+                         stability_fractions=(0.1, 0.2))
+        self.check(config, *run_resolved(config, param_value=1.5))
 
 
 class TestCountingComparison:
