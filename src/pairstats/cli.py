@@ -8,8 +8,9 @@ half_width and points, `[packet]` center, wavenumber and sigma, and
 `[barrier]` width are required, every other key has a default, and
 unknown sections or keys are rejected.
 
-Exit codes: 0 success, 2 bad usage or config, 3 calibration failure,
-4 degenerate antisymmetric state, 5 sweep with no valid rows.
+Exit codes: 0 success, 1 any other runtime failure, 2 bad usage or
+config, 3 calibration failure, 4 degenerate antisymmetric state, 5 sweep
+with no valid rows.
 """
 
 from __future__ import annotations
@@ -249,6 +250,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.parallel < 1:
+        raise ConfigurationError(f"--parallel must be >= 1, got {args.parallel}")
     if args.config is None:
         raise ConfigurationError("sweep needs --config with a [sweep] section")
     base, sweep_block = _load_config_file(args.config)
@@ -271,7 +274,7 @@ def cmd_sweep(args) -> int:
             parameter=sweep_config.parameter,
             values=sweep_config.values,
         ),
-        workers=max(args.parallel, 1),
+        workers=args.parallel,
     )
     out = _out_dir(args)
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as handle:

@@ -316,6 +316,8 @@ def evolve_pair_to_measurement(
             running[i] = source_of[k_b], float(max(abs(psi_b.values[0]), abs(psi_b.values[-1])))
 
     def measure_cleared(states, ready, steps_done, leakage) -> bool:
+        if isinstance(states[0], PairStatsError):
+            raise states[0]
         for i, (j, launch_edge) in list(running.items()):
             cfg, source = configs[i], states[j]
             if isinstance(source, PairStatsError):
@@ -344,7 +346,7 @@ def evolve_pair_to_measurement(
 
     try:
         if running and evolve_until_measured(
-            packets, barrier, measure_cleared, **config.loop_settings()
+            packets, [barrier] * len(packets), measure_cleared, **config.loop_settings()
         ) is None:
             raise MeasurementTimeoutError(
                 f"packets did not clear the barrier within {config.max_steps} steps "
@@ -364,8 +366,8 @@ def _measure(
 
     The pair comes from `evolve_pair_to_measurement`, ready to measure,
     with the source B was read off.  For a stability time A and the
-    source are evolved on and B is read off again; both packets must
-    still be ready.
+    source are evolved on, as one batch, and B is read off again; both
+    packets must still be ready.
     """
     pair = make_pair(psi_a, psi_b, config.sign)
     stats = joint_probabilities(pair, config.boundary)
@@ -379,7 +381,10 @@ def _measure(
         extra = int(round(fraction * steps_done))
         if extra > prev_extra:
             params = PropagationParams(dt=config.dt, steps=extra - prev_extra)
-            results = [evolve(psi, barrier, params, config.edge_amplitude_max) for psi in packets]
+            results = evolve(packets, [barrier] * len(packets), params, config.edge_amplitude_max)
+            for result in results:
+                if isinstance(result, PairStatsError):
+                    raise result
             packets = [r.psi for r in results]
             later_b = shift_lobes(packets[-1], config.separation, config.spec_b().wavenumber)
             leakage = max([leakage] + [r.max_edge_amplitude for r in results])

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -120,40 +120,88 @@ def _phase_factors(grid: Grid1D, barrier: BarrierPotential, dt: float):
     return half_potential, kinetic
 
 
+def _step_rows(
+    packets: Sequence[Wavefunction],
+    barriers: Sequence[BarrierPotential],
+    params: PropagationParams,
+    edge_amplitude_max: float,
+) -> list:
+    """The stepping kernel: packet i takes `params.steps` Strang steps over barriers[i].
+
+    The packets share one grid and ride as the rows of one C-contiguous
+    (P, G) array, transformed in place, so P packets cost two batched
+    FFT calls per step instead of 2P.  Each row keeps its own
+    half-potential phases; the kinetic phases are shared.  Every row
+    comes out bit for bit as it would alone.  A row whose edge amplitude
+    exceeds `edge_amplitude_max` leaves the array at that step; its entry
+    is the BoundaryContaminationError it would raise alone.
+    """
+    grid = packets[0].grid
+    params.validate_on(grid)
+    for barrier in barriers:
+        barrier.validate_on(grid)
+    factors = [_phase_factors(grid, barrier, params.dt) for barrier in barriers]
+    kinetic = factors[0][1]
+    half_potential = np.stack([half for half, _ in factors])
+    values = np.stack([psi.values for psi in packets])
+    rows = list(range(len(packets)))  # packet index of each row of `values`
+    max_edge = [0.0] * len(packets)
+    out: list = [None] * len(packets)
+    for n in range(params.steps):
+        values *= half_potential
+        np.fft.fft(values, axis=-1, out=values)
+        np.multiply(kinetic, values, out=values)
+        np.fft.ifft(values, axis=-1, out=values)
+        values *= half_potential
+        crossed = []
+        for r, i in enumerate(rows):
+            edge = max(abs(values[r, 0]), abs(values[r, -1]))
+            if edge > max_edge[i]:
+                max_edge[i] = edge
+            if edge > edge_amplitude_max:
+                t = packets[i].t
+                out[i] = BoundaryContaminationError(
+                    f"edge amplitude {edge:.3g} exceeded {edge_amplitude_max:.3g} "
+                    f"after {round(t / params.dt) + n + 1} steps "
+                    f"(t = {t + (n + 1) * params.dt:.6g})"
+                )
+                crossed.append(r)
+        if crossed:
+            keep = [r for r in range(len(rows)) if r not in crossed]
+            values, half_potential = values[keep], half_potential[keep]
+            rows = [rows[r] for r in keep]
+            if not rows:
+                break
+    for r, i in enumerate(rows):
+        psi = Wavefunction(grid, values[r], t=packets[i].t + params.steps * params.dt)
+        out[i] = EvolutionResult(psi=psi, max_edge_amplitude=float(max_edge[i]))
+    return out
+
+
 def evolve(
-    psi: Wavefunction,
-    barrier: BarrierPotential,
+    psi: Wavefunction | Sequence[Wavefunction],
+    barrier: BarrierPotential | Sequence[BarrierPotential],
     params: PropagationParams,
     edge_amplitude_max: float = DEFAULT_EDGE_AMPLITUDE_MAX,
-) -> EvolutionResult:
+) -> EvolutionResult | list:
     """Run `params.steps` Strang steps, watching the box edges.
 
     Raises BoundaryContaminationError as soon as the amplitude at either
     edge sample exceeds `edge_amplitude_max`; with the periodic box that
     means the scenario outgrew the grid.  The error counts the steps
     since t = 0, taken at this `dt`.
+
+    Given a sequence of packets on one grid and one barrier per packet,
+    it steps them together as one batch and returns one entry per
+    packet: its EvolutionResult, bit for bit the one it gets alone, or
+    the BoundaryContaminationError it would raise alone.
     """
-    grid = psi.grid
-    params.validate_on(grid)
-    barrier.validate_on(grid)
-    half_potential, kinetic = _phase_factors(grid, barrier, params.dt)
-    values = np.array(psi.values, dtype=np.complex128)
-    max_edge = 0.0
-    for n in range(params.steps):
-        values *= half_potential
-        values = np.fft.ifft(kinetic * np.fft.fft(values))
-        values *= half_potential
-        edge = max(abs(values[0]), abs(values[-1]))
-        if edge > max_edge:
-            max_edge = edge
-        if edge > edge_amplitude_max:
-            raise BoundaryContaminationError(
-                f"edge amplitude {edge:.3g} exceeded {edge_amplitude_max:.3g} "
-                f"after {round(psi.t / params.dt) + n + 1} steps "
-                f"(t = {psi.t + (n + 1) * params.dt:.6g})"
-            )
-    out = Wavefunction(grid, values, t=psi.t + params.steps * params.dt)
-    return EvolutionResult(psi=out, max_edge_amplitude=float(max_edge))
+    if isinstance(psi, Wavefunction):
+        (result,) = _step_rows([psi], [barrier], params, edge_amplitude_max)
+        if isinstance(result, PairStatsError):
+            raise result
+        return result
+    return _step_rows(psi, barrier, params, edge_amplitude_max)
 
 
 def analytic_plane_transmission(k: float, barrier: BarrierPotential) -> float:
@@ -318,7 +366,7 @@ class CalibrationResult:
 
 def evolve_until_measured(
     packets: list[Wavefunction],
-    barrier: BarrierPotential,
+    barriers: Sequence[BarrierPotential],
     measure: Callable,
     *,
     dt: float,
@@ -331,16 +379,17 @@ def evolve_until_measured(
 ):
     """Evolve packets in step, offering them to `measure` after every chunk.
 
-    Every `check_every` steps each packet gets one `evolve` call.  A
-    packet is ready once it has visited the barrier (reached
+    Packet i flies over barriers[i].  Every `check_every` steps the live
+    packets take one batched `evolve` call, as the rows of one array.  A
+    packet is ready once it has visited its barrier (reached
     BARRIER_ACTIVATION_AMPLITUDE there at a chunk end) and passes
     `measurement_ready` with the given thresholds.  After each chunk
     `measure(states, ready, steps_done, leakage)` runs with the list of
     the packets' states, their ready flags and their peak edge
     amplitudes so far; it may set a state to None to stop evolving that
-    packet.  Returns its first truthy value, or None when `max_steps`
-    run out.  An `evolve` error of the first packet propagates; that of
-    a later packet takes the packet's place in `states`.
+    packet.  A packet's `evolve` error takes its place in `states` and
+    stops it; `measure` raises it if it ends the run.  Returns the first
+    truthy value of `measure`, or None when `max_steps` run out.
     """
     states = list(packets)
     visited = [False] * len(states)
@@ -349,30 +398,65 @@ def evolve_until_measured(
     while steps_done < max_steps:
         params = PropagationParams(dt=dt, steps=min(check_every, max_steps - steps_done))
         steps_done += params.steps
-        for j, psi in enumerate(states):
-            if not isinstance(psi, Wavefunction):
-                continue
-            try:
-                result = evolve(psi, barrier, params, edge_amplitude_max)
-            except PairStatsError as err:
-                if j == 0:
-                    raise
-                states[j] = err
-                continue
-            states[j] = result.psi
-            leakage[j] = max(leakage[j], result.max_edge_amplitude)
-            visited[j] = visited[j] or (
-                barrier_region_amplitude(result.psi, barrier) >= BARRIER_ACTIVATION_AMPLITUDE
-            )
+        live = [j for j, psi in enumerate(states) if isinstance(psi, Wavefunction)]
+        if live:
+            results = evolve([states[j] for j in live], [barriers[j] for j in live],
+                             params, edge_amplitude_max)
+            for j, result in zip(live, results):
+                if isinstance(result, PairStatsError):
+                    states[j] = result
+                    continue
+                states[j] = result.psi
+                leakage[j] = max(leakage[j], result.max_edge_amplitude)
+                visited[j] = visited[j] or barrier_region_amplitude(
+                    result.psi, barriers[j]
+                ) >= BARRIER_ACTIVATION_AMPLITUDE
         ready = [
             seen and isinstance(psi, Wavefunction)
             and measurement_ready(psi, barrier, boundary, barrier_amplitude_max, lobe_sigmas)
-            for seen, psi in zip(visited, states)
+            for seen, psi, barrier in zip(visited, states, barriers)
         ]
         outcome = measure(states, ready, steps_done, leakage)
         if outcome:
             return outcome
     return None
+
+
+def _simulated_transmissions(
+    grid: Grid1D,
+    spec: WavepacketSpec,
+    barriers: Sequence[BarrierPotential],
+    *,
+    max_steps: int,
+    dt: float,
+    **loop,
+) -> list:
+    """One flight of the packet in `spec` per barrier, all stepped as one batch.
+
+    Entry i is (T, t_meas) for barriers[i], measured once that flight has
+    visited and cleared its barrier, or the PairStatsError that ended it:
+    its edge error, or a CalibrationError when `max_steps` run out.
+    """
+    outcomes: dict[int, object] = {}
+
+    def measure(states, ready, *_):
+        for j, psi in enumerate(states):
+            if isinstance(psi, PairStatsError):
+                outcomes[j] = psi
+            elif ready[j]:
+                outcomes[j] = probability_on_side(psi, "positive", loop["boundary"]), psi.t
+            else:
+                continue
+            states[j] = None
+        return len(outcomes) == len(barriers)
+
+    packet = make_gaussian(grid, spec)
+    evolve_until_measured([packet] * len(barriers), barriers, measure,
+                          max_steps=max_steps, dt=dt, **loop)
+    return [outcomes.get(j) or CalibrationError(
+        f"measurement criterion not met within {max_steps} steps "
+        f"(t = {max_steps * dt:.6g}) for barrier height {barrier.height:.6g}"
+    ) for j, barrier in enumerate(barriers)]
 
 
 def simulated_transmission(
@@ -388,20 +472,13 @@ def simulated_transmission(
     lobe_sigmas: float = DEFAULT_LOBE_SIGMAS,
 ) -> tuple[float, float]:
     """Run until the packet has visited and cleared the barrier; return (T, t_meas)."""
-    outcome = evolve_until_measured(
-        [make_gaussian(grid, spec)], barrier,
-        lambda states, ready, *_: ready[0] and (
-            probability_on_side(states[0], "positive", boundary), states[0].t
-        ),
-        dt=dt, max_steps=max_steps, check_every=check_every, boundary=boundary,
-        edge_amplitude_max=edge_amplitude_max,
+    (outcome,) = _simulated_transmissions(
+        grid, spec, [barrier], dt=dt, max_steps=max_steps, check_every=check_every,
+        boundary=boundary, edge_amplitude_max=edge_amplitude_max,
         barrier_amplitude_max=barrier_amplitude_max, lobe_sigmas=lobe_sigmas,
     )
-    if outcome is None:
-        raise CalibrationError(
-            f"measurement criterion not met within {max_steps} steps "
-            f"(t = {max_steps * dt:.6g}) for barrier height {barrier.height:.6g}"
-        )
+    if isinstance(outcome, PairStatsError):
+        raise outcome
     return outcome
 
 
@@ -453,12 +530,22 @@ def calibrate_barrier(
     A height is run only when no run made so far settles its side.  With
     T falling in height, a run below target - tol puts every greater
     height below as well, and a run above target + tol puts every smaller
-    height above.  The bisection path predicted on the analytic curve is
-    run finest midpoint first, so when the prediction holds, the accepted
-    midpoint and the two that bracket it are the only runs.  The height
-    found is the one a bisection running every point would accept, as
-    long as T falls monotonically in height.  `history` lists the runs
-    made, in run order, and `max_iterations` caps how many there are;
+    height above.  The search asks for the midpoints of the bisection
+    path predicted on the analytic curve finest first, so when the
+    prediction holds, the accepted midpoint and the two that bracket it
+    are the only runs; then it replays the bisection, asking only for
+    heights those runs do not settle.  The height found is the one a
+    bisection running every point would accept, as long as T falls
+    monotonically in height.
+
+    The search is first made on the analytic curve alone.  The heights
+    it asks for there are the ones the real search asks for when the
+    curve puts each on the right side of target +- tol, and they run as
+    one batch: their flights step together, as rows of one array.  The
+    real search takes its answers from that batch and runs any other
+    height alone; a batched run it never asks for is dropped, and so is
+    its error.  `history` lists the runs the real search asked for, in
+    the order it asked, and `max_iterations` caps how many there are;
     the error on failure carries the same record.
     """
     if not 0.0 < target <= 1.0:
@@ -466,50 +553,20 @@ def calibrate_barrier(
     if not tol > 0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
     spec.validate_on(grid)
+    loop = dict(dt=dt, max_steps=max_steps, check_every=check_every, boundary=boundary,
+                edge_amplitude_max=edge_amplitude_max,
+                barrier_amplitude_max=barrier_amplitude_max, lobe_sigmas=lobe_sigmas)
 
     def analytic(v0: float) -> float:
         return expected_packet_transmission(spec, BarrierPotential(v0, width, center))
 
     seed = _analytic_seed(analytic, target, max(spec.wavenumber**2, 1.0))
+    lo_start = max(0.75 * seed, 0.0)
+    hi_start = 1.3 * seed if seed > 0 else 1.0
 
-    history: list[tuple[float, float]] = []
-    t_meas_seen: dict[float, float] = {}
-
-    def side(v0: float) -> float:
-        """T at v0, or the T of an earlier run that puts v0 on the same side of tol."""
-        if v0 not in t_meas_seen:
-            for v, t in history:
-                if (v < v0 and t < target - tol) or (v > v0 and t > target + tol):
-                    return t
-            barrier = BarrierPotential(v0, width, center)
-            transmission, t_meas = simulated_transmission(
-                grid, spec, barrier, dt, max_steps, check_every, boundary,
-                edge_amplitude_max, barrier_amplitude_max, lobe_sigmas,
-            )
-            history.append((v0, transmission))
-            t_meas_seen[v0] = t_meas
-        return dict(history)[v0]
-
-    def done(v0: float, transmission: float) -> CalibrationResult:
-        return CalibrationResult(
-            barrier=BarrierPotential(v0, width, center),
-            transmission=transmission,
-            iterations=len(history),
-            history=tuple(history),
-            measurement_time=t_meas_seen[v0],
-        )
-
-    def over_budget() -> bool:
-        return len(history) >= max_iterations
-
-    lo = max(0.75 * seed, 0.0)
-    hi = 1.3 * seed if seed > 0 else 1.0
-
-    # predict the bisection path on the analytic curve, then run its
-    # midpoints finest first; the code below replays the bisection
-    # through side(), which only runs heights these runs do not settle
+    # the bisection path predicted on the analytic curve
     predicted: list[float] = []
-    p_lo, p_hi = lo, hi
+    p_lo, p_hi = lo_start, hi_start
     for _ in range(max_iterations):
         mid = 0.5 * (p_lo + p_hi)
         predicted.append(mid)
@@ -520,66 +577,119 @@ def calibrate_barrier(
             p_lo = mid
         else:
             p_hi = mid
-    for mid in reversed(predicted):
-        side(mid)
 
-    # low edge of the bracket must transmit at or above target
-    t_lo = side(lo)
-    if abs(t_lo - target) <= tol:
-        return done(lo, t_lo)
-    while t_lo < target:
-        if lo == 0.0:
-            raise CalibrationError(
-                f"even with no barrier the run transmits {t_lo:.4g} < target {target}",
-                history,
+    def search(run: Callable[[float], tuple[float, float]]) -> CalibrationResult:
+        """The calibration, asking `run(v0) -> (T, t_meas)` for each height it runs."""
+        history: list[tuple[float, float]] = []
+        t_meas_seen: dict[float, float] = {}
+
+        def side(v0: float) -> float:
+            """T at v0, or the T of an earlier run that puts v0 on the same side of tol."""
+            if v0 not in t_meas_seen:
+                for v, t in history:
+                    if (v < v0 and t < target - tol) or (v > v0 and t > target + tol):
+                        return t
+                transmission, t_meas_seen[v0] = run(v0)
+                history.append((v0, transmission))
+            return dict(history)[v0]
+
+        def done(v0: float, transmission: float) -> CalibrationResult:
+            return CalibrationResult(
+                barrier=BarrierPotential(v0, width, center),
+                transmission=transmission,
+                iterations=len(history),
+                history=tuple(history),
+                measurement_time=t_meas_seen[v0],
             )
-        lo = 0.0 if lo < 0.05 * seed else 0.5 * lo
+
+        def over_budget() -> bool:
+            return len(history) >= max_iterations
+
+        for mid in reversed(predicted):
+            side(mid)
+        lo, hi = lo_start, hi_start
+
+        # low edge of the bracket must transmit at or above target
         t_lo = side(lo)
         if abs(t_lo - target) <= tol:
             return done(lo, t_lo)
-        if over_budget():
-            raise CalibrationError(
-                f"run budget {max_iterations} spent while lowering the bracket", history
-            )
+        while t_lo < target:
+            if lo == 0.0:
+                raise CalibrationError(
+                    f"even with no barrier the run transmits {t_lo:.4g} < target {target}",
+                    history,
+                )
+            lo = 0.0 if lo < 0.05 * seed else 0.5 * lo
+            t_lo = side(lo)
+            if abs(t_lo - target) <= tol:
+                return done(lo, t_lo)
+            if over_budget():
+                raise CalibrationError(
+                    f"run budget {max_iterations} spent while lowering the bracket", history
+                )
 
-    # high edge must transmit at or below target
-    t_hi = side(hi)
-    if abs(t_hi - target) <= tol:
-        return done(hi, t_hi)
-    while t_hi > target:
-        lo, t_lo = hi, t_hi
-        hi *= 1.6
+        # high edge must transmit at or below target
         t_hi = side(hi)
         if abs(t_hi - target) <= tol:
             return done(hi, t_hi)
-        if over_budget():
-            raise CalibrationError(
-                f"run budget {max_iterations} spent while raising the bracket; "
-                f"transmission still {t_hi:.4g} at height {hi:.4g}",
-                history,
-            )
+        while t_hi > target:
+            lo, t_lo = hi, t_hi
+            hi *= 1.6
+            t_hi = side(hi)
+            if abs(t_hi - target) <= tol:
+                return done(hi, t_hi)
+            if over_budget():
+                raise CalibrationError(
+                    f"run budget {max_iterations} spent while raising the bracket; "
+                    f"transmission still {t_hi:.4g} at height {hi:.4g}",
+                    history,
+                )
 
-    # bisect on the simulated curve
-    while not over_budget():
-        if (hi - lo) <= 1e-12 * max(1.0, hi):
-            best = min(history, key=lambda vt: abs(vt[1] - target))
-            raise CalibrationError(
-                f"bracket collapsed at height {hi:.6g} without reaching tol {tol}; "
-                f"best |T - target| = {abs(best[1] - target):.4g}",
-                history,
-            )
-        mid = 0.5 * (lo + hi)
-        t_mid = side(mid)
-        if abs(t_mid - target) <= tol:
-            return done(mid, t_mid)
-        if t_mid > target:
-            lo = mid
-        else:
-            hi = mid
+        # bisect on the simulated curve
+        while not over_budget():
+            if (hi - lo) <= 1e-12 * max(1.0, hi):
+                best = min(history, key=lambda vt: abs(vt[1] - target))
+                raise CalibrationError(
+                    f"bracket collapsed at height {hi:.6g} without reaching tol {tol}; "
+                    f"best |T - target| = {abs(best[1] - target):.4g}",
+                    history,
+                )
+            mid = 0.5 * (lo + hi)
+            t_mid = side(mid)
+            if abs(t_mid - target) <= tol:
+                return done(mid, t_mid)
+            if t_mid > target:
+                lo = mid
+            else:
+                hi = mid
 
-    best = min(history, key=lambda vt: abs(vt[1] - target))
-    raise CalibrationError(
-        f"no convergence to |T - {target}| <= {tol} within {max_iterations} runs; "
-        f"best |T - target| = {abs(best[1] - target):.4g}",
-        history,
-    )
+        best = min(history, key=lambda vt: abs(vt[1] - target))
+        raise CalibrationError(
+            f"no convergence to |T - {target}| <= {tol} within {max_iterations} runs; "
+            f"best |T - target| = {abs(best[1] - target):.4g}",
+            history,
+        )
+
+    # the heights the search asks for on the analytic curve run as one batch
+    asked: list[float] = []
+
+    def analytic_run(v0: float) -> tuple[float, float]:
+        asked.append(v0)
+        return analytic(v0), 0.0
+
+    try:
+        search(analytic_run)
+    except CalibrationError:
+        pass
+    batch = dict(zip(asked, _simulated_transmissions(
+        grid, spec, [BarrierPotential(v0, width, center) for v0 in asked], **loop
+    )))
+
+    def simulated_run(v0: float) -> tuple[float, float]:
+        if v0 not in batch:
+            return simulated_transmission(grid, spec, BarrierPotential(v0, width, center), **loop)
+        if isinstance(batch[v0], PairStatsError):
+            raise batch[v0]
+        return batch[v0]
+
+    return search(simulated_run)

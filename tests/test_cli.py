@@ -362,6 +362,21 @@ class TestSweepCommand:
             out_parallel / "sweep.json"
         ).read_bytes()
 
+    @pytest.mark.parametrize("parallel", ["0", "-2"])
+    def test_bad_parallel_exits_2_before_evolving(self, tmp_path, capsys, monkeypatch, parallel):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolved before rejecting --parallel")
+
+        monkeypatch.setattr(propagator, "evolve", refuse)
+        monkeypatch.setattr(experiment, "evolve", refuse)
+        # a calibrated barrier: calibration would evolve first
+        path = write_ini(tmp_path, height="calibrate", sweep_values="2.0 3.0")
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", path, "--out", str(out), "--parallel", parallel])
+        assert code == EXIT_USAGE
+        assert f"--parallel must be >= 1, got {parallel}" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     def test_all_invalid_rows_exit_5(self, tmp_path, capsys):
         path = write_ini(tmp_path, sign="fermion", sweep_values="0.0")
         out = tmp_path / "out"

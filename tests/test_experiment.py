@@ -320,9 +320,9 @@ class TestRunScenario:
         calls = []
         real_evolve = experiment.evolve
 
-        def counting_evolve(psi, *args, **kwargs):
-            calls.append(psi.t)
-            return real_evolve(psi, *args, **kwargs)
+        def counting_evolve(packets, *args, **kwargs):
+            calls.extend(psi.t for psi in packets)
+            return real_evolve(packets, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "evolve", counting_evolve)
         monkeypatch.setattr(propagator, "evolve", counting_evolve)
@@ -503,11 +503,12 @@ class TestSweep:
                 a_builds.append(spec)
             return psi
 
-        def evolve(psi, *args, **kwargs):
-            result = real_evolve(psi, *args, **kwargs)
-            origin[id(result.psi)] = origin[id(psi)]
-            (a_starts if origin[id(psi)] == "A" else b_starts).append(psi.t)
-            return result
+        def evolve(packets, *args, **kwargs):
+            results = real_evolve(packets, *args, **kwargs)
+            for psi, result in zip(packets, results):
+                origin[id(result.psi)] = origin[id(psi)]
+                (a_starts if origin[id(psi)] == "A" else b_starts).append(psi.t)
+            return results
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -561,10 +562,10 @@ class TestSweep:
             built.append(spec)
             return real_make(grid, spec)
 
-        def evolve(psi, *args, **kwargs):
-            result = real_evolve(psi, *args, **kwargs)
-            calls.append((psi, result.psi))
-            return result
+        def evolve(packets, *args, **kwargs):
+            results = real_evolve(packets, *args, **kwargs)
+            calls.extend((psi, result.psi) for psi, result in zip(packets, results))
+            return results
 
         def no_pool(*args, **kwargs):
             raise AssertionError("process pool started")

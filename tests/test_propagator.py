@@ -27,6 +27,7 @@ from pairstats.errors import (
 from pairstats.grid import (
     Grid1D,
     WavepacketSpec,
+    Wavefunction,
     make_gaussian,
     position_mean,
     position_std,
@@ -156,6 +157,49 @@ class TestFreeEvolution:
                 psi = evolve(psi, FREE, PropagationParams(dt=1e-3, steps=500)).psi
         assert psi.t > 0.5
         assert str(chunked.value) == str(whole.value)
+
+
+def plain_strang(psi, barrier, params):
+    """One packet, one step at a time, each step's FFTs on fresh arrays."""
+    half_potential = np.exp(-0.5j * params.dt * barrier.sample(psi.grid))
+    kinetic = np.exp(-0.5j * params.dt * psi.grid.k**2)
+    values = np.array(psi.values)
+    for _ in range(params.steps):
+        values *= half_potential
+        values = np.fft.ifft(kinetic * np.fft.fft(values))
+        values *= half_potential
+    return values
+
+
+class TestBatchedEvolution:
+    def test_rows_match_lone_flights_and_an_edge_error_leaves_its_row_alone(self):
+        g = Grid1D(half_width=16.0, points=512)
+        params = PropagationParams(dt=1e-3, steps=1500)
+        launched_late = make_gaussian(g, WavepacketSpec(6.0, 8.0, 1.0))
+        flights = [
+            (make_gaussian(g, WavepacketSpec(-8.0, 8.0, 1.0)), BarrierPotential(20.0, 0.5)),
+            (make_gaussian(g, WavepacketSpec(-8.0, 8.0, 1.0)), BarrierPotential(32.0, 0.5)),
+            # heads for the right edge from t = 0.25 and reaches it mid-chunk
+            (Wavefunction(g, launched_late.values, t=0.25), BarrierPotential(25.0, 0.5, -4.0)),
+            (make_gaussian(g, WavepacketSpec(-4.0, 6.0, 0.8)), BarrierPotential(0.0, 0.5)),
+        ]
+        batch = evolve([psi for psi, _ in flights], [b for _, b in flights], params)
+        assert [type(r) for r in batch] == [
+            propagator.EvolutionResult, propagator.EvolutionResult,
+            BoundaryContaminationError, propagator.EvolutionResult,
+        ]
+        with pytest.raises(BoundaryContaminationError) as alone:
+            evolve(*flights[2], params)
+        assert str(batch[2]) == str(alone.value)
+        steps = int(str(alone.value).split(" steps")[0].rsplit(" ", 1)[1])
+        assert 250 < steps < 250 + params.steps
+        for (psi, barrier), got in zip(flights, batch):
+            if isinstance(got, propagator.EvolutionResult):
+                lone = evolve(psi, barrier, params)
+                assert np.array_equal(got.psi.values, lone.psi.values)
+                assert np.array_equal(got.psi.values, plain_strang(psi, barrier, params))
+                assert got.psi.t == lone.psi.t
+                assert got.max_edge_amplitude == lone.max_edge_amplitude
 
 
 class TestPlaneTransmission:
@@ -428,6 +472,69 @@ def falling_through(root):
     return lambda spec, barrier: 1.0 / (1.0 + (barrier.height / root) ** 4)
 
 
+# (height, T) of every run cases (a)-(d) make, in run order, as recorded
+# when calibration ran one height at a time
+PINNED_HISTORY = {
+    None: (
+        (26.787824668530206, 0.49115777312193193),
+        (26.55743680977037, 0.5049533221047432),
+        (25.635885374731018, 0.5608047120566716),
+    ),
+    CAL_ROOT / 1.2: (
+        (22.149348958333334, 0.7628384023335781),
+        (22.33984375, 0.7528753577482155),
+        (22.72083333333333, 0.7324230444388725),
+        (28.816666666666663, 0.37580985365081465),
+        (25.768749999999997, 0.5527133381217831),
+        (27.29270833333333, 0.4613069886833642),
+        (26.530729166666664, 0.5065584133903227),
+        (26.91171875, 0.4837803433964378),
+        (26.721223958333333, 0.49513602090895903),
+    ),
+    CAL_ROOT / 0.6: (
+        (44.29869791666667, 0.026865869802337804),
+        (43.91770833333333, 0.028646142762640613),
+        (42.39375, 0.03715317260610828),
+        (39.34583333333333, 0.0633736282307981),
+        (33.25, 0.18629265594736694),
+        (16.625, 0.9544662979704396),
+        (26.87708333333333, 0.4858396147889385),
+        (21.751041666666666, 0.7830584842954271),
+        (24.3140625, 0.64086165077883),
+        (25.595572916666665, 0.5632605542485479),
+        (26.236328125, 0.52431937998264),
+        (26.556705729166666, 0.5049972438852882),
+    ),
+    CAL_ROOT / 1.5: (
+        (17.71947916666667, 0.9319249293592082),
+        (17.871875000000003, 0.92822396631971),
+        (18.17666666666667, 0.9203862789852433),
+        (23.053333333333335, 0.7140466855811315),
+        (36.885333333333335, 0.09829524978043994),
+        (29.969333333333335, 0.3173075956211662),
+        (26.511333333333333, 0.5077247775623269),
+        (28.240333333333332, 0.4071843836955118),
+        (27.375833333333333, 0.4564514084193051),
+        (26.943583333333333, 0.4818880398865905),
+        (26.72745833333333, 0.4947632716571688),
+        (26.619395833333332, 0.5012341303320639),
+    ),
+}
+
+
+def spy_on_flights(monkeypatch):
+    """Record the barrier heights of every driver call calibration makes."""
+    calls = []
+    real = propagator.evolve_until_measured
+
+    def driver(packets, barriers, *args, **kwargs):
+        calls.append([b.height for b in barriers])
+        return real(packets, barriers, *args, **kwargs)
+
+    monkeypatch.setattr(propagator, "evolve_until_measured", driver)
+    return calls
+
+
 class TestCalibrationRunsOnlyWhatItNeeds:
     def test_seed_stops_halving_once_the_midpoint_stops_moving(self):
         def barrier_curve(v0):
@@ -468,3 +575,57 @@ class TestCalibrationRunsOnlyWhatItNeeds:
         assert result.barrier.height in [h for h, _ in result.history]
         if analytic_root is None:
             assert result.iterations < reference_runs
+
+    @pytest.mark.parametrize("analytic_root", list(PINNED_HISTORY))
+    def test_history_is_the_one_at_a_time_record(self, grid, monkeypatch, analytic_root):
+        if analytic_root is not None:
+            monkeypatch.setattr(propagator, "expected_packet_transmission",
+                                falling_through(analytic_root))
+        result = calibrate_barrier(grid, CAL_SPEC, width=0.5, target=CAL_TARGET, tol=CAL_TOL,
+                                   **CAL_RUN)
+        pinned = PINNED_HISTORY[analytic_root]
+        assert [h for h, _ in result.history] == pytest.approx([h for h, _ in pinned], rel=1e-12)
+        assert [t for _, t in result.history] == pytest.approx([t for _, t in pinned], abs=1e-12)
+
+    def test_predicted_runs_step_as_one_batch(self, grid, monkeypatch):
+        # a curve crossing at the simulated root puts every height the
+        # search asks for on its simulated side of target +- tol
+        monkeypatch.setattr(propagator, "expected_packet_transmission", falling_through(CAL_ROOT))
+        calls = spy_on_flights(monkeypatch)
+        result = calibrate_barrier(grid, CAL_SPEC, width=0.5, target=CAL_TARGET, tol=CAL_TOL,
+                                   **CAL_RUN)
+        assert len(calls) == 1 and len(calls[0]) == 3
+        assert sorted(calls[0]) == sorted(h for h, _ in result.history)
+
+    @pytest.mark.parametrize("analytic_root", list(PINNED_HISTORY))
+    def test_batched_runs_the_search_skips_leave_no_trace(self, grid, monkeypatch, analytic_root):
+        # on this coarse grid the real curve mispredicts too: (a) puts its
+        # finest midpoint within tol, where the run transmits 0.491
+        if analytic_root is not None:
+            monkeypatch.setattr(propagator, "expected_packet_transmission",
+                                falling_through(analytic_root))
+        pinned = [h for h, _ in PINNED_HISTORY[analytic_root]]
+
+        def asked(height):
+            return any(height == pytest.approx(h, rel=1e-12) for h in pinned)
+
+        calls = spy_on_flights(monkeypatch)
+        real = propagator._simulated_transmissions
+
+        def skipped_rows_fail(grid, spec, barriers, **loop):
+            outcomes = real(grid, spec, barriers, **loop)
+            return [o if asked(b.height) else BoundaryContaminationError("never asked for")
+                    for o, b in zip(outcomes, barriers)]
+
+        monkeypatch.setattr(propagator, "_simulated_transmissions", skipped_rows_fail)
+        result = calibrate_barrier(grid, CAL_SPEC, width=0.5, target=CAL_TARGET, tol=CAL_TOL,
+                                   **CAL_RUN)
+        batched = calls[0]
+        skipped = [h for h in batched if not asked(h)]
+        ran = [h for h, _ in result.history]
+        assert skipped and not set(skipped) & set(ran)
+        assert ran == pytest.approx(pinned, rel=1e-12)
+        assert result.iterations == len(pinned)
+        # the search ran alone only what the batch did not hold
+        assert sorted(ran) == sorted([h for h in batched if asked(h)] + sum(calls[1:], []))
+        assert all(len(call) == 1 for call in calls[1:])
