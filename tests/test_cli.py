@@ -150,6 +150,23 @@ class TestParserBasics:
         )
         assert result.stdout.strip() == "False"
 
+    def test_calibrates_with_scipy_blocked(self, tmp_path):
+        src = Path(pairstats.__file__).resolve().parents[1]
+        path = tmp_path / "cal.ini"
+        path.write_text(SMALL_INI.format(sign="boson", separation="3", height="calibrate")
+                        .replace("height = calibrate", "height = calibrate\ntol = 0.01"),
+                        encoding="utf-8")
+        argv = ["calibrate", "--config", str(path), "--out", str(tmp_path / "out")]
+        code = ("import sys; sys.modules['scipy'] = None; import pairstats.cli; "
+                f"sys.exit(pairstats.cli.main({argv!r}))")
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert (tmp_path / "out" / "calibration.json").exists()
+
 
 class TestReadmeScenarioBlock:
     def test_block_lists_every_key_with_its_default(self, tmp_path):
@@ -207,6 +224,37 @@ class TestConfigFileErrors:
         path = write_ini(tmp_path, extra="\n[sweep]\nparameter = separation_d\n")
         assert main(["sweep", "--config", path]) == EXIT_USAGE
         assert "'parameter' and 'values'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("points = 2048", "points = 4096.0", "[grid] points: cannot parse '4096.0'"),
+        ("half_width = 64", "half_width = abc", "[grid] half_width: cannot parse 'abc'"),
+        ("check_every = 200", "check_every = 200\n\n[measurement]\nstability_fractions = 0.1 x",
+         "[measurement] stability_fractions: cannot parse '0.1 x'"),
+    ])
+    def test_unparsable_value_exits_2_naming_the_key(self, tmp_path, capsys, old, new, named):
+        path = Path(write_ini(tmp_path))
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("old, new", [
+        ("wavenumber = 8", "wavenumber = -8.0"),
+        ("center = -10", "center = 20.0"),
+    ])
+    def test_packet_a_not_launched_at_the_barrier_exits_2_before_evolving(
+        self, tmp_path, capsys, monkeypatch, old, new
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve called on a rejected config")
+
+        monkeypatch.setattr(propagator, "evolve", refuse)
+        monkeypatch.setattr(experiment, "evolve", refuse)
+        path = Path(write_ini(tmp_path))
+        path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "packet A must start left of the barrier" in err and "carrier" in err
 
     @pytest.mark.parametrize("height, extra, field", [
         ("nan", "", "barrier_height"),

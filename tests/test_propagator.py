@@ -289,6 +289,32 @@ class TestPacketTransmission:
                 WavepacketSpec(0.0, 8.0, -1.0), BarrierPotential(8.0, 0.5)
             )
 
+    @pytest.mark.parametrize("width", [0.5, 1.0])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_fixed_rule_matches_a_fine_transfer_matrix_trapezoid(self, width, sigma):
+        # 2,001 nodes against 40,001 on the same range, oracle T(k) from plane-wave matching
+        spec = WavepacketSpec(center=-10.0, wavenumber=8.0, sigma=sigma)
+        sigma_k = 0.5 / sigma
+        k = np.linspace(max(8.0 - 12 * sigma_k, 1e-12), 8.0 + 12 * sigma_k, 40001)
+        weight = sigma * math.sqrt(2.0 / math.pi) * np.exp(-2.0 * sigma**2 * (k - 8.0) ** 2)
+        for v0 in (10.0, 20.0, 26.79, 28.67, 32.0, 45.0):
+            t_k = np.array([transfer_matrix_transmission(float(kk), v0, width) for kk in k])
+            oracle = float(np.trapezoid(weight * t_k, k))
+            value = expected_packet_transmission(spec, BarrierPotential(v0, width))
+            assert abs(value - oracle) <= 1e-13, (v0, value, oracle)
+
+    @pytest.mark.parametrize("width, seed", [
+        (0.5, 26.808769019326554),
+        (1.0, 28.692813823549685),
+    ])
+    def test_analytic_seed_is_pinned_to_the_bit(self, width, seed):
+        # calibration flies heights derived from this seed, so an ulp here moves result files
+        spec = WavepacketSpec(center=-10.0, wavenumber=8.0, sigma=1.0)
+        got = _analytic_seed(
+            lambda v0: expected_packet_transmission(spec, BarrierPotential(v0, width)), 0.5, 64.0
+        )
+        assert got == seed
+
 
 class TestMeasurementReadiness:
     def test_far_packet_is_ready(self, grid):
