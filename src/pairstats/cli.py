@@ -158,6 +158,8 @@ def cmd_occupancy(args) -> int:
             f"N={n} M={m} has {rows} occupancy vectors, over the table budget "
             f"{DEFAULT_ENUMERATION_BUDGET}"
         )
+    # the enumeration's budget is checked before any table is printed
+    tallies = enumerate_mb_oracle(n, m) if args.oracle else None
     kinds = ("mb", "be", "fd") if args.stats == "all" else (args.stats,)
     for kind in kinds:
         print(f"N={n} M={m} statistics={kind}")
@@ -176,7 +178,6 @@ def cmd_occupancy(args) -> int:
         print(f"{'total':<18}{_fraction_cell(total):>12}  {float(total):.12g}")
         print()
     if args.oracle:
-        tallies = enumerate_mb_oracle(n, m)
         exact = {vec: mb_probability(vec) for vec in occupancy_vectors(n, m)}
         if tallies != exact:
             print("oracle: MISMATCH between mb table and enumeration", file=sys.stderr)
@@ -273,8 +274,7 @@ def cmd_sweep(args) -> int:
             base=resolved_base,
             parameter=sweep_config.parameter,
             values=sweep_config.values,
-        ),
-        workers=args.parallel,
+        )
     )
     out = _out_dir(args)
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as handle:
@@ -379,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="scan one parameter over a value list")
     add_common(p_sweep)
     p_sweep.add_argument("--parallel", type=int, default=1, metavar="N",
-                         help="worker processes (output independent of N)")
+                         help="accepted for compatibility; changes nothing, "
+                              "every sweep runs in one process")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_den = sub.add_parser("density", help="dump densities as CSV for plotting")

@@ -8,15 +8,13 @@ the four side quadrants.  Packet B is packet A displaced by
 packet launched at A's centre with B's wavenumber.
 
 Everything is deterministic: identical configs produce byte-identical
-CSV/JSON outputs, with any number of sweep workers.
+CSV/JSON outputs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import IO, Callable, Optional
 
@@ -178,6 +176,8 @@ class SweepConfig:
             )
         if not self.values:
             raise ConfigurationError("sweep needs at least one value")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ConfigurationError(f"sweep values must be finite, got {self.values}")
         if self.parameter in ("separation_d", "phase_k0d") and any(v < 0 for v in self.values):
             raise ConfigurationError("separations must be >= 0")
 
@@ -460,11 +460,20 @@ def run_scenario(config: ScenarioConfig) -> ResultRow:
     return run_resolved(resolved, param_value=resolved.separation)[0]
 
 
-def _sweep_group(task: tuple[ScenarioConfig, str, list[float]]) -> list[ResultRow]:
-    """One worker's share of a sweep: packet A is evolved once for all its values."""
-    base, parameter, values = task
+def sweep(config: SweepConfig) -> list[ResultRow]:
+    """Run every sweep value against a shared, once-resolved barrier.
+
+    Rows come back in the order of `config.values`.  A failing value
+    produces an invalid row carrying the error text; the sweep goes on.
+    All values are measured in one `evolve_pair_to_measurement` call:
+    packet A and one source per distinct wavenumber of B are evolved
+    as one batch (a separation or phase sweep evolves A alone).
+    """
+    config.validate()
+    base, _ = resolve_barrier(config.base)
     barrier = base.barrier()
-    configs = [apply_sweep_parameter(base, parameter, v) for v in values]
+    values = [float(v) for v in config.values]
+    configs = [apply_sweep_parameter(base, config.parameter, v) for v in values]
     outcomes = evolve_pair_to_measurement(
         configs, barrier,
         lambda i, *state: _measure(configs[i], barrier, values[i], *state)[0],
@@ -474,36 +483,6 @@ def _sweep_group(task: tuple[ScenarioConfig, str, list[float]]) -> list[ResultRo
         if isinstance(o, PairStatsError) else o
         for v, o in zip(values, outcomes)
     ]
-
-
-def sweep(config: SweepConfig, workers: int = 1) -> list[ResultRow]:
-    """Run every sweep value against a shared, once-resolved barrier.
-
-    Rows come back in the order of `config.values`.  A failing value
-    produces an invalid row carrying the error text; the sweep goes on.
-    Values sharing B's wavenumber form a group, whose B packets are read
-    off one source (a separation or phase sweep is one group).  Each
-    worker takes every `workers`-th group and evolves packet A once for
-    all of them.  Any `workers` count gives output identical to the
-    serial run; it is capped at the number of groups and of CPUs.
-    """
-    config.validate()
-    base, _ = resolve_barrier(config.base)
-    values = [float(v) for v in config.values]
-    groups: dict[float, list[int]] = {}
-    for i, v in enumerate(values):
-        k_b = apply_sweep_parameter(base, config.parameter, v).spec_b().wavenumber
-        groups.setdefault(k_b, []).append(i)
-    workers = max(min(workers, len(groups), os.cpu_count() or 1), 1)
-    shares = [sum(list(groups.values())[j::workers], []) for j in range(workers)]
-    tasks = [(base, config.parameter, [values[i] for i in share]) for share in shares]
-    if workers == 1:
-        results = [_sweep_group(tasks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_group, tasks))
-    rows = {i: row for share, share_rows in zip(shares, results) for i, row in zip(share, share_rows)}
-    return [rows[i] for i in range(len(values))]
 
 
 @dataclass(frozen=True)

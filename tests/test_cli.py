@@ -54,16 +54,17 @@ check_every = 200
 
 SWEEP_BLOCK = """\
 [sweep]
-parameter = separation_d
+parameter = {parameter}
 values = {values}
 """
 
 
 def write_ini(tmp_path, name="scenario.ini", *, sign="boson", separation="3",
-              height="26.787825", sweep_values=None, extra=""):
+              height="26.787825", sweep_values=None, sweep_parameter="separation_d",
+              extra=""):
     text = SMALL_INI.format(sign=sign, separation=separation, height=height)
     if sweep_values is not None:
-        text += "\n" + SWEEP_BLOCK.format(values=sweep_values)
+        text += "\n" + SWEEP_BLOCK.format(parameter=sweep_parameter, values=sweep_values)
     text += extra
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -102,6 +103,13 @@ class TestOccupancyCommand:
         assert main(["occupancy", "3", "4", "--oracle"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "oracle: mb table matches exact enumeration of 4**3 assignments" in out
+
+    def test_oracle_over_the_budget_exits_2_before_printing(self, capsys):
+        # C(18, 7) = 31824 table rows fit their budget; 12**7 assignments do not
+        assert main(["occupancy", "7", "12", "--oracle"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "12^7 = 35831808 assignments exceed the enumeration budget" in captured.err
 
     def test_bad_arguments_exit_2(self, capsys):
         assert main(["occupancy", "-1", "2"]) == EXIT_USAGE
@@ -391,8 +399,12 @@ class TestSweepCommand:
         assert main(["sweep", "--config", path]) == EXIT_USAGE
         assert "no [sweep] section" in capsys.readouterr().err
 
-    def test_parallel_output_matches_serial(self, tmp_path, capsys):
-        path = write_ini(tmp_path, sweep_values="2.0 3.0")
+    @pytest.mark.parametrize("parameter, values", [
+        ("separation_d", "2.0 3.0"),
+        ("wavenumber_dk", "-0.25 0.25"),
+    ])
+    def test_parallel_output_matches_serial(self, tmp_path, capsys, parameter, values):
+        path = write_ini(tmp_path, sweep_values=values, sweep_parameter=parameter)
         out_serial = tmp_path / "serial"
         out_parallel = tmp_path / "parallel"
         code = main(["sweep", "--config", path, "--out", str(out_serial), "--verbose"])
@@ -423,6 +435,21 @@ class TestSweepCommand:
         code = main(["sweep", "--config", path, "--out", str(out), "--parallel", parallel])
         assert code == EXIT_USAGE
         assert f"--parallel must be >= 1, got {parallel}" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("values", ["nan 3.0", "inf", "3.0 -inf"])
+    def test_non_finite_values_exit_2_before_evolving(self, tmp_path, capsys, monkeypatch,
+                                                      values):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolved before rejecting the sweep values")
+
+        monkeypatch.setattr(propagator, "evolve", refuse)
+        monkeypatch.setattr(experiment, "evolve", refuse)
+        # a calibrated barrier: calibration would evolve first
+        path = write_ini(tmp_path, height="calibrate", sweep_values=values)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == EXIT_USAGE
+        assert "sweep values must be finite" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
     def test_all_invalid_rows_exit_5(self, tmp_path, capsys):

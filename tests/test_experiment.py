@@ -179,6 +179,12 @@ class TestSweepConfig:
         # carrier offsets may be negative
         SweepConfig(small_scenario(), "wavenumber_dk", (-0.5, 0.5)).validate()
 
+    @pytest.mark.parametrize("parameter", SWEEP_PARAMETERS)
+    def test_rejects_non_finite_values(self, parameter):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                SweepConfig(small_scenario(), parameter, (1.0, bad)).validate()
+
     def test_phase_sweep_needs_positive_carrier(self):
         base = small_scenario(packet_wavenumber=0.0)
         with pytest.raises(ConfigurationError, match="carrier"):
@@ -409,53 +415,6 @@ class TestSweep:
         rows = sweep(config)
         assert [row.param for row in rows] == [4.0, 2.0, 3.0]
 
-    def test_parallel_matches_serial(self):
-        # one group per distinct wavenumber of B, so two workers both run
-        config = SweepConfig(
-            base=small_scenario(),
-            parameter="wavenumber_dk",
-            values=(-0.25, 0.25, 0.5),
-        )
-        serial = [row.to_csv_line() for row in sweep(config, workers=1)]
-        parallel = [row.to_csv_line() for row in sweep(config, workers=2)]
-        assert parallel == serial
-
-    def test_workers_capped_by_values_and_cpus(self, monkeypatch):
-        requested = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                # one task per worker, holding every worker-th value
-                return [[ResultRow(param=v) for v in task[2]] for task in tasks]
-
-        def never_run(task):
-            raise AssertionError("serial path taken")
-
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(experiment, "_sweep_group", never_run)
-        config = SweepConfig(small_scenario(), "wavenumber_dk", (1.0, 2.0, 3.0, 4.0))
-        for cpus, workers, want in ((8, 16, 4), (3, 16, 3), (8, 2, 2), (None, 16, None)):
-            monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
-            requested.clear()
-            if want is None:
-                # an unknown CPU count means one worker: the serial path
-                with pytest.raises(AssertionError, match="serial path"):
-                    sweep(config, workers=workers)
-                assert requested == []
-            else:
-                rows = sweep(config, workers=workers)
-                assert requested == [want]
-                assert [row.param for row in rows] == [1.0, 2.0, 3.0, 4.0]
-
     @staticmethod
     def single_runs(base, parameter, values):
         """Each value run on its own through run_resolved, errors recorded as in a sweep."""
@@ -480,69 +439,50 @@ class TestSweep:
     def test_rows_match_single_runs(self, base, parameter, values):
         expected = self.single_runs(base, parameter, values)
         assert any(row.error for row in expected) == (base.sign == FERMION)
-        for workers in (1, 2):
-            rows = sweep(SweepConfig(base, parameter, values), workers=workers)
-            assert [r.to_csv_line() for r in rows] == [r.to_csv_line() for r in expected]
-            assert [json.dumps(r.to_dict(), sort_keys=True) for r in rows] == [
-                json.dumps(r.to_dict(), sort_keys=True) for r in expected
-            ]
+        rows = sweep(SweepConfig(base, parameter, values))
+        assert [r.to_csv_line() for r in rows] == [r.to_csv_line() for r in expected]
+        assert [json.dumps(r.to_dict(), sort_keys=True) for r in rows] == [
+            json.dumps(r.to_dict(), sort_keys=True) for r in expected
+        ]
 
-    def test_packet_a_built_and_evolved_once_per_group(self, monkeypatch):
-        # one group of values per wavenumber of B, so two workers both run
+    def test_packet_a_built_and_evolved_once(self, monkeypatch):
+        # one source per offset, all flown next to packet A in one batch
         base = small_scenario()
         values = (0.0, 0.25, 0.5, 0.75)
         spec_a, chunk_t = base.spec_a(), base.dt * base.check_every
-        origin = {}  # id of a live wavefunction -> "A" or "B"
-        a_builds, a_starts, b_starts = [], [], []
+        origin = {}  # id of a live wavefunction -> "A" or the wavenumber of B's source
+        a_builds, b_builds, calls = [], [], []
         real_make, real_evolve = experiment.make_gaussian, experiment.evolve
 
         def make(grid, spec):
             psi = real_make(grid, spec)
-            origin[id(psi)] = "A" if spec == spec_a else "B"
-            if spec == spec_a:
-                a_builds.append(spec)
+            origin[id(psi)] = "A" if spec == spec_a else spec.wavenumber
+            (a_builds if spec == spec_a else b_builds).append(spec.wavenumber)
             return psi
 
         def evolve(packets, *args, **kwargs):
             results = real_evolve(packets, *args, **kwargs)
             for psi, result in zip(packets, results):
                 origin[id(result.psi)] = origin[id(psi)]
-                (a_starts if origin[id(psi)] == "A" else b_starts).append(psi.t)
+                calls.append((origin[id(psi)], psi, result.psi))
             return results
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return [fn(task) for task in tasks]
 
         monkeypatch.setattr(experiment, "make_gaussian", make)
         monkeypatch.setattr(experiment, "evolve", evolve)
         monkeypatch.setattr(propagator, "evolve", evolve)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
-        for workers in (1, 2):
-            a_builds.clear()
-            a_starts.clear()
-            b_starts.clear()
-            rows = sweep(SweepConfig(base, "wavenumber_dk", values), workers=workers)
-            assert all(row.valid for row in rows)
-            assert len(a_builds) == workers
-            # each group's A runs once from launch to its last row's measurement
-            assert a_starts.count(0.0) == workers
-            assert len(a_starts) == sum(
-                round(max(row.t_meas for row in rows[j::workers]) / chunk_t)
-                for j in range(workers)
-            )
-            # B's source for each offset runs only until its row is measured
-            assert len(b_starts) == sum(round(row.t_meas / chunk_t) for row in rows[1:])
+        rows = sweep(SweepConfig(base, "wavenumber_dk", values))
+        assert all(row.valid for row in rows)
+        assert a_builds == [base.packet_wavenumber]
+        k_sources = [base.packet_wavenumber + v for v in values[1:]]
+        assert b_builds == k_sources
+        # A runs in one chain from launch to the last row's measurement
+        a_calls = [(psi, out) for who, psi, out in calls if who == "A"]
+        assert a_calls[0][0].t == 0.0
+        assert all(psi is out for (psi, _), (_, out) in zip(a_calls[1:], a_calls))
+        assert len(a_calls) == round(max(row.t_meas for row in rows) / chunk_t)
+        # each offset's source runs only until its row is measured
+        for k, row in zip(k_sources, rows[1:]):
+            assert sum(who == k for who, _, _ in calls) == round(row.t_meas / chunk_t)
 
     def test_edge_error_of_a_source_ends_only_its_own_rows(self):
         # the source for offset -40 runs into the left edge at t ~ 1.4, long
@@ -567,15 +507,10 @@ class TestSweep:
             calls.extend((psi, result.psi) for psi, result in zip(packets, results))
             return results
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("process pool started")
-
         monkeypatch.setattr(experiment, "make_gaussian", make)
         monkeypatch.setattr(experiment, "evolve", evolve)
         monkeypatch.setattr(propagator, "evolve", evolve)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
-        rows = sweep(SweepConfig(base, "separation_d", (0.0, 1.37, 3.0, 4.5)), workers=4)
+        rows = sweep(SweepConfig(base, "separation_d", (0.0, 1.37, 3.0, 4.5)))
         assert all(row.valid for row in rows)
         assert built == [base.spec_a()]
         # one chain of calls: packet A from its launch to the last row's measurement
