@@ -35,6 +35,7 @@ from .propagator import (
     SHIFT_BARRIER_AMPLITUDE_MAX,
     barrier_region_amplitude,
     calibrate_barrier,
+    edge_amplitude,
     evolve,
     evolve_until_measured,
     lobes_outgoing,
@@ -315,7 +316,7 @@ def evolve_pair_to_measurement(
         except PairStatsError as err:
             outcomes[i] = err
         else:
-            running[i] = source_of[k_b], float(max(abs(psi_b.values[0]), abs(psi_b.values[-1])))
+            running[i] = source_of[k_b], edge_amplitude(psi_b)
 
     def measure_cleared(states, ready, steps_done, leakage) -> bool:
         if isinstance(states[0], PairStatsError):

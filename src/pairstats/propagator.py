@@ -41,6 +41,12 @@ _MIN_LOBE_MASS = 1e-4
 # otherwise a packet that has not yet arrived already looks cleared
 BARRIER_ACTIVATION_AMPLITUDE = 1e-3
 
+# amplitude on the barrier support up to which evolve_until_measured lets a
+# packet that has not yet been stepped fly free: the barrier's phases then act
+# on rounding noise only, so the exact kinetic phase gives the Strang state
+# to rounding
+FREE_FLIGHT_AMPLITUDE_MAX = 1e-13
+
 
 @dataclass(frozen=True)
 class BarrierPotential:
@@ -204,7 +210,9 @@ def evolve(
     return _step_rows(psi, barrier, params, edge_amplitude_max)
 
 
-def analytic_plane_transmission(k: float, barrier: BarrierPotential) -> float:
+def analytic_plane_transmission(
+    k: float | np.ndarray, barrier: BarrierPotential
+) -> float | np.ndarray:
     """Transmission probability of a plane wave with wavenumber k > 0.
 
     Standard rectangular-barrier result at E = k^2/2 (hbar = m = 1):
@@ -213,28 +221,29 @@ def analytic_plane_transmission(k: float, barrier: BarrierPotential) -> float:
         E > V0:  T = 1 / (1 + V0^2 sin^2(q w) / (4 E (E - V0)))
 
     with kappa = sqrt(2(V0 - E)) and q = sqrt(2(E - V0)); both branches
-    meet continuously at E = V0 where T = 1 / (1 + V0 w^2 / 2).
+    meet continuously at E = V0 where T = 1 / (1 + V0 w^2 / 2).  Takes
+    a float, giving a float, or an array of k, giving T elementwise.
     """
-    if not k > 0:
-        raise ValueError(f"need k > 0, got {k}")
+    k = np.asarray(k, dtype=float)
+    if not np.all(k > 0):
+        raise ValueError(f"need k > 0, got {k.min() if k.ndim else k}")
     v0 = barrier.height
     w = barrier.width
-    if v0 == 0.0:
-        return 1.0
     energy = 0.5 * k * k
     u = 2.0 * (v0 - energy)
-    # h(u) = sinh^2(sqrt(u) w)/u continued through u = 0; series keeps it smooth
-    if abs(u) * w * w < 1e-8:
-        h = w * w * (1.0 + u * w * w / 3.0)
-    elif u > 0:
-        root = math.sqrt(u) * w
-        if root > 350.0:
-            return 0.0
-        h = math.sinh(root) ** 2 / u
-    else:
-        root = math.sqrt(-u) * w
-        h = -(math.sin(root) ** 2) / u
-    return 1.0 / (1.0 + v0 * v0 * h / (2.0 * energy))
+    root = np.sqrt(np.abs(u)) * w
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # h(u) = sinh^2(sqrt(u) w)/u continued through u = 0; series keeps it smooth
+        h = np.where(
+            np.abs(u) * w * w < 1e-8,
+            w * w * (1.0 + u * w * w / 3.0),
+            np.where(u > 0, np.sinh(root) ** 2 / u, -(np.sin(root) ** 2) / u),
+        )
+        transmission = 1.0 / (1.0 + v0 * v0 * h / (2.0 * energy))
+    transmission = np.where((u > 0) & (root > 350.0), 0.0, transmission)
+    if v0 == 0.0:
+        transmission = np.ones_like(k)
+    return float(transmission) if transmission.ndim == 0 else transmission
 
 
 def expected_packet_transmission(
@@ -266,8 +275,7 @@ def expected_packet_transmission(
         raise ConfigurationError("packet momentum support is entirely non-positive")
     k = np.linspace(lo, hi, 2001)
     weight = sigma * math.sqrt(2.0 / math.pi) * np.exp(-2.0 * sigma**2 * (k - k0) ** 2)
-    transmission = [analytic_plane_transmission(float(q), barrier) for q in k]
-    return float(np.trapezoid(weight * transmission, k))
+    return float(np.trapezoid(weight * analytic_plane_transmission(k, barrier), k))
 
 
 def measurement_ready(
@@ -318,6 +326,11 @@ def barrier_region_amplitude(psi: Wavefunction, barrier: BarrierPotential) -> fl
     return float(np.max(np.abs(psi.values[mask])))
 
 
+def edge_amplitude(psi: Wavefunction) -> float:
+    """Larger |psi| of the two box-edge samples."""
+    return float(max(abs(psi.values[0]), abs(psi.values[-1])))
+
+
 # largest amplitude the source may keep on the barrier when B is read off
 # it: the shift carries that amplitude as if it flew free, which moves a by
 # up to ~2.5 x amplitude^2 (close packets on a width-1.0 barrier's draining
@@ -359,6 +372,12 @@ class CalibrationResult:
     measurement_time: float
 
 
+def _flies_free(psi: Wavefunction, barrier: BarrierPotential, edge_amplitude_max: float) -> bool:
+    """True while the packet holds only rounding noise on its barrier and stays off the edges."""
+    return (barrier_region_amplitude(psi, barrier) <= FREE_FLIGHT_AMPLITUDE_MAX
+            and edge_amplitude(psi) <= edge_amplitude_max)
+
+
 def evolve_until_measured(
     packets: list[Wavefunction],
     barriers: Sequence[BarrierPotential],
@@ -374,26 +393,58 @@ def evolve_until_measured(
 ):
     """Evolve packets in step, offering them to `measure` after every chunk.
 
-    Packet i flies over barriers[i].  Every `check_every` steps the live
-    packets take one batched `evolve` call, as the rows of one array.  A
-    packet is ready once it has visited its barrier (reached
+    Packet i flies over barriers[i], in chunks of `check_every` steps.
+    A packet launched with at most FREE_FLIGHT_AMPLITUDE_MAX on its
+    barrier support first flies free: each chunk it is the launch state
+    under the exact kinetic phase exp(-i k^2 t/2) (one inverse FFT),
+    which the Strang steps reproduce while the barrier holds nothing of
+    it, for as long as at the chunk's end it still holds at most
+    FREE_FLIGHT_AMPLITUDE_MAX on the barrier and at most
+    `edge_amplitude_max` on the box edges.  The first chunk that fails
+    either test is stepped from its start instead, and so is every
+    chunk after it: an edge crossing is raised by the steps, with their
+    step count.  Every chunk the stepped packets take one batched
+    `evolve` call, as the rows of one array.  The step size and each
+    barrier are checked against the grid before anything flies.
+
+    A packet is ready once it has visited its barrier (reached
     BARRIER_ACTIVATION_AMPLITUDE there at a chunk end) and passes
     `measurement_ready` with the given thresholds.  After each chunk
     `measure(states, ready, steps_done, leakage)` runs with the list of
     the packets' states, their ready flags and their peak edge
-    amplitudes so far; it may set a state to None to stop evolving that
+    amplitudes so far (at the chunk ends of the free flight, at every
+    step after it); it may set a state to None to stop evolving that
     packet.  A packet's `evolve` error takes its place in `states` and
     stops it; `measure` raises it if it ends the run.  Returns the first
     truthy value of `measure`, or None when `max_steps` run out.
     """
+    for psi, barrier in zip(packets, barriers):
+        PropagationParams(dt=dt, steps=check_every).validate_on(psi.grid)
+        barrier.validate_on(psi.grid)
     states = list(packets)
     visited = [False] * len(states)
     leakage = [0.0] * len(states)
+    # launch spectrum of each packet still flying free, by packet index
+    free = {j: np.fft.fft(psi.values) for j, psi in enumerate(states)
+            if _flies_free(psi, barriers[j], edge_amplitude_max)}
     steps_done = 0
     while steps_done < max_steps:
         params = PropagationParams(dt=dt, steps=min(check_every, max_steps - steps_done))
         steps_done += params.steps
-        live = [j for j, psi in enumerate(states) if isinstance(psi, Wavefunction)]
+        for j, spectrum in list(free.items()):
+            psi = states[j]
+            if isinstance(psi, Wavefunction):
+                grid = psi.grid
+                flown = Wavefunction(grid, np.fft.ifft(
+                    spectrum * np.exp(-0.5j * dt * steps_done * grid.k**2)
+                ), t=psi.t + params.steps * params.dt)
+                if _flies_free(flown, barriers[j], edge_amplitude_max):
+                    states[j] = flown
+                    leakage[j] = max(leakage[j], edge_amplitude(flown))
+                    continue
+            del free[j]
+        live = [j for j, psi in enumerate(states)
+                if isinstance(psi, Wavefunction) and j not in free]
         if live:
             results = evolve([states[j] for j in live], [barriers[j] for j in live],
                              params, edge_amplitude_max)

@@ -15,6 +15,7 @@ import pytest
 import pairstats
 from pairstats import experiment, propagator
 from pairstats.errors import (
+    BoundaryContaminationError,
     ConfigurationError,
     MeasurementTimeoutError,
     PairStatsError,
@@ -490,6 +491,21 @@ class TestSweep:
         base = small_scenario()
         rows = sweep(SweepConfig(base, "wavenumber_dk", (-40.0, 0.0)))
         assert rows[0].error.startswith("BoundaryContaminationError: edge amplitude")
+        alone = sweep(SweepConfig(base, "wavenumber_dk", (0.0,)))
+        assert rows[1].valid and rows[1].to_csv_line() == alone[0].to_csv_line()
+
+    def test_edge_error_after_a_free_flight_reads_as_a_stepped_flight(self):
+        # launched far from the barrier, the offset -40 source flies free
+        # until the chunk in which it runs into the left edge at t ~ 1.1
+        base = small_scenario(packet_center=-20.0)
+        rows = sweep(SweepConfig(base, "wavenumber_dk", (-40.0, 0.0)))
+        source = make_gaussian(base.grid(), replace(base.spec_a(), wavenumber=-32.0))
+        with pytest.raises(BoundaryContaminationError) as stepped:
+            while True:
+                source = evolve(source, base.barrier(), PropagationParams(base.dt, base.check_every),
+                                base.edge_amplitude_max).psi
+        assert source.t > 1.0
+        assert rows[0].error == f"BoundaryContaminationError: {stepped.value}"
         alone = sweep(SweepConfig(base, "wavenumber_dk", (0.0,)))
         assert rows[1].valid and rows[1].to_csv_line() == alone[0].to_csv_line()
 

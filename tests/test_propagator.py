@@ -390,6 +390,65 @@ class TestSimulatedTransmission:
             )
 
 
+FAR_BOX = Grid1D(half_width=64.0, points=2048)
+FAR_BARRIER = BarrierPotential(26.787825, 0.5)
+FAR_RUN = dict(dt=5e-4, max_steps=12_000, check_every=200, boundary=0.0, edge_amplitude_max=1e-6)
+
+
+def stepped_flight(grid, spec, barrier, dt, max_steps, check_every, boundary, edge_amplitude_max):
+    """(T, t_meas) of a packet stepped from launch in plain chunked `evolve` calls."""
+    psi = make_gaussian(grid, spec)
+    visited = False
+    for _ in range(max_steps // check_every):
+        psi = evolve(psi, barrier, PropagationParams(dt, check_every), edge_amplitude_max).psi
+        visited = visited or barrier_region_amplitude(psi, barrier) >= BARRIER_ACTIVATION_AMPLITUDE
+        if visited and measurement_ready(psi, barrier, boundary):
+            return probability_on_side(psi, "positive", boundary), psi.t
+    raise AssertionError("the stepped flight was never measured")
+
+
+class TestFreeFlightBeforeTheBarrier:
+    def test_driver_matches_a_flight_stepped_from_launch(self):
+        spec = WavepacketSpec(center=-20.0, wavenumber=8.0, sigma=1.0)
+        t_sim, t_meas = simulated_transmission(FAR_BOX, spec, FAR_BARRIER, **FAR_RUN)
+        t_ref, t_meas_ref = stepped_flight(FAR_BOX, spec, FAR_BARRIER, **FAR_RUN)
+        assert t_meas == t_meas_ref
+        assert abs(t_sim - t_ref) <= 1e-12
+
+    @pytest.mark.parametrize("center, first_stepped", [
+        (-20.0, 0.9),  # nothing but rounding noise on the barrier until t = 0.9
+        (-10.0, 0.0),  # about 1e-11 on the barrier at launch: stepped from the start
+    ])
+    def test_steps_begin_at_the_first_chunk_that_reaches_the_barrier(
+        self, monkeypatch, center, first_stepped
+    ):
+        spec = WavepacketSpec(center=center, wavenumber=8.0, sigma=1.0)
+        launch_amplitude = barrier_region_amplitude(make_gaussian(FAR_BOX, spec), FAR_BARRIER)
+        assert (launch_amplitude > propagator.FREE_FLIGHT_AMPLITUDE_MAX) == (first_stepped == 0.0)
+        starts = []
+        real = propagator.evolve
+
+        def spy(packets, *args, **kwargs):
+            starts.append(packets[0].t)
+            return real(packets, *args, **kwargs)
+
+        monkeypatch.setattr(propagator, "evolve", spy)
+        _, t_meas = simulated_transmission(FAR_BOX, spec, FAR_BARRIER, **FAR_RUN)
+        chunk_t = FAR_RUN["dt"] * FAR_RUN["check_every"]
+        assert starts[0] == pytest.approx(first_stepped, abs=1e-12)
+        assert len(starts) == round((t_meas - first_stepped) / chunk_t)
+
+    def test_bad_step_or_barrier_fails_before_any_free_flight(self):
+        # a budget of one chunk, flown free at either step size: checks left to the steps never run
+        spec = WavepacketSpec(center=-20.0, wavenumber=8.0, sigma=1.0)
+        free_budget = dict(FAR_RUN, max_steps=200)
+        with pytest.raises(StabilityError):
+            simulated_transmission(FAR_BOX, spec, FAR_BARRIER, **dict(free_budget, dt=2.6e-3))
+        with pytest.raises(ConfigurationError, match="box edges"):
+            simulated_transmission(FAR_BOX, spec, BarrierPotential(26.787825, 0.5, 64.0),
+                                   **free_budget)
+
+
 class TestCalibration:
     def test_small_grid_calibration_hits_target(self, grid):
         spec = WavepacketSpec(center=-10.0, wavenumber=8.0, sigma=1.0)
