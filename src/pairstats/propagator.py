@@ -137,10 +137,12 @@ def _step_rows(
     The packets share one grid and ride as the rows of one C-contiguous
     (P, G) array, transformed in place, so P packets cost two batched
     FFT calls per step instead of 2P.  Each row keeps its own
-    half-potential phases; the kinetic phases are shared.  Every row
-    comes out bit for bit as it would alone.  A row whose edge amplitude
-    exceeds `edge_amplitude_max` leaves the array at that step; its entry
-    is the BoundaryContaminationError it would raise alone.
+    half-potential phases, applied only over the span of samples that
+    some row's barrier covers: outside it every factor is exactly 1.
+    The kinetic phases are shared.  Every row comes out bit for bit as
+    it would alone.  A row whose edge amplitude exceeds
+    `edge_amplitude_max` leaves the array at that step; its entry is the
+    BoundaryContaminationError it would raise alone.
     """
     grid = packets[0].grid
     params.validate_on(grid)
@@ -148,17 +150,19 @@ def _step_rows(
         barrier.validate_on(grid)
     factors = [_phase_factors(grid, barrier, params.dt) for barrier in barriers]
     kinetic = factors[0][1]
-    half_potential = np.stack([half for half, _ in factors])
+    covered = np.flatnonzero(np.logical_or.reduce([b.sample_mask(grid) for b in barriers]))
+    span = slice(covered[0], covered[-1] + 1)
+    half_potential = np.stack([half[span] for half, _ in factors])
     values = np.stack([psi.values for psi in packets])
     rows = list(range(len(packets)))  # packet index of each row of `values`
     max_edge = [0.0] * len(packets)
     out: list = [None] * len(packets)
     for n in range(params.steps):
-        values *= half_potential
+        values[:, span] *= half_potential
         np.fft.fft(values, axis=-1, out=values)
         np.multiply(kinetic, values, out=values)
         np.fft.ifft(values, axis=-1, out=values)
-        values *= half_potential
+        values[:, span] *= half_potential
         crossed = []
         for r, i in enumerate(rows):
             edge = max(abs(values[r, 0]), abs(values[r, -1]))
@@ -361,8 +365,9 @@ class CalibrationResult:
     """Calibrated barrier plus the record of the runs made.
 
     `history` holds one (height, transmission) pair per full run, in run
-    order, and `iterations` is its length.  The accepted height is always
-    one of them: its transmission and measurement time come from its run.
+    order, and `iterations` is its length.  The accepted height is the
+    last of them, the first run that landed within tol of the target:
+    its transmission and measurement time come from that run.
     """
 
     barrier: BarrierPotential
@@ -404,8 +409,10 @@ def evolve_until_measured(
     either test is stepped from its start instead, and so is every
     chunk after it: an edge crossing is raised by the steps, with their
     step count.  Every chunk the stepped packets take one batched
-    `evolve` call, as the rows of one array.  The step size and each
-    barrier are checked against the grid before anything flies.
+    `evolve` call, as the rows of one array.  `check_every` and
+    `max_steps` must be at least 1 (chunks of 0 steps would never end
+    the loop); they, the step size and each barrier are checked before
+    anything flies.
 
     A packet is ready once it has visited its barrier (reached
     BARRIER_ACTIVATION_AMPLITUDE there at a chunk end) and passes
@@ -418,6 +425,9 @@ def evolve_until_measured(
     stops it; `measure` raises it if it ends the run.  Returns the first
     truthy value of `measure`, or None when `max_steps` run out.
     """
+    for name, value in (("check_every", check_every), ("max_steps", max_steps)):
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
     for psi, barrier in zip(packets, barriers):
         PropagationParams(dt=dt, steps=check_every).validate_on(psi.grid)
         barrier.validate_on(psi.grid)
@@ -468,43 +478,6 @@ def evolve_until_measured(
     return None
 
 
-def _simulated_transmissions(
-    grid: Grid1D,
-    spec: WavepacketSpec,
-    barriers: Sequence[BarrierPotential],
-    *,
-    max_steps: int,
-    dt: float,
-    **loop,
-) -> list:
-    """One flight of the packet in `spec` per barrier, all stepped as one batch.
-
-    Entry i is (T, t_meas) for barriers[i], measured once that flight has
-    visited and cleared its barrier, or the PairStatsError that ended it:
-    its edge error, or a CalibrationError when `max_steps` run out.
-    """
-    outcomes: dict[int, object] = {}
-
-    def measure(states, ready, *_):
-        for j, psi in enumerate(states):
-            if isinstance(psi, PairStatsError):
-                outcomes[j] = psi
-            elif ready[j]:
-                outcomes[j] = probability_on_side(psi, "positive", loop["boundary"]), psi.t
-            else:
-                continue
-            states[j] = None
-        return len(outcomes) == len(barriers)
-
-    packet = make_gaussian(grid, spec)
-    evolve_until_measured([packet] * len(barriers), barriers, measure,
-                          max_steps=max_steps, dt=dt, **loop)
-    return [outcomes.get(j) or CalibrationError(
-        f"measurement criterion not met within {max_steps} steps "
-        f"(t = {max_steps * dt:.6g}) for barrier height {barrier.height:.6g}"
-    ) for j, barrier in enumerate(barriers)]
-
-
 def simulated_transmission(
     grid: Grid1D,
     spec: WavepacketSpec,
@@ -517,14 +490,26 @@ def simulated_transmission(
     barrier_amplitude_max: float = DEFAULT_BARRIER_AMPLITUDE_MAX,
     lobe_sigmas: float = DEFAULT_LOBE_SIGMAS,
 ) -> tuple[float, float]:
-    """Run until the packet has visited and cleared the barrier; return (T, t_meas)."""
-    (outcome,) = _simulated_transmissions(
-        grid, spec, [barrier], dt=dt, max_steps=max_steps, check_every=check_every,
-        boundary=boundary, edge_amplitude_max=edge_amplitude_max,
+    """Run until the packet has visited and cleared the barrier; return (T, t_meas).
+
+    Raises the flight's edge error, or a CalibrationError when `max_steps` run out.
+    """
+    def measure(states, ready, *_):
+        (psi,) = states
+        if isinstance(psi, PairStatsError):
+            raise psi
+        return ready[0] and (probability_on_side(psi, "positive", boundary), psi.t)
+
+    outcome = evolve_until_measured(
+        [make_gaussian(grid, spec)], [barrier], measure, dt=dt, max_steps=max_steps,
+        check_every=check_every, boundary=boundary, edge_amplitude_max=edge_amplitude_max,
         barrier_amplitude_max=barrier_amplitude_max, lobe_sigmas=lobe_sigmas,
     )
-    if isinstance(outcome, PairStatsError):
-        raise outcome
+    if outcome is None:
+        raise CalibrationError(
+            f"measurement criterion not met within {max_steps} steps "
+            f"(t = {max_steps * dt:.6g}) for barrier height {barrier.height:.6g}"
+        )
     return outcome
 
 
@@ -570,29 +555,23 @@ def calibrate_barrier(
     Transmission is measured from a full split-operator run of the packet
     in `spec`, not from the analytic formula.  The analytic
     momentum-averaged curve seeds the bracket [0.75, 1.3] x seed, which
-    is widened if needed, and bisection on the height then narrows until
-    |T - target| <= tol.
+    is widened if needed, and bisection on the height then narrows it.
 
-    A height is run only when no run made so far settles its side.  With
-    T falling in height, a run below target - tol puts every greater
-    height below as well, and a run above target + tol puts every smaller
-    height above.  The search asks for the midpoints of the bisection
-    path predicted on the analytic curve finest first, so when the
-    prediction holds, the accepted midpoint and the two that bracket it
-    are the only runs; then it replays the bisection, asking only for
-    heights those runs do not settle.  The height found is the one a
-    bisection running every point would accept, as long as T falls
-    monotonically in height.
-
-    The search is first made on the analytic curve alone.  The heights
-    it asks for there are the ones the real search asks for when the
-    curve puts each on the right side of target +- tol, and they run as
-    one batch: their flights step together, as rows of one array.  The
-    real search takes its answers from that batch and runs any other
-    height alone; a batched run it never asks for is dropped, and so is
-    its error.  `history` lists the runs the real search asked for, in
-    the order it asked, and `max_iterations` caps how many there are;
-    the error on failure carries the same record.
+    The search accepts the first run with |T - target| <= tol, in the
+    order it asks for heights: the midpoints of the bisection path
+    predicted on the analytic curve, finest first; then the bracket
+    ends; then the bisection of the simulated curve.  A height is run
+    only when no run made so far settles its side.  With T falling in
+    height, a run below target - tol puts every greater height below as
+    well, and a run above target + tol puts every smaller height above.
+    When the prediction holds, its finest midpoint is the only run.  The
+    height found is the one a bisection running every point would
+    accept whenever the simulated curve puts each coarser midpoint of
+    the predicted path on the side the analytic curve does; those
+    midpoints are not run to check.  `history` lists the runs made, in
+    the order made; the error on failure carries the same record.
+    `max_iterations` bounds the length of the predicted path, and the
+    bracket and bisection loops stop once `history` reaches it.
     """
     if not 0.0 < target <= 1.0:
         raise ConfigurationError(f"target transmission must be in (0, 1], got {target}")
@@ -624,118 +603,96 @@ def calibrate_barrier(
         else:
             p_hi = mid
 
-    def search(run: Callable[[float], tuple[float, float]]) -> CalibrationResult:
-        """The calibration, asking `run(v0) -> (T, t_meas)` for each height it runs."""
-        history: list[tuple[float, float]] = []
-        t_meas_seen: dict[float, float] = {}
+    history: list[tuple[float, float]] = []
+    t_meas_seen: dict[float, float] = {}
 
-        def side(v0: float) -> float:
-            """T at v0, or the T of an earlier run that puts v0 on the same side of tol."""
-            if v0 not in t_meas_seen:
-                for v, t in history:
-                    if (v < v0 and t < target - tol) or (v > v0 and t > target + tol):
-                        return t
-                transmission, t_meas_seen[v0] = run(v0)
-                history.append((v0, transmission))
-            return dict(history)[v0]
-
-        def done(v0: float, transmission: float) -> CalibrationResult:
-            return CalibrationResult(
-                barrier=BarrierPotential(v0, width, center),
-                transmission=transmission,
-                iterations=len(history),
-                history=tuple(history),
-                measurement_time=t_meas_seen[v0],
+    def side(v0: float) -> float:
+        """T at v0, or the T of an earlier run that puts v0 on the same side of tol."""
+        if v0 not in t_meas_seen:
+            for v, t in history:
+                if (v < v0 and t < target - tol) or (v > v0 and t > target + tol):
+                    return t
+            transmission, t_meas_seen[v0] = simulated_transmission(
+                grid, spec, BarrierPotential(v0, width, center), **loop
             )
+            history.append((v0, transmission))
+        return dict(history)[v0]
 
-        def over_budget() -> bool:
-            return len(history) >= max_iterations
+    def done(v0: float, transmission: float) -> CalibrationResult:
+        return CalibrationResult(
+            barrier=BarrierPotential(v0, width, center),
+            transmission=transmission,
+            iterations=len(history),
+            history=tuple(history),
+            measurement_time=t_meas_seen[v0],
+        )
 
-        for mid in reversed(predicted):
-            side(mid)
-        lo, hi = lo_start, hi_start
+    def over_budget() -> bool:
+        return len(history) >= max_iterations
 
-        # low edge of the bracket must transmit at or above target
+    for mid in reversed(predicted):
+        t_mid = side(mid)
+        if abs(t_mid - target) <= tol:
+            return done(mid, t_mid)
+    lo, hi = lo_start, hi_start
+
+    # low edge of the bracket must transmit at or above target
+    t_lo = side(lo)
+    if abs(t_lo - target) <= tol:
+        return done(lo, t_lo)
+    while t_lo < target:
+        if lo == 0.0:
+            raise CalibrationError(
+                f"even with no barrier the run transmits {t_lo:.4g} < target {target}",
+                history,
+            )
+        lo = 0.0 if lo < 0.05 * seed else 0.5 * lo
         t_lo = side(lo)
         if abs(t_lo - target) <= tol:
             return done(lo, t_lo)
-        while t_lo < target:
-            if lo == 0.0:
-                raise CalibrationError(
-                    f"even with no barrier the run transmits {t_lo:.4g} < target {target}",
-                    history,
-                )
-            lo = 0.0 if lo < 0.05 * seed else 0.5 * lo
-            t_lo = side(lo)
-            if abs(t_lo - target) <= tol:
-                return done(lo, t_lo)
-            if over_budget():
-                raise CalibrationError(
-                    f"run budget {max_iterations} spent while lowering the bracket", history
-                )
+        if over_budget():
+            raise CalibrationError(
+                f"run budget {max_iterations} spent while lowering the bracket", history
+            )
 
-        # high edge must transmit at or below target
+    # high edge must transmit at or below target
+    t_hi = side(hi)
+    if abs(t_hi - target) <= tol:
+        return done(hi, t_hi)
+    while t_hi > target:
+        lo, t_lo = hi, t_hi
+        hi *= 1.6
         t_hi = side(hi)
         if abs(t_hi - target) <= tol:
             return done(hi, t_hi)
-        while t_hi > target:
-            lo, t_lo = hi, t_hi
-            hi *= 1.6
-            t_hi = side(hi)
-            if abs(t_hi - target) <= tol:
-                return done(hi, t_hi)
-            if over_budget():
-                raise CalibrationError(
-                    f"run budget {max_iterations} spent while raising the bracket; "
-                    f"transmission still {t_hi:.4g} at height {hi:.4g}",
-                    history,
-                )
+        if over_budget():
+            raise CalibrationError(
+                f"run budget {max_iterations} spent while raising the bracket; "
+                f"transmission still {t_hi:.4g} at height {hi:.4g}",
+                history,
+            )
 
-        # bisect on the simulated curve
-        while not over_budget():
-            if (hi - lo) <= 1e-12 * max(1.0, hi):
-                best = min(history, key=lambda vt: abs(vt[1] - target))
-                raise CalibrationError(
-                    f"bracket collapsed at height {hi:.6g} without reaching tol {tol}; "
-                    f"best |T - target| = {abs(best[1] - target):.4g}",
-                    history,
-                )
-            mid = 0.5 * (lo + hi)
-            t_mid = side(mid)
-            if abs(t_mid - target) <= tol:
-                return done(mid, t_mid)
-            if t_mid > target:
-                lo = mid
-            else:
-                hi = mid
+    # bisect on the simulated curve
+    while not over_budget():
+        if (hi - lo) <= 1e-12 * max(1.0, hi):
+            best = min(history, key=lambda vt: abs(vt[1] - target))
+            raise CalibrationError(
+                f"bracket collapsed at height {hi:.6g} without reaching tol {tol}; "
+                f"best |T - target| = {abs(best[1] - target):.4g}",
+                history,
+            )
+        mid = 0.5 * (lo + hi)
+        t_mid = side(mid)
+        if abs(t_mid - target) <= tol:
+            return done(mid, t_mid)
+        if t_mid > target:
+            lo = mid
+        else:
+            hi = mid
 
-        best = min(history, key=lambda vt: abs(vt[1] - target))
-        raise CalibrationError(
-            f"no convergence to |T - {target}| <= {tol} within {max_iterations} runs; "
-            f"best |T - target| = {abs(best[1] - target):.4g}",
-            history,
-        )
-
-    # the heights the search asks for on the analytic curve run as one batch
-    asked: list[float] = []
-
-    def analytic_run(v0: float) -> tuple[float, float]:
-        asked.append(v0)
-        return analytic(v0), 0.0
-
-    try:
-        search(analytic_run)
-    except CalibrationError:
-        pass
-    batch = dict(zip(asked, _simulated_transmissions(
-        grid, spec, [BarrierPotential(v0, width, center) for v0 in asked], **loop
-    )))
-
-    def simulated_run(v0: float) -> tuple[float, float]:
-        if v0 not in batch:
-            return simulated_transmission(grid, spec, BarrierPotential(v0, width, center), **loop)
-        if isinstance(batch[v0], PairStatsError):
-            raise batch[v0]
-        return batch[v0]
-
-    return search(simulated_run)
+    best = min(history, key=lambda vt: abs(vt[1] - target))
+    raise CalibrationError(
+        f"no convergence to |T - {target}| <= {tol} within {max_iterations} runs; "
+        f"best |T - target| = {abs(best[1] - target):.4g}",
+        history,
+    )
