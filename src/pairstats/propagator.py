@@ -570,13 +570,16 @@ def calibrate_barrier(
     the predicted path on the side the analytic curve does; those
     midpoints are not run to check.  `history` lists the runs made, in
     the order made; the error on failure carries the same record.
-    `max_iterations` bounds the length of the predicted path, and the
-    bracket and bisection loops stop once `history` reaches it.
+    `max_iterations` caps the runs: a run that would make `history`
+    longer raises CalibrationError instead, so
+    `len(history) <= max_iterations` always holds.
     """
     if not 0.0 < target <= 1.0:
         raise ConfigurationError(f"target transmission must be in (0, 1], got {target}")
     if not tol > 0:
         raise ConfigurationError(f"tol must be positive, got {tol}")
+    if max_iterations < 1:
+        raise ConfigurationError(f"max_iterations must be at least 1, got {max_iterations}")
     spec.validate_on(grid)
     loop = dict(dt=dt, max_steps=max_steps, check_every=check_every, boundary=boundary,
                 edge_amplitude_max=edge_amplitude_max,
@@ -605,6 +608,7 @@ def calibrate_barrier(
 
     history: list[tuple[float, float]] = []
     t_meas_seen: dict[float, float] = {}
+    stage = "on the predicted path"
 
     def side(v0: float) -> float:
         """T at v0, or the T of an earlier run that puts v0 on the same side of tol."""
@@ -612,6 +616,14 @@ def calibrate_barrier(
             for v, t in history:
                 if (v < v0 and t < target - tol) or (v > v0 and t > target + tol):
                     return t
+            if len(history) >= max_iterations:
+                best = min(history, key=lambda vt: abs(vt[1] - target))
+                raise CalibrationError(
+                    f"run budget {max_iterations} spent {stage}: no convergence to "
+                    f"|T - {target}| <= {tol} within {len(history)} runs; "
+                    f"best |T - target| = {abs(best[1] - target):.4g} at height {best[0]:.6g}",
+                    history,
+                )
             transmission, t_meas_seen[v0] = simulated_transmission(
                 grid, spec, BarrierPotential(v0, width, center), **loop
             )
@@ -627,9 +639,6 @@ def calibrate_barrier(
             measurement_time=t_meas_seen[v0],
         )
 
-    def over_budget() -> bool:
-        return len(history) >= max_iterations
-
     for mid in reversed(predicted):
         t_mid = side(mid)
         if abs(t_mid - target) <= tol:
@@ -637,6 +646,7 @@ def calibrate_barrier(
     lo, hi = lo_start, hi_start
 
     # low edge of the bracket must transmit at or above target
+    stage = "while lowering the bracket"
     t_lo = side(lo)
     if abs(t_lo - target) <= tol:
         return done(lo, t_lo)
@@ -650,12 +660,9 @@ def calibrate_barrier(
         t_lo = side(lo)
         if abs(t_lo - target) <= tol:
             return done(lo, t_lo)
-        if over_budget():
-            raise CalibrationError(
-                f"run budget {max_iterations} spent while lowering the bracket", history
-            )
 
     # high edge must transmit at or below target
+    stage = "while raising the bracket"
     t_hi = side(hi)
     if abs(t_hi - target) <= tol:
         return done(hi, t_hi)
@@ -665,15 +672,10 @@ def calibrate_barrier(
         t_hi = side(hi)
         if abs(t_hi - target) <= tol:
             return done(hi, t_hi)
-        if over_budget():
-            raise CalibrationError(
-                f"run budget {max_iterations} spent while raising the bracket; "
-                f"transmission still {t_hi:.4g} at height {hi:.4g}",
-                history,
-            )
 
     # bisect on the simulated curve
-    while not over_budget():
+    stage = "while bisecting"
+    while True:
         if (hi - lo) <= 1e-12 * max(1.0, hi):
             best = min(history, key=lambda vt: abs(vt[1] - target))
             raise CalibrationError(
@@ -689,10 +691,3 @@ def calibrate_barrier(
             lo = mid
         else:
             hi = mid
-
-    best = min(history, key=lambda vt: abs(vt[1] - target))
-    raise CalibrationError(
-        f"no convergence to |T - {target}| <= {tol} within {max_iterations} runs; "
-        f"best |T - target| = {abs(best[1] - target):.4g}",
-        history,
-    )

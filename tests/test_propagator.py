@@ -488,14 +488,20 @@ class TestCalibration:
             calibrate_barrier(grid, spec, width=0.5, target=0.0)
         with pytest.raises(ConfigurationError):
             calibrate_barrier(grid, spec, width=0.5, tol=0.0)
+        with pytest.raises(ConfigurationError, match="max_iterations"):
+            calibrate_barrier(grid, spec, width=0.5, max_iterations=0)
 
-    def test_budget_exhaustion_reports_history(self, grid):
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3])
+    def test_budget_exhaustion_reports_history(self, grid, max_iterations):
+        # no run lands within 1e-9, so the budget alone ends the search
         spec = WavepacketSpec(center=-10.0, wavenumber=8.0, sigma=1.0)
-        with pytest.raises(CalibrationError):
+        with pytest.raises(CalibrationError) as caught:
             calibrate_barrier(
                 grid, spec, width=0.5, target=0.5, tol=1e-9,
-                dt=5e-4, max_steps=12_000, check_every=200, max_iterations=3,
+                dt=5e-4, max_steps=12_000, check_every=200, max_iterations=max_iterations,
             )
+        assert len(caught.value.history) == max_iterations
+        assert f"within {max_iterations} runs" in str(caught.value)
 
 
 def eighty_halvings(transmission, target, v_hi):

@@ -21,6 +21,7 @@ the code under test.
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,64 @@ class TestFactorizedAgainstQuadrature:
         pair = make_pair(psi_a, psi_b, BOSON)
         with pytest.raises(BudgetExceededError):
             quadrant_quadrature_oracle(pair)
+
+
+def full_square_quadrants(pair, boundary):
+    """(p20, p02, p11) from |Psi|^2 on every sample of the G x G square."""
+    g = pair.psi_a.grid
+    va, vb = pair.psi_a.values, pair.psi_b.values
+    psi = pair.norm_const * (np.outer(va, vb) + pair.sign * np.outer(vb, va))
+    dens = np.abs(psi) ** 2 * g.dx**2
+    i0 = g.split_index(boundary)
+    return (
+        dens[:i0, :i0].sum(),
+        dens[i0:, i0:].sum(),
+        dens[:i0, i0:].sum() + dens[i0:, :i0].sum(),
+    )
+
+
+def offset_carrier_pair(points, half_width, sign):
+    """Two Gaussians with different carriers, sampled without resolution checks."""
+    g = Grid1D(half_width=half_width, points=points)
+    x = g.x
+    psi_a = Wavefunction(g, np.exp(-0.5 * (x + 1.0) ** 2 + 2.0j * x)).normalized()
+    psi_b = Wavefunction(g, np.exp(-0.5 * ((x - 0.5) / 1.2) ** 2 + 2.5j * x)).normalized()
+    return make_pair(psi_a, psi_b, sign)
+
+
+class TestOracleAgainstTheFullSquare:
+    """The triangle's bookkeeping, against a sum over every sample."""
+
+    @pytest.mark.parametrize("sign", [BOSON, FERMION])
+    @pytest.mark.parametrize("points, half_width, i0", [
+        (256, 8.0, 45),    # inside the second 32-row block
+        (256, 8.0, 64),    # on a block edge
+        (256, 8.0, 0),     # every sample on the positive side
+        (256, 8.0, 256),   # every sample on the negative side
+        (16, 8.0, 7),      # the whole grid smaller than one block
+    ])
+    def test_quadrants_match(self, sign, points, half_width, i0):
+        pair = offset_carrier_pair(points, half_width, sign)
+        g = pair.psi_a.grid
+        assert abs(pair.s.imag) > 1e-3
+        boundary = g.x[i0] if i0 < points else half_width
+        assert g.split_index(boundary) == i0
+        oracle = quadrant_quadrature_oracle(pair, boundary)
+        p20, p02, p11 = full_square_quadrants(pair, boundary)
+        assert abs(oracle.p20 - p20) <= 1e-14
+        assert abs(oracle.p02 - p02) <= 1e-14
+        assert abs(oracle.p11 - p11) <= 1e-14
+
+    def test_memory_stays_a_few_blocks_at_the_size_limit(self):
+        # the density of the whole 4096 x 4096 square alone would take 134 MB
+        pair = offset_carrier_pair(4096, 64.0, BOSON)
+        tracemalloc.start()
+        try:
+            quadrant_quadrature_oracle(pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestDensityDump:
