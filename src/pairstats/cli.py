@@ -57,7 +57,7 @@ from .occupancy import (
     mb_probability,
     occupancy_vectors,
 )
-from .propagator import simulated_transmission
+from .propagator import calibration_bracket, simulated_transmission
 from .twoparticle import (
     check_oracle_budget,
     dump_joint_density_csv,
@@ -128,10 +128,13 @@ def _say(args, text: str) -> None:
         print(text, file=sys.stderr)
 
 
-def _say_calibration_runs(args, calibration) -> None:
-    """One line per full calibration run, in run order."""
-    for v0, t in calibration.history:
+def _say_calibration_runs(args, calibration, target: float) -> None:
+    """One line per full calibration run, in run order, then the bracket the runs so far make."""
+    for n, (v0, t) in enumerate(calibration.history, 1):
         _say(args, f"  height {v0:.10g} -> T = {t:.8f}")
+        ends = ("-" if end is None else f"{end:.10g}"
+                for end in calibration_bracket(calibration.history[:n], target))
+        _say(args, "    bracket [{}, {}]".format(*ends))
 
 
 def _row_headline(row: ResultRow) -> str:
@@ -195,7 +198,7 @@ def cmd_calibrate(args) -> int:
         resolved, calibration = resolve_barrier(config)
         transmission = calibration.transmission
         t_meas = calibration.measurement_time
-        _say_calibration_runs(args, calibration)
+        _say_calibration_runs(args, calibration, config.calibration_target)
     else:
         _say(args, f"height fixed at {config.barrier_height}; measuring transmission")
         resolved, calibration = config, None
@@ -227,7 +230,7 @@ def cmd_run(args) -> int:
         check_oracle_budget(config.grid_points)
     resolved, calibration = resolve_barrier(config)
     if calibration is not None:
-        _say_calibration_runs(args, calibration)
+        _say_calibration_runs(args, calibration, config.calibration_target)
         _say(args, f"calibrated barrier height {resolved.barrier_height:.10g} "
                    f"(T = {calibration.transmission:.6f})")
     row, pair = run_resolved(resolved, param_value=resolved.separation)
@@ -266,7 +269,7 @@ def cmd_sweep(args) -> int:
     sweep_config.validate()
     resolved_base, calibration = resolve_barrier(base)
     if calibration is not None:
-        _say_calibration_runs(args, calibration)
+        _say_calibration_runs(args, calibration, base.calibration_target)
         _say(args, f"calibrated barrier height {resolved_base.barrier_height:.10g} "
                    f"(T = {calibration.transmission:.6f})")
     rows = sweep(

@@ -366,8 +366,9 @@ class CalibrationResult:
 
     `history` holds one (height, transmission) pair per full run, in run
     order, and `iterations` is its length.  The accepted height is the
-    last of them, the first run that landed within tol of the target:
+    last of them, the only run that landed within tol of the target:
     its transmission and measurement time come from that run.
+    `calibration_bracket` reads the bracket the runs made off `history`.
     """
 
     barrier: BarrierPotential
@@ -375,6 +376,19 @@ class CalibrationResult:
     iterations: int
     history: tuple[tuple[float, float], ...]
     measurement_time: float
+
+
+def calibration_bracket(
+    history: Sequence[tuple[float, float]], target: float
+) -> tuple[float | None, float | None]:
+    """(highest height run above target, lowest height run at or below it).
+
+    With T falling in height the root lies between them; a side no run
+    has reached is None.
+    """
+    above = [v0 for v0, t in history if t > target]
+    below = [v0 for v0, t in history if t <= target]
+    return max(above, default=None), min(below, default=None)
 
 
 def _flies_free(psi: Wavefunction, barrier: BarrierPotential, edge_amplitude_max: float) -> bool:
@@ -553,22 +567,22 @@ def calibrate_barrier(
     """Find the barrier height whose simulated transmission hits `target`.
 
     Transmission is measured from a full split-operator run of the packet
-    in `spec`, not from the analytic formula.  The analytic
-    momentum-averaged curve seeds the bracket [0.75, 1.3] x seed, which
-    is widened if needed, and bisection on the height then narrows it.
-
-    The search accepts the first run with |T - target| <= tol, in the
-    order it asks for heights: the midpoints of the bisection path
-    predicted on the analytic curve, finest first; then the bracket
-    ends; then the bisection of the simulated curve.  A height is run
-    only when no run made so far settles its side.  With T falling in
-    height, a run below target - tol puts every greater height below as
-    well, and a run above target + tol puts every smaller height above.
-    When the prediction holds, its finest midpoint is the only run.  The
-    height found is the one a bisection running every point would
-    accept whenever the simulated curve puts each coarser midpoint of
-    the predicted path on the side the analytic curve does; those
-    midpoints are not run to check.  `history` lists the runs made, in
+    in `spec`, not from the analytic formula; the search accepts the
+    first run with |T - target| <= tol.  The first run is at the first
+    midpoint within tol of a bisection of [0.75, 1.3] x seed on the
+    analytic momentum-averaged curve, seed being that curve's root (or
+    at its last midpoint, after `max_iterations` halvings).
+    Every later height is a Newton step from the last run, safeguarded
+    as `rtsafe` (Numerical Recipes, 9.4): the first step takes the
+    analytic curve's slope dT/dV at the first run, each later one the
+    secant through the last two runs.  The runs made give a bracket
+    (`calibration_bracket`).  Once it has both ends, a step that leaves
+    it, or a slope that does not fall, gives way to its midpoint.  While
+    it has one end, the search looks no further than the widened end:
+    1.6 x the highest height run when every run transmits above target,
+    half the lowest (0 once below 0.05 x seed) when every run transmits
+    below it.  A step past that end, or a slope that does not fall,
+    runs the widened end itself.  `history` lists the runs made, in
     the order made; the error on failure carries the same record.
     `max_iterations` caps the runs: a run that would make `history`
     longer raises CalibrationError instead, so
@@ -589,105 +603,61 @@ def calibrate_barrier(
         return expected_packet_transmission(spec, BarrierPotential(v0, width, center))
 
     seed = _analytic_seed(analytic, target, max(spec.wavenumber**2, 1.0))
-    lo_start = max(0.75 * seed, 0.0)
-    hi_start = 1.3 * seed if seed > 0 else 1.0
-
-    # the bisection path predicted on the analytic curve
-    predicted: list[float] = []
-    p_lo, p_hi = lo_start, hi_start
+    lo, hi = max(0.75 * seed, 0.0), (1.3 * seed if seed > 0 else 1.0)
     for _ in range(max_iterations):
-        mid = 0.5 * (p_lo + p_hi)
-        predicted.append(mid)
-        t_mid = analytic(mid)
-        if abs(t_mid - target) <= tol:
+        v0 = 0.5 * (lo + hi)
+        t_analytic = analytic(v0)
+        if abs(t_analytic - target) <= tol:
             break
-        if t_mid > target:
-            p_lo = mid
+        if t_analytic > target:
+            lo = v0
         else:
-            p_hi = mid
+            hi = v0
 
     history: list[tuple[float, float]] = []
-    t_meas_seen: dict[float, float] = {}
-    stage = "on the predicted path"
-
-    def side(v0: float) -> float:
-        """T at v0, or the T of an earlier run that puts v0 on the same side of tol."""
-        if v0 not in t_meas_seen:
-            for v, t in history:
-                if (v < v0 and t < target - tol) or (v > v0 and t > target + tol):
-                    return t
-            if len(history) >= max_iterations:
-                best = min(history, key=lambda vt: abs(vt[1] - target))
-                raise CalibrationError(
-                    f"run budget {max_iterations} spent {stage}: no convergence to "
-                    f"|T - {target}| <= {tol} within {len(history)} runs; "
-                    f"best |T - target| = {abs(best[1] - target):.4g} at height {best[0]:.6g}",
-                    history,
-                )
-            transmission, t_meas_seen[v0] = simulated_transmission(
-                grid, spec, BarrierPotential(v0, width, center), **loop
-            )
-            history.append((v0, transmission))
-        return dict(history)[v0]
-
-    def done(v0: float, transmission: float) -> CalibrationResult:
-        return CalibrationResult(
-            barrier=BarrierPotential(v0, width, center),
-            transmission=transmission,
-            iterations=len(history),
-            history=tuple(history),
-            measurement_time=t_meas_seen[v0],
-        )
-
-    for mid in reversed(predicted):
-        t_mid = side(mid)
-        if abs(t_mid - target) <= tol:
-            return done(mid, t_mid)
-    lo, hi = lo_start, hi_start
-
-    # low edge of the bracket must transmit at or above target
-    stage = "while lowering the bracket"
-    t_lo = side(lo)
-    if abs(t_lo - target) <= tol:
-        return done(lo, t_lo)
-    while t_lo < target:
-        if lo == 0.0:
-            raise CalibrationError(
-                f"even with no barrier the run transmits {t_lo:.4g} < target {target}",
-                history,
-            )
-        lo = 0.0 if lo < 0.05 * seed else 0.5 * lo
-        t_lo = side(lo)
-        if abs(t_lo - target) <= tol:
-            return done(lo, t_lo)
-
-    # high edge must transmit at or below target
-    stage = "while raising the bracket"
-    t_hi = side(hi)
-    if abs(t_hi - target) <= tol:
-        return done(hi, t_hi)
-    while t_hi > target:
-        lo, t_lo = hi, t_hi
-        hi *= 1.6
-        t_hi = side(hi)
-        if abs(t_hi - target) <= tol:
-            return done(hi, t_hi)
-
-    # bisect on the simulated curve
-    stage = "while bisecting"
     while True:
-        if (hi - lo) <= 1e-12 * max(1.0, hi):
+        if len(history) >= max_iterations:
             best = min(history, key=lambda vt: abs(vt[1] - target))
             raise CalibrationError(
-                f"bracket collapsed at height {hi:.6g} without reaching tol {tol}; "
-                f"best |T - target| = {abs(best[1] - target):.4g}",
+                f"run budget {max_iterations} spent: no convergence to "
+                f"|T - {target}| <= {tol} within {len(history)} runs; "
+                f"best |T - target| = {abs(best[1] - target):.4g} at height {best[0]:.6g}",
                 history,
             )
-        mid = 0.5 * (lo + hi)
-        t_mid = side(mid)
-        if abs(t_mid - target) <= tol:
-            return done(mid, t_mid)
-        if t_mid > target:
-            lo = mid
+        transmission, t_meas = simulated_transmission(
+            grid, spec, BarrierPotential(v0, width, center), **loop
+        )
+        history.append((v0, transmission))
+        if abs(transmission - target) <= tol:
+            return CalibrationResult(
+                barrier=BarrierPotential(v0, width, center),
+                transmission=transmission,
+                iterations=len(history),
+                history=tuple(history),
+                measurement_time=t_meas,
+            )
+        if len(history) == 1:  # central difference over +-0.01 % of the height
+            slope = (analytic(1.0001 * v0) - analytic(0.9999 * v0)) / (2e-4 * v0)
         else:
-            hi = mid
+            v_last, t_last = history[-2]
+            slope = (transmission - t_last) / (v0 - v_last)
+        step = v0 + (target - transmission) / slope if slope < 0 else math.nan
+        lo, hi = calibration_bracket(history, target)
+        if lo is None:  # every run transmits below target: widen downwards
+            if hi == 0.0:
+                raise CalibrationError(
+                    f"even with no barrier the run transmits {transmission:.4g} < target {target}",
+                    history,
+                )
+            lo = fallback = 0.0 if hi < 0.05 * seed else 0.5 * hi
+        elif hi is None:  # every run transmits above target: widen upwards
+            hi = fallback = 1.6 * lo
+        elif hi - lo <= 1e-12 * max(1.0, hi):
+            raise CalibrationError(
+                f"bracket collapsed at height {hi:.6g} without reaching tol {tol}; "
+                f"best |T - target| = {min(abs(t - target) for _, t in history):.4g}",
+                history,
+            )
+        else:
+            fallback = 0.5 * (lo + hi)
+        v0 = step if lo < step < hi else fallback

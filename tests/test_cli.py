@@ -539,9 +539,14 @@ class TestCalibrateCommand:
         path = write_ini(tmp_path, height="calibrate", sweep_values="3")
         assert main([command, "--config", path, "--out", str(tmp_path / "out"),
                      "--verbose"]) == EXIT_OK
-        err = capsys.readouterr().err
-        first = err.index("  height 30.5 -> T = 0.43210000\n")
-        assert err.index("  height 26.787825 -> T = 0.50120000\n") > first
+        captured = capsys.readouterr()
+        # each run is followed by the bracket of the runs so far: the highest
+        # height above target, the lowest below it, "-" while a side is unknown
+        first = captured.err.index("  height 30.5 -> T = 0.43210000\n    bracket [-, 30.5]\n")
+        assert captured.err.index(
+            "  height 26.787825 -> T = 0.50120000\n    bracket [26.787825, 30.5]\n"
+        ) > first
+        assert "bracket" not in captured.out
 
     def test_calibration_search_hits_target(self, tmp_path, capsys):
         path = write_ini(tmp_path, height="calibrate",

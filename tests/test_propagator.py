@@ -42,6 +42,7 @@ from pairstats.propagator import (
     analytic_plane_transmission,
     barrier_region_amplitude,
     calibrate_barrier,
+    calibration_bracket,
     evolve,
     evolve_until_measured,
     expected_packet_transmission,
@@ -582,53 +583,47 @@ def falling_through(root):
     return lambda spec, barrier: 1.0 / (1.0 + (barrier.height / root) ** 4)
 
 
-# (height, T) of every run cases (a)-(d) make, in run order, as recorded
-# when calibration ran one height at a time
+# (height, T) of every run cases (a)-(d) make, in run order
 PINNED_HISTORY = {
     None: (
         (26.787824668530206, 0.49115777312193193),
-        (26.55743680977037, 0.5049533221047432),
+        (26.639633509236678, 0.5000207237680283),
     ),
     CAL_ROOT / 1.2: (
         (22.149348958333334, 0.7628384023335781),
-        (22.33984375, 0.7528753577482155),
-        (22.72083333333333, 0.7324230444388725),
-        (28.816666666666663, 0.37580985365081465),
-        (25.768749999999997, 0.5527133381217831),
-        (27.29270833333333, 0.4613069886833642),
-        (26.530729166666664, 0.5065584133903227),
-        (26.91171875, 0.4837803433964378),
-        (26.721223958333333, 0.49513602090895903),
+        (27.971062733932442, 0.4222686815894101),
+        (26.64232016046583, 0.4998596908901488),
     ),
     CAL_ROOT / 0.6: (
         (44.29869791666667, 0.026865869802337804),
-        (43.91770833333333, 0.028646142762640613),
-        (42.39375, 0.03715317260610828),
-        (39.34583333333333, 0.0633736282307981),
-        (33.25, 0.18629265594736694),
-        (16.625, 0.9544662979704396),
-        (26.87708333333333, 0.4858396147889385),
-        (21.751041666666666, 0.7830584842954271),
-        (24.3140625, 0.64086165077883),
-        (25.595572916666665, 0.5632605542485479),
-        (26.236328125, 0.52431937998264),
-        (26.556705729166666, 0.5049972438852882),
+        (23.3394205886752, 0.6978830885339059),
+        (29.52031493135938, 0.3393795789614471),
+        (26.75108722449341, 0.4933511703941111),
+        (26.631505923868154, 0.5005079517569586),
     ),
     CAL_ROOT / 1.5: (
         (17.71947916666667, 0.9319249293592082),
-        (17.871875000000003, 0.92822396631971),
-        (18.17666666666667, 0.9203862789852433),
-        (23.053333333333335, 0.7140466855811315),
-        (36.885333333333335, 0.09829524978043994),
-        (29.969333333333335, 0.3173075956211662),
-        (26.511333333333333, 0.5077247775623269),
-        (28.240333333333332, 0.4071843836955118),
-        (27.375833333333333, 0.4564514084193051),
-        (26.943583333333333, 0.4818880398865905),
-        (26.72745833333333, 0.4947632716571688),
-        (26.619395833333332, 0.5012341303320639),
+        (25.372982730682015, 0.5768215817656293),
+        (27.02870986989632, 0.476843535589422),
+        (26.645217812997448, 0.4996860249643975),
     ),
 }
+
+
+def plateau(slope):
+    """A stand-in analytic curve within CAL_TOL of 1/2 all over [16, 40], with `slope` there."""
+    def curve(spec, barrier):
+        v0 = barrier.height
+        return 1.0 if v0 < 16.0 else 0.0 if v0 > 40.0 else 0.5 + slope * (v0 - 28.0)
+    return curve
+
+
+def assert_bracketed_runs_stay_inside(history):
+    """Once the runs made hold both ends of a bracket, every later run lies inside it."""
+    for n in range(1, len(history)):
+        lo, hi = calibration_bracket(history[:n], CAL_TARGET)
+        if lo is not None and hi is not None:
+            assert lo < history[n][0] < hi
 
 
 def spy_on_flights(monkeypatch):
@@ -663,27 +658,23 @@ class TestCalibrationRunsOnlyWhatItNeeds:
         assert len(calls) == 55
 
     @pytest.mark.parametrize("analytic_root", [
-        None,               # (a) the real analytic curve predicts the path
-        CAL_ROOT / 1.2,     # (b) wrong prediction, root still inside the bracket
-        CAL_ROOT / 0.6,     # (c) root below 0.75 x seed: the bracket is lowered
-        CAL_ROOT / 1.5,     # (d) root above 1.3 x seed: the bracket is raised
+        None,               # (a) the real analytic curve: one Newton step
+        CAL_ROOT / 1.2,     # (b) root 17 % low: the first step brackets it
+        CAL_ROOT / 0.6,     # (c) root 67 % high: the first run lands far above it
+        CAL_ROOT / 1.5,     # (d) root 33 % low: two steps before it is bracketed
     ])
-    def test_same_height_as_a_bisection_that_runs_every_point(
+    def test_fewer_runs_than_a_bisection_that_runs_every_point(
         self, grid, monkeypatch, analytic_root
     ):
         if analytic_root is not None:
             monkeypatch.setattr(propagator, "expected_packet_transmission",
                                 falling_through(analytic_root))
-        height, transmission, t_meas, reference_runs = reference_calibration(grid, 0.5)
+        *_, reference_runs = reference_calibration(grid, 0.5)
         result = calibrate_barrier(grid, CAL_SPEC, width=0.5, target=CAL_TARGET, tol=CAL_TOL,
                                    **CAL_RUN)
-        assert result.barrier.height == height
-        assert result.transmission == transmission
-        assert result.measurement_time == t_meas
-        assert result.iterations == len(result.history)
-        assert result.barrier.height in [h for h, _ in result.history]
-        if analytic_root is None:
-            assert result.iterations < reference_runs
+        assert abs(result.transmission - CAL_TARGET) <= CAL_TOL
+        assert result.iterations == len(result.history) < reference_runs
+        assert_bracketed_runs_stay_inside(result.history)
 
     @pytest.mark.parametrize("analytic_root", list(PINNED_HISTORY))
     def test_history_is_the_one_at_a_time_record(self, grid, monkeypatch, analytic_root):
@@ -706,6 +697,38 @@ class TestCalibrationRunsOnlyWhatItNeeds:
         assert calls == [[result.barrier.height]]
         assert result.iterations == 1
         assert result.history == ((result.barrier.height, result.transmission),)
+
+    @pytest.mark.parametrize("slope", [0.0, 1e-4], ids=["flat", "rising"])
+    def test_a_slope_that_does_not_fall_widens_the_bracket(self, grid, monkeypatch, slope):
+        monkeypatch.setattr(propagator, "expected_packet_transmission", plateau(slope))
+        run = dict(target=CAL_TARGET, tol=CAL_TOL, **CAL_RUN)
+        result = calibrate_barrier(grid, CAL_SPEC, width=0.5, max_iterations=8, **run)
+        assert abs(result.transmission - CAL_TARGET) <= CAL_TOL
+        (first, t_first), (second, _) = result.history[:2]
+        # no Newton step: the second run is at the widened end of the bracket
+        assert second == (1.6 * first if t_first > CAL_TARGET else 0.5 * first)
+        assert_bracketed_runs_stay_inside(result.history)
+        budget = result.iterations - 1
+        with pytest.raises(CalibrationError, match=f"within {budget} runs") as caught:
+            calibrate_barrier(grid, CAL_SPEC, width=0.5, max_iterations=budget, **run)
+        assert tuple(caught.value.history) == result.history[:-1]
+
+    def test_a_step_that_leaves_the_bracket_bisects_it(self, grid, monkeypatch):
+        # a stand-in simulated curve 30 times steeper than the analytic one at
+        # its root: Newton and secant steps overshoot, or stall on its plateau
+        def steep(grid, spec, barrier, **_):
+            return 0.5 - 0.5 * math.tanh(4.0 * (barrier.height - CAL_ROOT)), 1.0
+
+        monkeypatch.setattr(propagator, "simulated_transmission", steep)
+        result = calibrate_barrier(grid, CAL_SPEC, width=0.5, target=CAL_TARGET, tol=CAL_TOL,
+                                   **CAL_RUN)
+        assert abs(result.transmission - CAL_TARGET) <= CAL_TOL
+        assert_bracketed_runs_stay_inside(result.history)
+        bisected = []
+        for n, (v0, _) in enumerate(result.history):
+            lo, hi = calibration_bracket(result.history[:n], CAL_TARGET)
+            bisected.append(lo is not None and hi is not None and v0 == 0.5 * (lo + hi))
+        assert any(bisected)
 
 
 @pytest.fixture()
