@@ -128,13 +128,25 @@ def _say(args, text: str) -> None:
         print(text, file=sys.stderr)
 
 
-def _say_calibration_runs(args, calibration, target: float) -> None:
+def _say_calibration_runs(args, history, target: float) -> None:
     """One line per full calibration run, in run order, then the bracket the runs so far make."""
-    for n, (v0, t) in enumerate(calibration.history, 1):
+    for n, (v0, t) in enumerate(history, 1):
         _say(args, f"  height {v0:.10g} -> T = {t:.8f}")
         ends = ("-" if end is None else f"{end:.10g}"
-                for end in calibration_bracket(calibration.history[:n], target))
+                for end in calibration_bracket(history[:n], target))
         _say(args, "    bracket [{}, {}]".format(*ends))
+
+
+def _resolve_barrier(args, config: ScenarioConfig):
+    """`resolve_barrier`, listing the calibration runs made under --verbose, also when it fails."""
+    try:
+        resolved, calibration = resolve_barrier(config)
+    except CalibrationError as err:
+        _say_calibration_runs(args, err.history, config.calibration_target)
+        raise
+    if calibration is not None:
+        _say_calibration_runs(args, calibration.history, config.calibration_target)
+    return resolved, calibration
 
 
 def _row_headline(row: ResultRow) -> str:
@@ -195,10 +207,9 @@ def cmd_calibrate(args) -> int:
     if config.barrier_height is None:
         _say(args, f"calibrating barrier width {config.barrier_width} "
                    f"to T = {config.calibration_target} +- {config.calibration_tol}")
-        resolved, calibration = resolve_barrier(config)
+        resolved, calibration = _resolve_barrier(args, config)
         transmission = calibration.transmission
         t_meas = calibration.measurement_time
-        _say_calibration_runs(args, calibration, config.calibration_target)
     else:
         _say(args, f"height fixed at {config.barrier_height}; measuring transmission")
         resolved, calibration = config, None
@@ -228,9 +239,8 @@ def cmd_run(args) -> int:
     config, _ = _scenario_from_args(args)
     if args.oracle:
         check_oracle_budget(config.grid_points)
-    resolved, calibration = resolve_barrier(config)
+    resolved, calibration = _resolve_barrier(args, config)
     if calibration is not None:
-        _say_calibration_runs(args, calibration, config.calibration_target)
         _say(args, f"calibrated barrier height {resolved.barrier_height:.10g} "
                    f"(T = {calibration.transmission:.6f})")
     row, pair = run_resolved(resolved, param_value=resolved.separation)
@@ -267,9 +277,8 @@ def cmd_sweep(args) -> int:
         values=sweep_block["values"],
     )
     sweep_config.validate()
-    resolved_base, calibration = resolve_barrier(base)
+    resolved_base, calibration = _resolve_barrier(args, base)
     if calibration is not None:
-        _say_calibration_runs(args, calibration, base.calibration_target)
         _say(args, f"calibrated barrier height {resolved_base.barrier_height:.10g} "
                    f"(T = {calibration.transmission:.6f})")
     rows = sweep(

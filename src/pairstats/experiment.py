@@ -4,8 +4,8 @@ A scenario launches two Gaussian packets at a rectangular barrier,
 follows them until both have cleared it, symmetrizes, and integrates
 the four side quadrants.  Packet B is packet A displaced by
 `separation` away from the barrier and optionally boosted by
-`wavenumber_offset`; it is never evolved itself, but read off the
-packet launched at A's centre with B's wavenumber.
+`wavenumber_offset`; it is never evolved itself, but composed from
+packet A's spectrum, so every scenario and every sweep flies one packet.
 
 Everything is deterministic: identical configs produce byte-identical
 CSV/JSON outputs.
@@ -29,18 +29,24 @@ from .errors import (
 from .grid import Grid1D, WavepacketSpec, Wavefunction, inner_product, make_gaussian
 from .occupancy import be_probability, classify_pair, fd_probability, mb_probability
 from .propagator import (
+    COMPOSE_BARRIER_AMPLITUDE_MAX,
+    COMPOSE_LOSS_MAX,
+    COMPOSE_SPECTRUM_CUT,
+    DEFAULT_BARRIER_AMPLITUDE_MAX,
+    DEFAULT_EDGE_AMPLITUDE_MAX,
+    DEFAULT_LOBE_SIGMAS,
     BarrierPotential,
     CalibrationResult,
     PropagationParams,
-    SHIFT_BARRIER_AMPLITUDE_MAX,
     barrier_region_amplitude,
     calibrate_barrier,
+    compose_b,
+    composition_loss,
     edge_amplitude,
     evolve,
     evolve_until_measured,
     lobes_outgoing,
     measurement_ready,
-    shift_lobes,
 )
 from .twoparticle import BOSON, FERMION, PAULI_GUARD, SymmetrizedPair, joint_probabilities, make_pair
 
@@ -81,9 +87,9 @@ class ScenarioConfig:
     check_every: int = 200
     # measurement
     boundary: float = 0.0
-    barrier_amplitude_max: float = 1e-6
-    edge_amplitude_max: float = 1e-6
-    lobe_sigmas: float = 5.0
+    barrier_amplitude_max: float = DEFAULT_BARRIER_AMPLITUDE_MAX
+    edge_amplitude_max: float = DEFAULT_EDGE_AMPLITUDE_MAX
+    lobe_sigmas: float = DEFAULT_LOBE_SIGMAS
     norm_drift_max: float = 1e-8
     # extra measurement times t_meas * (1 + f), recorded per row as stability_a
     stability_fractions: tuple[float, ...] = ()
@@ -137,6 +143,13 @@ class ScenarioConfig:
             raise ConfigurationError(f"sign must be +1 or -1, got {self.sign}")
         if self.separation < 0:
             raise ConfigurationError(f"separation must be >= 0, got {self.separation}")
+        dropped = composition_loss(grid, self.spec_a(), self.wavenumber_offset)
+        if dropped > COMPOSE_LOSS_MAX:
+            raise ConfigurationError(
+                f"wavenumber offset {self.wavenumber_offset} out of band: packet B is composed "
+                f"from A's spectrum where it is at least {COMPOSE_SPECTRUM_CUT} of its peak, "
+                f"which drops {dropped:.3g} of B's launch norm, over the limit {COMPOSE_LOSS_MAX}"
+            )
         probe = self.barrier() or BarrierPotential(0.0, self.barrier_width, self.barrier_center)
         probe.validate_on(grid)
         if not (self.packet_wavenumber > 0 and self.packet_center < probe.support[0]):
@@ -277,37 +290,29 @@ def resolve_barrier(
 def evolve_pair_to_measurement(
     configs: list[ScenarioConfig], barrier: BarrierPotential, measure: Callable
 ) -> list:
-    """Follow packet A and each config's packet B to its measurement; one outcome per config.
+    """Follow packet A to each config's measurement; one outcome per config.
 
-    The configs differ only in packet B.  Only A and one source per
-    distinct wavenumber of B (launched at A's centre; A itself when the
-    wavenumbers agree) are evolved; config i's B is read off its source
-    by `shift_lobes`.  It is measured at the first chunk where A and the
-    source are ready, the source is below SHIFT_BARRIER_AMPLITUDE_MAX on
-    the barrier unless B is the source, and B is `measurement_ready` and
-    `lobes_outgoing`: the outcome is `measure(i, psi_a, psi_b, source,
-    steps_done, leakage)`, the leakage being that of A and the source
-    and B's edge amplitude at launch (after that B trails its source).
-    A PairStatsError is the outcome of the configs it concerns: a launch
-    check or an error of `measure` ends one, an edge error of a source
-    its configs, an edge error of A or the timeout all running.
+    The configs differ only in packet B, and only A is evolved: config
+    i's B is composed from A by `compose_b`.  It is measured at the
+    first chunk where A is ready and, unless B is A, holds at most
+    COMPOSE_BARRIER_AMPLITUDE_MAX on the barrier, and where B is
+    `measurement_ready` and `lobes_outgoing`: the outcome is
+    `measure(i, psi_a, psi_b, steps_done, leakage)`, the leakage being
+    A's peak edge amplitude so far and B's at launch.  A PairStatsError is the
+    outcome of the configs it concerns: a launch check or an error of
+    `measure` ends one, an edge error of A or the timeout all running.
     """
     config = configs[0]
-    grid = config.grid()
-    packets = [make_gaussian(grid, config.spec_a())]
-    source_of = {config.packet_wavenumber: 0}  # B's wavenumber -> index of its source
+    spec_a = config.spec_a()
+    psi_a = make_gaussian(config.grid(), spec_a)
     outcomes: dict = {}
-    running: dict[int, tuple[int, float]] = {}  # config -> its source, B's launch edge amplitude
+    running: dict[int, float] = {}  # config -> B's launch edge amplitude
     for i, cfg in enumerate(configs):
         try:
             cfg.validate()
-            k_b = cfg.spec_b().wavenumber
-            if k_b not in source_of:
-                source_of[k_b] = len(packets)
-                packets.append(make_gaussian(grid, replace(cfg.spec_a(), wavenumber=k_b)))
-            psi_b = shift_lobes(packets[source_of[k_b]], cfg.separation, k_b)
+            psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
             if cfg.sign == FERMION:
-                s0 = inner_product(packets[0], psi_b)
+                s0 = inner_product(psi_a, psi_b)
                 if not (1.0 - abs(s0) ** 2) > PAULI_GUARD:
                     raise PauliDegeneracyError(
                         f"antisymmetric pair degenerate at launch: 1 - |s|^2 = "
@@ -316,40 +321,30 @@ def evolve_pair_to_measurement(
         except PairStatsError as err:
             outcomes[i] = err
         else:
-            running[i] = source_of[k_b], edge_amplitude(psi_b)
+            running[i] = edge_amplitude(psi_b)
 
-    def measure_cleared(states, ready, steps_done, leakage) -> bool:
-        if isinstance(states[0], PairStatsError):
-            raise states[0]
-        for i, (j, launch_edge) in list(running.items()):
-            cfg, source = configs[i], states[j]
-            if isinstance(source, PairStatsError):
-                outcomes[i] = source
-                del running[i]
+    def measure_cleared(psi_a, ready, steps_done, leakage) -> bool:
+        if not ready:
+            return False
+        drained = barrier_region_amplitude(psi_a, barrier) <= COMPOSE_BARRIER_AMPLITUDE_MAX
+        for i, launch_edge in list(running.items()):
+            cfg = configs[i]
+            if not (drained or cfg.identical_packets()):
                 continue
-            if not (ready[0] and ready[j]) or (
-                cfg.separation != 0.0
-                and barrier_region_amplitude(source, barrier) > SHIFT_BARRIER_AMPLITUDE_MAX
-            ):
-                continue
-            psi_b = shift_lobes(source, cfg.separation, cfg.spec_b().wavenumber)
+            psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
             if not (measurement_ready(psi_b, barrier, cfg.boundary, cfg.barrier_amplitude_max,
                                       cfg.lobe_sigmas) and lobes_outgoing(psi_b, cfg.boundary)):
                 continue
             del running[i]
             try:
-                outcomes[i] = measure(i, states[0], psi_b, source, steps_done,
-                                      max(leakage[0], leakage[j], launch_edge))
+                outcomes[i] = measure(i, psi_a, psi_b, steps_done, max(leakage, launch_edge))
             except PairStatsError as err:
                 outcomes[i] = err
-        # a source no running config reads B off is not evolved further
-        for j in set(source_of.values()) - {0} - {j for j, _ in running.values()}:
-            states[j] = None
         return not running
 
     try:
         if running and evolve_until_measured(
-            packets, [barrier] * len(packets), measure_cleared, **config.loop_settings()
+            psi_a, barrier, measure_cleared, **config.loop_settings()
         ) is None:
             raise MeasurementTimeoutError(
                 f"packets did not clear the barrier within {config.max_steps} steps "
@@ -362,44 +357,45 @@ def evolve_pair_to_measurement(
 
 def _measure(
     config: ScenarioConfig, barrier: BarrierPotential, param_value: float,
-    psi_a: Wavefunction, psi_b: Wavefunction, source: Wavefunction, steps_done: int,
-    leakage: float,
+    psi_a: Wavefunction, psi_b: Wavefunction, steps_done: int, leakage: float,
 ) -> tuple[ResultRow, SymmetrizedPair]:
     """Measure one pair at its measurement time, then at the stability times.
 
-    The pair comes from `evolve_pair_to_measurement`, ready to measure,
-    with the source B was read off.  For a stability time A and the
-    source are evolved on, as one batch, and B is read off again; both
-    packets must still be ready.
+    The pair comes from `evolve_pair_to_measurement`, ready to measure.
+    For a stability time A is evolved on and B composed from it again;
+    both packets must still be ready.  At a wavenumber offset B does not
+    keep pace with A, so B's own edge amplitude at these times, where
+    the composition is exact, joins the leakage (mid-flight, while A is
+    on the barrier, the composed B is not B and is not read).
     """
+    def b_edge(psi: Wavefunction) -> float:
+        return edge_amplitude(psi) if config.wavenumber_offset else 0.0
+
+    leakage = max(leakage, b_edge(psi_b))
     pair = make_pair(psi_a, psi_b, config.sign)
     stats = joint_probabilities(pair, config.boundary)
 
     stability: list[float] = []
-    # identical packets and B read off A share one evolution
-    packets = [psi_a] if source is psi_a else [psi_a, source]
-    later_b = psi_b
+    later_a, later_b = psi_a, psi_b
     prev_extra = 0
     for fraction in config.stability_fractions:
         extra = int(round(fraction * steps_done))
         if extra > prev_extra:
             params = PropagationParams(dt=config.dt, steps=extra - prev_extra)
-            results = evolve(packets, [barrier] * len(packets), params, config.edge_amplitude_max)
-            for result in results:
-                if isinstance(result, PairStatsError):
-                    raise result
-            packets = [r.psi for r in results]
-            later_b = shift_lobes(packets[-1], config.separation, config.spec_b().wavenumber)
-            leakage = max([leakage] + [r.max_edge_amplitude for r in results])
+            result = evolve(later_a, barrier, params, config.edge_amplitude_max)
+            later_a = result.psi
+            later_b = compose_b(later_a, config.spec_a(), config.separation,
+                                config.wavenumber_offset)
+            leakage = max(leakage, result.max_edge_amplitude, b_edge(later_b))
             prev_extra = extra
-            for name, psi in zip("AB", (packets[0], later_b)):
+            for name, psi in zip("AB", (later_a, later_b)):
                 if not measurement_ready(psi, barrier, config.boundary,
                                          config.barrier_amplitude_max, config.lobe_sigmas):
                     raise PrematureMeasurementError(
                         f"packet {name} has not cleared the barrier region; "
                         f"measuring now would split lobes still interacting"
                     )
-        later = joint_probabilities(make_pair(packets[0], later_b, config.sign), config.boundary)
+        later = joint_probabilities(make_pair(later_a, later_b, config.sign), config.boundary)
         stability.append(float(later.a))
 
     norm_drift = float(
@@ -466,9 +462,8 @@ def sweep(config: SweepConfig) -> list[ResultRow]:
 
     Rows come back in the order of `config.values`.  A failing value
     produces an invalid row carrying the error text; the sweep goes on.
-    All values are measured in one `evolve_pair_to_measurement` call:
-    packet A and one source per distinct wavenumber of B are evolved
-    as one batch (a separation or phase sweep evolves A alone).
+    All values are measured in one `evolve_pair_to_measurement` call,
+    which flies packet A alone and composes each value's B from it.
     """
     config.validate()
     base, _ = resolve_barrier(config.base)

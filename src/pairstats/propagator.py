@@ -26,7 +26,6 @@ from .errors import (
     BoundaryContaminationError,
     CalibrationError,
     ConfigurationError,
-    PairStatsError,
     StabilityError,
 )
 from .grid import Grid1D, WavepacketSpec, Wavefunction, make_gaussian, probability_on_side, side_moments
@@ -119,99 +118,55 @@ class EvolutionResult:
 
 @lru_cache(maxsize=16)
 def _phase_factors(grid: Grid1D, barrier: BarrierPotential, dt: float):
-    half_potential = np.exp(-0.5j * dt * barrier.sample(grid))
+    """(span of the barrier's samples, half-potential phases over it, kinetic phases)."""
+    covered = np.flatnonzero(barrier.sample_mask(grid))
+    span = slice(covered[0], covered[-1] + 1)
+    half_potential = np.exp(-0.5j * dt * barrier.sample(grid)[span])
     kinetic = np.exp(-0.5j * dt * grid.k**2)
     half_potential.setflags(write=False)
     kinetic.setflags(write=False)
-    return half_potential, kinetic
-
-
-def _step_rows(
-    packets: Sequence[Wavefunction],
-    barriers: Sequence[BarrierPotential],
-    params: PropagationParams,
-    edge_amplitude_max: float,
-) -> list:
-    """The stepping kernel: packet i takes `params.steps` Strang steps over barriers[i].
-
-    The packets share one grid and ride as the rows of one C-contiguous
-    (P, G) array, transformed in place, so P packets cost two batched
-    FFT calls per step instead of 2P.  Each row keeps its own
-    half-potential phases, applied only over the span of samples that
-    some row's barrier covers: outside it every factor is exactly 1.
-    The kinetic phases are shared.  Every row comes out bit for bit as
-    it would alone.  A row whose edge amplitude exceeds
-    `edge_amplitude_max` leaves the array at that step; its entry is the
-    BoundaryContaminationError it would raise alone.
-    """
-    grid = packets[0].grid
-    params.validate_on(grid)
-    for barrier in barriers:
-        barrier.validate_on(grid)
-    factors = [_phase_factors(grid, barrier, params.dt) for barrier in barriers]
-    kinetic = factors[0][1]
-    covered = np.flatnonzero(np.logical_or.reduce([b.sample_mask(grid) for b in barriers]))
-    span = slice(covered[0], covered[-1] + 1)
-    half_potential = np.stack([half[span] for half, _ in factors])
-    values = np.stack([psi.values for psi in packets])
-    rows = list(range(len(packets)))  # packet index of each row of `values`
-    max_edge = [0.0] * len(packets)
-    out: list = [None] * len(packets)
-    for n in range(params.steps):
-        values[:, span] *= half_potential
-        np.fft.fft(values, axis=-1, out=values)
-        np.multiply(kinetic, values, out=values)
-        np.fft.ifft(values, axis=-1, out=values)
-        values[:, span] *= half_potential
-        crossed = []
-        for r, i in enumerate(rows):
-            edge = max(abs(values[r, 0]), abs(values[r, -1]))
-            if edge > max_edge[i]:
-                max_edge[i] = edge
-            if edge > edge_amplitude_max:
-                t = packets[i].t
-                out[i] = BoundaryContaminationError(
-                    f"edge amplitude {edge:.3g} exceeded {edge_amplitude_max:.3g} "
-                    f"after {round(t / params.dt) + n + 1} steps "
-                    f"(t = {t + (n + 1) * params.dt:.6g})"
-                )
-                crossed.append(r)
-        if crossed:
-            keep = [r for r in range(len(rows)) if r not in crossed]
-            values, half_potential = values[keep], half_potential[keep]
-            rows = [rows[r] for r in keep]
-            if not rows:
-                break
-    for r, i in enumerate(rows):
-        psi = Wavefunction(grid, values[r], t=packets[i].t + params.steps * params.dt)
-        out[i] = EvolutionResult(psi=psi, max_edge_amplitude=float(max_edge[i]))
-    return out
+    return span, half_potential, kinetic
 
 
 def evolve(
-    psi: Wavefunction | Sequence[Wavefunction],
-    barrier: BarrierPotential | Sequence[BarrierPotential],
+    psi: Wavefunction,
+    barrier: BarrierPotential,
     params: PropagationParams,
     edge_amplitude_max: float = DEFAULT_EDGE_AMPLITUDE_MAX,
-) -> EvolutionResult | list:
+) -> EvolutionResult:
     """Run `params.steps` Strang steps, watching the box edges.
+
+    The packet is transformed in place, one FFT call per direction and
+    step.  The half-potential phases are applied only over the span of
+    samples the barrier covers: outside it every factor is exactly 1.
 
     Raises BoundaryContaminationError as soon as the amplitude at either
     edge sample exceeds `edge_amplitude_max`; with the periodic box that
     means the scenario outgrew the grid.  The error counts the steps
     since t = 0, taken at this `dt`.
-
-    Given a sequence of packets on one grid and one barrier per packet,
-    it steps them together as one batch and returns one entry per
-    packet: its EvolutionResult, bit for bit the one it gets alone, or
-    the BoundaryContaminationError it would raise alone.
     """
-    if isinstance(psi, Wavefunction):
-        (result,) = _step_rows([psi], [barrier], params, edge_amplitude_max)
-        if isinstance(result, PairStatsError):
-            raise result
-        return result
-    return _step_rows(psi, barrier, params, edge_amplitude_max)
+    grid = psi.grid
+    params.validate_on(grid)
+    barrier.validate_on(grid)
+    span, half_potential, kinetic = _phase_factors(grid, barrier, params.dt)
+    values = np.array(psi.values)
+    max_edge = 0.0
+    for n in range(params.steps):
+        values[span] *= half_potential
+        np.fft.fft(values, out=values)
+        np.multiply(kinetic, values, out=values)
+        np.fft.ifft(values, out=values)
+        values[span] *= half_potential
+        edge = max(abs(values[0]), abs(values[-1]))
+        max_edge = max(max_edge, edge)
+        if edge > edge_amplitude_max:
+            raise BoundaryContaminationError(
+                f"edge amplitude {edge:.3g} exceeded {edge_amplitude_max:.3g} "
+                f"after {round(psi.t / params.dt) + n + 1} steps "
+                f"(t = {psi.t + (n + 1) * params.dt:.6g})"
+            )
+    psi = Wavefunction(grid, values, t=psi.t + params.steps * params.dt)
+    return EvolutionResult(psi=psi, max_edge_amplitude=float(max_edge))
 
 
 def analytic_plane_transmission(
@@ -314,7 +269,7 @@ def measurement_ready(
 def lobes_outgoing(psi: Wavefunction, boundary: float) -> bool:
     """True when no noticeable mass moves towards `boundary` from either side.
 
-    B read off a cleared source before B reached the barrier fails this.
+    B composed from a cleared A before B reached the barrier fails this.
     """
     right = np.fft.ifft(np.fft.fft(psi.values) * (psi.grid.k > 0))
     i0 = psi.grid.split_index(boundary)
@@ -335,29 +290,80 @@ def edge_amplitude(psi: Wavefunction) -> float:
     return float(max(abs(psi.values[0]), abs(psi.values[-1])))
 
 
-# largest amplitude the source may keep on the barrier when B is read off
-# it: the shift carries that amplitude as if it flew free, which moves a by
-# up to ~2.5 x amplitude^2 (close packets on a width-1.0 barrier's draining
-# resonance).  A lower floor waits longer for the resonance to drain, and so
-# pushes the measurement and its stability times later.
-SHIFT_BARRIER_AMPLITUDE_MAX = 5e-5
+# largest amplitude A may keep on the barrier when B is composed from it:
+# the composition carries that amplitude as if it flew free, which moves a
+# by up to ~2.5 x amplitude^2 (close packets on a width-1.0 barrier's
+# draining resonance).  A lower floor waits longer for the resonance to
+# drain, and so pushes the measurement and its stability times later.
+COMPOSE_BARRIER_AMPLITUDE_MAX = 5e-5
+
+# at a wavenumber offset, B is composed only where A's launch spectrum is at
+# least this fraction of its peak: further out the ratio of launch spectra
+# blows A's rounding noise up into B (B's norm reaches 5e14 at d = 0,
+# dk = 0.25 without a cut).  1e-12 and 1e-8 both gave larger errors in a.
+COMPOSE_SPECTRUM_CUT = 1e-10
+
+# largest share of B's launch norm the cut may drop: rows then stay within
+# 1e-10 of a B evolved for real (measured up to |dk| = 1.5 at sigma = 1,
+# where the loss is 2.5e-11).  Beyond it the error follows the loss up
+# (3.4e-10 at |dk| = 1.7), and a slow B waits on A's amplified low-|k|
+# remnant at the barrier: dk = -1.55 and -1.7 time out or fail their
+# stability check where B evolved for real is measured.
+COMPOSE_LOSS_MAX = 3e-11
 
 
-def shift_lobes(source: Wavefunction, separation: float, wavenumber: float) -> Wavefunction:
-    """Packet B, launched `separation` d behind `source` at `wavenumber`, read off the source.
+def _below_cut(k: np.ndarray, spec_a: WavepacketSpec) -> np.ndarray:
+    """Where A's launch spectrum falls below COMPOSE_SPECTRUM_CUT of its peak."""
+    return np.exp(-(spec_a.sigma * (k - spec_a.wavenumber)) ** 2) < COMPOSE_SPECTRUM_CUT
 
-    The barrier's S-matrix is diagonal in |k|: B's right-moving part
-    (incident packet, then transmitted lobe) is the source's moved back
-    by d, e^{+ikd}; its left-moving part (reflected lobe) is moved
-    forward by d, e^{-ikd}; the launch phase e^{-i k_B d} matches the
-    amplitudes.  Exact once the source has left the barrier: amplitude
-    still on it is carried as if it flew free, so read B off only a
-    source below SHIFT_BARRIER_AMPLITUDE_MAX there.
+
+def compose_b(
+    psi_a: Wavefunction, spec_a: WavepacketSpec, separation: float, wavenumber_offset: float
+) -> Wavefunction:
+    """Packet B, launched `separation` d behind A at `wavenumber_offset` dk above it, composed from A.
+
+    `psi_a` is packet A, launched as `spec_a`; B has A's width sigma.
+    The barrier's S-matrix is diagonal in |k|, so at every |k| both
+    packets keep the ratio of their launch spectra (make_gaussian's
+    Gaussians):
+
+        B(+-|k|, t) = exp(-sigma^2 [(|k| - k_B)^2 - (|k| - k_A)^2]
+                          + i [(|k| - k_B) d + dk x_A]) A(+-|k|, t).
+
+    At dk = 0 that is a shift: B's right-moving part (incident packet,
+    then transmitted lobe) is A's moved back by d, its left-moving part
+    (reflected lobe) A's moved forward by d.  At dk != 0 the ratio is 0
+    wherever A's launch spectrum is below COMPOSE_SPECTRUM_CUT of its
+    peak; `composition_loss` is the share of B's launch norm that drops.
+    Exact once A has left the barrier: amplitude still on it is carried
+    as if it flew free (at dk != 0 amplified by the ratio), so compose
+    B only from an A below COMPOSE_BARRIER_AMPLITUDE_MAX there.  With
+    d = dk = 0, B is A.
     """
-    if separation == 0.0:
-        return source
-    phase = np.exp(1j * (np.abs(source.grid.k) - wavenumber) * separation)
-    return Wavefunction(source.grid, np.fft.ifft(np.fft.fft(source.values) * phase), source.t)
+    if separation == 0.0 and wavenumber_offset == 0.0:
+        return psi_a
+    k = np.abs(psi_a.grid.k)
+    k_a = spec_a.wavenumber
+    k_b = k_a + wavenumber_offset
+    ratio = np.exp(-spec_a.sigma**2 * ((k - k_b) ** 2 - (k - k_a) ** 2)
+                   + 1j * ((k - k_b) * separation + wavenumber_offset * spec_a.center))
+    if wavenumber_offset != 0.0:
+        ratio[_below_cut(k, spec_a)] = 0.0
+    return Wavefunction(psi_a.grid, np.fft.ifft(np.fft.fft(psi_a.values) * ratio), psi_a.t)
+
+
+def composition_loss(grid: Grid1D, spec_a: WavepacketSpec, wavenumber_offset: float) -> float:
+    """Share of B's launch norm that `compose_b` drops on `grid`.
+
+    B's momentum density exp(-2 sigma^2 (k - k_B)^2) summed where A's
+    launch spectrum falls below the cut, over its sum on the whole
+    grid.  0 at dk = 0, which cuts nothing.
+    """
+    if wavenumber_offset == 0.0:
+        return 0.0
+    k = grid.k
+    density = np.exp(-2.0 * (spec_a.sigma * (k - spec_a.wavenumber - wavenumber_offset)) ** 2)
+    return float(np.sum(density[_below_cut(k, spec_a)]) / np.sum(density))
 
 
 @dataclass(frozen=True)
@@ -398,8 +404,8 @@ def _flies_free(psi: Wavefunction, barrier: BarrierPotential, edge_amplitude_max
 
 
 def evolve_until_measured(
-    packets: list[Wavefunction],
-    barriers: Sequence[BarrierPotential],
+    psi: Wavefunction,
+    barrier: BarrierPotential,
     measure: Callable,
     *,
     dt: float,
@@ -410,83 +416,62 @@ def evolve_until_measured(
     barrier_amplitude_max: float,
     lobe_sigmas: float,
 ):
-    """Evolve packets in step, offering them to `measure` after every chunk.
+    """Evolve one packet over `barrier`, offering it to `measure` after every chunk.
 
-    Packet i flies over barriers[i], in chunks of `check_every` steps.
-    A packet launched with at most FREE_FLIGHT_AMPLITUDE_MAX on its
-    barrier support first flies free: each chunk it is the launch state
-    under the exact kinetic phase exp(-i k^2 t/2) (one inverse FFT),
-    which the Strang steps reproduce while the barrier holds nothing of
-    it, for as long as at the chunk's end it still holds at most
+    The packet flies in chunks of `check_every` steps.  Launched with at
+    most FREE_FLIGHT_AMPLITUDE_MAX on the barrier support, it first
+    flies free: each chunk it is the launch state under the exact
+    kinetic phase exp(-i k^2 t/2) (one inverse FFT), which the Strang
+    steps reproduce while the barrier holds nothing of it, for as long
+    as at the chunk's end it still holds at most
     FREE_FLIGHT_AMPLITUDE_MAX on the barrier and at most
     `edge_amplitude_max` on the box edges.  The first chunk that fails
-    either test is stepped from its start instead, and so is every
+    either test is stepped from its start by `evolve`, and so is every
     chunk after it: an edge crossing is raised by the steps, with their
-    step count.  Every chunk the stepped packets take one batched
-    `evolve` call, as the rows of one array.  `check_every` and
-    `max_steps` must be at least 1 (chunks of 0 steps would never end
-    the loop); they, the step size and each barrier are checked before
-    anything flies.
+    step count.  `check_every` and `max_steps` must be at least 1
+    (chunks of 0 steps would never end the loop); they, the step size
+    and the barrier are checked before anything flies.
 
-    A packet is ready once it has visited its barrier (reached
+    The packet is ready once it has visited the barrier (reached
     BARRIER_ACTIVATION_AMPLITUDE there at a chunk end) and passes
     `measurement_ready` with the given thresholds.  After each chunk
-    `measure(states, ready, steps_done, leakage)` runs with the list of
-    the packets' states, their ready flags and their peak edge
-    amplitudes so far (at the chunk ends of the free flight, at every
-    step after it); it may set a state to None to stop evolving that
-    packet.  A packet's `evolve` error takes its place in `states` and
-    stops it; `measure` raises it if it ends the run.  Returns the first
-    truthy value of `measure`, or None when `max_steps` run out.
+    `measure(psi, ready, steps_done, leakage)` runs with the packet's
+    state, its ready flag and its peak edge amplitude so far (at the
+    chunk ends of the free flight, at every step after it).  Returns the
+    first truthy value of `measure`, or None when `max_steps` run out.
     """
     for name, value in (("check_every", check_every), ("max_steps", max_steps)):
         if value < 1:
             raise ConfigurationError(f"{name} must be >= 1, got {value}")
-    for psi, barrier in zip(packets, barriers):
-        PropagationParams(dt=dt, steps=check_every).validate_on(psi.grid)
-        barrier.validate_on(psi.grid)
-    states = list(packets)
-    visited = [False] * len(states)
-    leakage = [0.0] * len(states)
-    # launch spectrum of each packet still flying free, by packet index
-    free = {j: np.fft.fft(psi.values) for j, psi in enumerate(states)
-            if _flies_free(psi, barriers[j], edge_amplitude_max)}
+    grid = psi.grid
+    PropagationParams(dt=dt, steps=check_every).validate_on(grid)
+    barrier.validate_on(grid)
+    visited = False
+    leakage = 0.0
+    # the launch spectrum while the packet flies free, None once it is stepped
+    free = np.fft.fft(psi.values) if _flies_free(psi, barrier, edge_amplitude_max) else None
     steps_done = 0
     while steps_done < max_steps:
         params = PropagationParams(dt=dt, steps=min(check_every, max_steps - steps_done))
         steps_done += params.steps
-        for j, spectrum in list(free.items()):
-            psi = states[j]
-            if isinstance(psi, Wavefunction):
-                grid = psi.grid
-                flown = Wavefunction(grid, np.fft.ifft(
-                    spectrum * np.exp(-0.5j * dt * steps_done * grid.k**2)
-                ), t=psi.t + params.steps * params.dt)
-                if _flies_free(flown, barriers[j], edge_amplitude_max):
-                    states[j] = flown
-                    leakage[j] = max(leakage[j], edge_amplitude(flown))
-                    continue
-            del free[j]
-        live = [j for j, psi in enumerate(states)
-                if isinstance(psi, Wavefunction) and j not in free]
-        if live:
-            results = evolve([states[j] for j in live], [barriers[j] for j in live],
-                             params, edge_amplitude_max)
-            for j, result in zip(live, results):
-                if isinstance(result, PairStatsError):
-                    states[j] = result
-                    continue
-                states[j] = result.psi
-                leakage[j] = max(leakage[j], result.max_edge_amplitude)
-                visited[j] = visited[j] or barrier_region_amplitude(
-                    result.psi, barriers[j]
-                ) >= BARRIER_ACTIVATION_AMPLITUDE
-        ready = [
-            seen and isinstance(psi, Wavefunction)
-            and measurement_ready(psi, barrier, boundary, barrier_amplitude_max, lobe_sigmas)
-            for seen, psi, barrier in zip(visited, states, barriers)
-        ]
-        outcome = measure(states, ready, steps_done, leakage)
+        if free is not None:
+            flown = Wavefunction(grid, np.fft.ifft(
+                free * np.exp(-0.5j * dt * steps_done * grid.k**2)
+            ), t=psi.t + params.steps * params.dt)
+            if _flies_free(flown, barrier, edge_amplitude_max):
+                psi = flown
+                leakage = max(leakage, edge_amplitude(flown))
+            else:
+                free = None
+        if free is None:
+            result = evolve(psi, barrier, params, edge_amplitude_max)
+            psi = result.psi
+            leakage = max(leakage, result.max_edge_amplitude)
+            visited = visited or (barrier_region_amplitude(psi, barrier)
+                                  >= BARRIER_ACTIVATION_AMPLITUDE)
+        ready = visited and measurement_ready(psi, barrier, boundary, barrier_amplitude_max,
+                                              lobe_sigmas)
+        outcome = measure(psi, ready, steps_done, leakage)
         if outcome:
             return outcome
     return None
@@ -508,14 +493,11 @@ def simulated_transmission(
 
     Raises the flight's edge error, or a CalibrationError when `max_steps` run out.
     """
-    def measure(states, ready, *_):
-        (psi,) = states
-        if isinstance(psi, PairStatsError):
-            raise psi
-        return ready[0] and (probability_on_side(psi, "positive", boundary), psi.t)
+    def measure(psi, ready, *_):
+        return ready and (probability_on_side(psi, "positive", boundary), psi.t)
 
     outcome = evolve_until_measured(
-        [make_gaussian(grid, spec)], [barrier], measure, dt=dt, max_steps=max_steps,
+        make_gaussian(grid, spec), barrier, measure, dt=dt, max_steps=max_steps,
         check_every=check_every, boundary=boundary, edge_amplitude_max=edge_amplitude_max,
         barrier_amplitude_max=barrier_amplitude_max, lobe_sigmas=lobe_sigmas,
     )

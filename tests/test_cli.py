@@ -20,11 +20,13 @@ import pairstats
 from pairstats import cli, experiment, propagator
 from pairstats.cli import (
     EXIT_ALL_INVALID,
+    EXIT_CALIBRATION,
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_USAGE,
     main,
 )
+from pairstats.errors import CalibrationError
 from pairstats.experiment import ScenarioConfig, config_from_dict
 from pairstats.propagator import BarrierPotential, CalibrationResult
 
@@ -263,6 +265,22 @@ class TestConfigFileErrors:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "packet A must start left of the barrier" in err and "carrier" in err
+
+    @pytest.mark.parametrize("offset", ["2.0", "-40.0"])
+    def test_out_of_band_wavenumber_offset_exits_2_before_evolving(
+        self, tmp_path, capsys, monkeypatch, offset
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve called on a rejected config")
+
+        monkeypatch.setattr(propagator, "evolve", refuse)
+        monkeypatch.setattr(experiment, "evolve", refuse)
+        path = Path(write_ini(tmp_path))
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            "sign = boson", f"sign = boson\nwavenumber_offset = {offset}"), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"wavenumber offset {offset} out of band" in err and "over the limit 3e-11" in err
 
     @pytest.mark.parametrize("height, extra, field", [
         ("nan", "", "barrier_height"),
@@ -547,6 +565,26 @@ class TestCalibrateCommand:
             "  height 26.787825 -> T = 0.50120000\n    bracket [26.787825, 30.5]\n"
         ) > first
         assert "bracket" not in captured.out
+
+    @pytest.mark.parametrize("command", ["calibrate", "run", "sweep"])
+    def test_verbose_lists_the_runs_of_a_failed_calibration(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def fail(config):
+            raise CalibrationError("run budget 2 spent", [(30.5, 0.4321), (26.787825, 0.5312)])
+
+        monkeypatch.setattr(cli, "resolve_barrier", fail)
+        path = write_ini(tmp_path, height="calibrate", sweep_values="3")
+        argv = [command, "--config", path, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CALIBRATION
+        quiet = capsys.readouterr()
+        assert main(argv + ["--verbose"]) == EXIT_CALIBRATION
+        captured = capsys.readouterr()
+        assert captured.out == quiet.out
+        runs = ("  height 30.5 -> T = 0.43210000\n    bracket [-, 30.5]\n"
+                "  height 26.787825 -> T = 0.53120000\n    bracket [26.787825, 30.5]\n")
+        assert runs not in quiet.err
+        assert captured.err.index(runs) < captured.err.index("error: run budget 2 spent")
 
     def test_calibration_search_hits_target(self, tmp_path, capsys):
         path = write_ini(tmp_path, height="calibrate",

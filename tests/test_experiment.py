@@ -15,7 +15,6 @@ import pytest
 import pairstats
 from pairstats import experiment, propagator
 from pairstats.errors import (
-    BoundaryContaminationError,
     ConfigurationError,
     MeasurementTimeoutError,
     PairStatsError,
@@ -327,9 +326,9 @@ class TestRunScenario:
         calls = []
         real_evolve = experiment.evolve
 
-        def counting_evolve(packets, *args, **kwargs):
-            calls.extend(psi.t for psi in packets)
-            return real_evolve(packets, *args, **kwargs)
+        def counting_evolve(psi, *args, **kwargs):
+            calls.append(psi.t)
+            return real_evolve(psi, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "evolve", counting_evolve)
         monkeypatch.setattr(propagator, "evolve", counting_evolve)
@@ -347,9 +346,9 @@ class TestRunScenario:
         barrier = base.barrier()
         seen = []
 
-        def measure(i, psi_a, psi_b, source, steps_done, leakage):
+        def measure(i, psi_a, psi_b, steps_done, leakage):
             seen.append(i)
-            for psi in (psi_a, psi_b, source):
+            for psi in (psi_a, psi_b):
                 assert psi.t == pytest.approx(steps_done * base.dt, abs=1e-9)
                 assert measurement_ready(psi, barrier, base.boundary,
                                          base.barrier_amplitude_max, base.lobe_sigmas)
@@ -366,12 +365,12 @@ class TestRunScenario:
         psi_b = make_gaussian(grid, WavepacketSpec(-1.5, 0.0, 0.8))
         barrier = BarrierPotential(8.0, 0.5)
         with pytest.raises(PrematureMeasurementError, match="packet A has not cleared"):
-            experiment._measure(config, barrier, 0.0, psi_a, psi_b, psi_a, 10, 0.0)
+            experiment._measure(config, barrier, 0.0, psi_a, psi_b, 10, 0.0)
 
     def test_b_launched_at_the_box_edge_is_measured_after_it_scatters_and_invalid(self):
         # B starts 6.05 sigma from the left edge: its launch tail already
         # exceeds edge_amplitude_max there, and it reaches the barrier at
-        # t ~ 6.5, long after A (and so the B read off A) cleared it
+        # t ~ 6.5, long after A (and so the B composed from A) cleared it
         config = small_scenario(packet_sigma=2.0, packet_center=-24.0, separation=27.9,
                                 barrier_amplitude_max=1e-3, max_steps=40_000)
         launch_b = make_gaussian(config.grid(), config.spec_b())
@@ -381,6 +380,22 @@ class TestRunScenario:
         assert row.error is None and not row.valid
         assert row.leakage == pytest.approx(edge_b, rel=1e-6)
         assert row.t_meas > abs(config.spec_b().center) / config.packet_wavenumber
+
+    @pytest.mark.parametrize("half_width, fractions", [(34.0, ()), (38.0, (0.1,))])
+    def test_b_at_the_box_edge_at_a_wavenumber_offset_is_invalid(self, half_width, fractions):
+        # at dk = 1.5 B's transmitted lobe runs ahead of A's and reaches the
+        # box edge by the measurement (half width 34) or only by the
+        # stability time (38), while A's lobes stay clear of the edges
+        config = small_scenario(grid_half_width=half_width, separation=0.0,
+                                stability_fractions=fractions)
+        assert run_scenario(config).valid
+        row, pair = run_resolved(replace(config, wavenumber_offset=1.5), param_value=1.5)
+        assert row.error is None and not row.valid
+        edge_at_measurement = propagator.edge_amplitude(pair.psi_b)
+        if fractions:
+            assert edge_at_measurement <= config.edge_amplitude_max < row.leakage
+        else:
+            assert row.leakage == edge_at_measurement > config.edge_amplitude_max
 
     def test_timeout_is_reported(self):
         with pytest.raises(MeasurementTimeoutError):
@@ -446,70 +461,12 @@ class TestSweep:
             json.dumps(r.to_dict(), sort_keys=True) for r in expected
         ]
 
-    def test_packet_a_built_and_evolved_once(self, monkeypatch):
-        # one source per offset, all flown next to packet A in one batch
-        base = small_scenario()
-        values = (0.0, 0.25, 0.5, 0.75)
-        spec_a, chunk_t = base.spec_a(), base.dt * base.check_every
-        origin = {}  # id of a live wavefunction -> "A" or the wavenumber of B's source
-        a_builds, b_builds, calls = [], [], []
-        real_make, real_evolve = experiment.make_gaussian, experiment.evolve
-
-        def make(grid, spec):
-            psi = real_make(grid, spec)
-            origin[id(psi)] = "A" if spec == spec_a else spec.wavenumber
-            (a_builds if spec == spec_a else b_builds).append(spec.wavenumber)
-            return psi
-
-        def evolve(packets, *args, **kwargs):
-            results = real_evolve(packets, *args, **kwargs)
-            for psi, result in zip(packets, results):
-                origin[id(result.psi)] = origin[id(psi)]
-                calls.append((origin[id(psi)], psi, result.psi))
-            return results
-
-        monkeypatch.setattr(experiment, "make_gaussian", make)
-        monkeypatch.setattr(experiment, "evolve", evolve)
-        monkeypatch.setattr(propagator, "evolve", evolve)
-        rows = sweep(SweepConfig(base, "wavenumber_dk", values))
-        assert all(row.valid for row in rows)
-        assert a_builds == [base.packet_wavenumber]
-        k_sources = [base.packet_wavenumber + v for v in values[1:]]
-        assert b_builds == k_sources
-        # A runs in one chain from launch to the last row's measurement
-        a_calls = [(psi, out) for who, psi, out in calls if who == "A"]
-        assert a_calls[0][0].t == 0.0
-        assert all(psi is out for (psi, _), (_, out) in zip(a_calls[1:], a_calls))
-        assert len(a_calls) == round(max(row.t_meas for row in rows) / chunk_t)
-        # each offset's source runs only until its row is measured
-        for k, row in zip(k_sources, rows[1:]):
-            assert sum(who == k for who, _, _ in calls) == round(row.t_meas / chunk_t)
-
-    def test_edge_error_of_a_source_ends_only_its_own_rows(self):
-        # the source for offset -40 runs into the left edge at t ~ 1.4, long
-        # before the offset-0 row, evolved in the same call, is measured
-        base = small_scenario()
-        rows = sweep(SweepConfig(base, "wavenumber_dk", (-40.0, 0.0)))
-        assert rows[0].error.startswith("BoundaryContaminationError: edge amplitude")
-        alone = sweep(SweepConfig(base, "wavenumber_dk", (0.0,)))
-        assert rows[1].valid and rows[1].to_csv_line() == alone[0].to_csv_line()
-
-    def test_edge_error_after_a_free_flight_reads_as_a_stepped_flight(self):
-        # launched far from the barrier, the offset -40 source flies free
-        # until the chunk in which it runs into the left edge at t ~ 1.1
-        base = small_scenario(packet_center=-20.0)
-        rows = sweep(SweepConfig(base, "wavenumber_dk", (-40.0, 0.0)))
-        source = make_gaussian(base.grid(), replace(base.spec_a(), wavenumber=-32.0))
-        with pytest.raises(BoundaryContaminationError) as stepped:
-            while True:
-                source = evolve(source, base.barrier(), PropagationParams(base.dt, base.check_every),
-                                base.edge_amplitude_max).psi
-        assert source.t > 1.0
-        assert rows[0].error == f"BoundaryContaminationError: {stepped.value}"
-        alone = sweep(SweepConfig(base, "wavenumber_dk", (0.0,)))
-        assert rows[1].valid and rows[1].to_csv_line() == alone[0].to_csv_line()
-
-    def test_separation_sweep_evolves_only_packet_a_in_process(self, monkeypatch):
+    @pytest.mark.parametrize("parameter, values", [
+        ("separation_d", (0.0, 1.37, 3.0, 4.5)),
+        # B at every offset is composed from A: no source packet flies
+        ("wavenumber_dk", (0.0, 0.25, -0.5, 0.75)),
+    ])
+    def test_sweep_builds_and_evolves_only_packet_a(self, monkeypatch, parameter, values):
         base = small_scenario()
         built, calls = [], []
         real_make, real_evolve = experiment.make_gaussian, experiment.evolve
@@ -518,15 +475,15 @@ class TestSweep:
             built.append(spec)
             return real_make(grid, spec)
 
-        def evolve(packets, *args, **kwargs):
-            results = real_evolve(packets, *args, **kwargs)
-            calls.extend((psi, result.psi) for psi, result in zip(packets, results))
-            return results
+        def evolve(psi, *args, **kwargs):
+            result = real_evolve(psi, *args, **kwargs)
+            calls.append((psi, result.psi))
+            return result
 
         monkeypatch.setattr(experiment, "make_gaussian", make)
         monkeypatch.setattr(experiment, "evolve", evolve)
         monkeypatch.setattr(propagator, "evolve", evolve)
-        rows = sweep(SweepConfig(base, "separation_d", (0.0, 1.37, 3.0, 4.5)))
+        rows = sweep(SweepConfig(base, parameter, values))
         assert all(row.valid for row in rows)
         assert built == [base.spec_a()]
         # one chain of calls: packet A from its launch to the last row's measurement
@@ -539,6 +496,32 @@ class TestSweep:
         config = SweepConfig(small_scenario(), "height", (1.0,))
         with pytest.raises(ConfigurationError):
             sweep(config)
+
+
+class TestOutOfBandOffsets:
+    """An offset at which composing B from A drops more than COMPOSE_LOSS_MAX of B is refused."""
+
+    @pytest.mark.parametrize("dk", [1.55, -1.55, 1.9, -1.9, 2.0, -2.0, -40.0])
+    def test_refused_before_any_step(self, monkeypatch, dk):
+        def no_flight(*_, **__):
+            raise AssertionError("evolved an out-of-band scenario")
+
+        monkeypatch.setattr(experiment, "evolve", no_flight)
+        monkeypatch.setattr(propagator, "evolve", no_flight)
+        with pytest.raises(ConfigurationError,
+                           match=f"wavenumber offset {dk} out of band.* over the limit 3e-11"):
+            run_scenario(small_scenario(wavenumber_offset=dk))
+
+    def test_a_refused_sweep_value_is_its_row_error(self):
+        base = small_scenario()
+        rows = sweep(SweepConfig(base, "wavenumber_dk", (2.0, 0.0, -40.0)))
+        for row in rows[0], rows[2]:
+            assert row.error.startswith(f"ConfigurationError: wavenumber offset {row.param} ")
+            assert not row.valid and math.isnan(row.a)
+        (alone,) = sweep(SweepConfig(base, "wavenumber_dk", (0.0,)))
+        assert rows[1].valid and rows[1].to_csv_line() == alone.to_csv_line()
+        assert json.dumps(rows[1].to_dict(), sort_keys=True) == json.dumps(alone.to_dict(),
+                                                                           sort_keys=True)
 
 
 def direct_reference(config: ScenarioConfig, t_meas: float):
@@ -571,7 +554,7 @@ def direct_reference(config: ScenarioConfig, t_meas: float):
 
 
 class TestDirectReference:
-    """Rows, with packet B read off its source, against B evolved for real."""
+    """Rows, with packet B composed from packet A, against B evolved for real."""
 
     @staticmethod
     def check(config, row, pair=None, tol=1e-10):
@@ -590,8 +573,14 @@ class TestDirectReference:
     @pytest.mark.parametrize("base, parameter, values", [
         (small_scenario(), "separation_d", (0.0, 1.37, 3.0)),
         (small_scenario(), "phase_k0d", (17.0,)),
-        # a stability time evolves B's source, recovered from B, on
+        # B composed from A at a wavenumber offset, here and at a stability time
         (small_scenario(separation=2.0, stability_fractions=(0.1,)), "wavenumber_dk", (-0.3, 0.5)),
+        *[(small_scenario(separation=d, sign=sign, stability_fractions=(0.1,)), "wavenumber_dk",
+           (dk,))
+          for d, dk in ((0.0, 0.75), (2.0, -0.75), (3.0, -1.0)) for sign in (BOSON, FERMION)],
+        # at the band's edge on this box: the cut drops 2.4e-11 and 2.5e-11 of B
+        *[(small_scenario(separation=1.0, sign=sign, stability_fractions=(0.1,)), "wavenumber_dk",
+           (1.5, -1.5)) for sign in (BOSON, FERMION)],
     ])
     def test_sweep_rows(self, base, parameter, values):
         rows = sweep(SweepConfig(base, parameter, values))
@@ -604,10 +593,10 @@ class TestDirectReference:
                                 stability_fractions=(0.1, 0.2))
         self.check(config, *run_resolved(config, param_value=separation))
 
-    def test_b_is_read_off_only_a_source_drained_from_the_barrier(self):
+    def test_b_is_composed_only_from_an_a_drained_from_the_barrier(self):
         # a width-1.0 barrier holds a slowly draining resonance: at the
-        # relaxed gate 1e-3 the source still has amplitude on it, which the
-        # shift would carry as if it flew free (a off by 1.2e-6 here)
+        # relaxed gate 1e-3 A still has amplitude on it, which the
+        # composition would carry as if it flew free (a off by 1.2e-6 here)
         config = small_scenario(barrier_width=1.0, barrier_height=28.67, sign=FERMION,
                                 separation=0.5, barrier_amplitude_max=1e-3, max_steps=16_000)
         self.check(config, run_resolved(config, param_value=0.5)[0], tol=1e-8)

@@ -163,63 +163,71 @@ class TestFreeEvolution:
 
 
 def plain_strang(psi, barrier, params):
-    """One packet, one step at a time, each step's FFTs on fresh arrays."""
+    """One packet, one step at a time, each step's FFTs on fresh arrays.
+
+    Returns the final values and the peak edge amplitude after any step.
+    """
     half_potential = np.exp(-0.5j * params.dt * barrier.sample(psi.grid))
     kinetic = np.exp(-0.5j * params.dt * psi.grid.k**2)
     values = np.array(psi.values)
+    peak = 0.0
     for _ in range(params.steps):
         values *= half_potential
         values = np.fft.ifft(kinetic * np.fft.fft(values))
         values *= half_potential
-    return values
+        peak = max(peak, abs(values[0]), abs(values[-1]))
+    return values, peak
 
 
-class TestBatchedEvolution:
-    def test_rows_match_lone_flights_and_an_edge_error_leaves_its_row_alone(self):
+class TestStepKernel:
+    @pytest.mark.parametrize("spec, barrier", [
+        (WavepacketSpec(-8.0, 8.0, 1.0), BarrierPotential(20.0, 0.5)),
+        (WavepacketSpec(-8.0, 8.0, 1.0), BarrierPotential(32.0, 0.5)),
+        (WavepacketSpec(-4.0, 6.0, 0.8), BarrierPotential(0.0, 0.5)),
+    ])
+    def test_flight_matches_plain_strang_bit_for_bit(self, spec, barrier):
         g = Grid1D(half_width=16.0, points=512)
         params = PropagationParams(dt=1e-3, steps=1500)
-        launched_late = make_gaussian(g, WavepacketSpec(6.0, 8.0, 1.0))
-        flights = [
-            (make_gaussian(g, WavepacketSpec(-8.0, 8.0, 1.0)), BarrierPotential(20.0, 0.5)),
-            (make_gaussian(g, WavepacketSpec(-8.0, 8.0, 1.0)), BarrierPotential(32.0, 0.5)),
-            # heads for the right edge from t = 0.25 and reaches it mid-chunk
-            (Wavefunction(g, launched_late.values, t=0.25), BarrierPotential(25.0, 0.5, -4.0)),
-            (make_gaussian(g, WavepacketSpec(-4.0, 6.0, 0.8)), BarrierPotential(0.0, 0.5)),
-        ]
-        batch = evolve([psi for psi, _ in flights], [b for _, b in flights], params)
-        assert [type(r) for r in batch] == [
-            propagator.EvolutionResult, propagator.EvolutionResult,
-            BoundaryContaminationError, propagator.EvolutionResult,
-        ]
-        with pytest.raises(BoundaryContaminationError) as alone:
-            evolve(*flights[2], params)
-        assert str(batch[2]) == str(alone.value)
-        steps = int(str(alone.value).split(" steps")[0].rsplit(" ", 1)[1])
-        assert 250 < steps < 250 + params.steps
-        for (psi, barrier), got in zip(flights, batch):
-            if isinstance(got, propagator.EvolutionResult):
-                lone = evolve(psi, barrier, params)
-                assert np.array_equal(got.psi.values, lone.psi.values)
-                assert np.array_equal(got.psi.values, plain_strang(psi, barrier, params))
-                assert got.psi.t == lone.psi.t
-                assert got.max_edge_amplitude == lone.max_edge_amplitude
+        psi = make_gaussian(g, spec)
+        result = evolve(psi, barrier, params)
+        values, peak_edge = plain_strang(psi, barrier, params)
+        assert np.array_equal(result.psi.values, values)
+        assert result.psi.t == psi.t + params.steps * params.dt
+        assert result.max_edge_amplitude == peak_edge
 
-    def test_barrier_phases_on_the_covered_span_match_the_full_array_product(self):
-        # the kernel multiplies the half-potential phases over the samples some
+    @pytest.mark.parametrize("barrier", [
+        BarrierPotential(20.0, 0.5),
+        BarrierPotential(30.0, 0.5, 2.0),
+        BarrierPotential(0.0, 1.0, -1.0),
+    ])
+    def test_barrier_phases_on_the_covered_span_match_the_full_array_product(self, barrier):
+        # the kernel multiplies the half-potential phases over the samples the
         # barrier covers; the full-array product multiplies the rest by exactly 1
         g = Grid1D(half_width=16.0, points=512)
         params = PropagationParams(dt=1e-3, steps=1000)
-        flights = [
-            (make_gaussian(g, WavepacketSpec(-3.0, 6.0, 1.0)), BarrierPotential(20.0, 0.5)),
-            (make_gaussian(g, WavepacketSpec(-3.0, 6.0, 1.0)), BarrierPotential(30.0, 0.5, 2.0)),
-            (make_gaussian(g, WavepacketSpec(-3.0, 5.0, 1.0)), BarrierPotential(0.0, 1.0, -1.0)),
-        ]
-        for batch in (flights[:1], flights):
-            # sharp barriers scatter fast modes onto the edges; only the phases count here
-            got = evolve([psi for psi, _ in batch], [b for _, b in batch], params, 1.0)
-            for (psi, barrier), result in zip(batch, got):
-                full = plain_strang(psi, barrier, params)
-                assert result.psi.values.tobytes() == full.tobytes()
+        psi = make_gaussian(g, WavepacketSpec(-3.0, 6.0, 1.0))
+        # sharp barriers scatter fast modes onto the edges; only the phases count here
+        got = evolve(psi, barrier, params, 1.0)
+        assert got.psi.values.tobytes() == plain_strang(psi, barrier, params)[0].tobytes()
+
+    def test_edge_error_mid_chunk_counts_the_steps_since_launch(self):
+        # heads for the right edge from t = 0.25 and reaches it mid-chunk
+        g = Grid1D(half_width=16.0, points=512)
+        params = PropagationParams(dt=1e-3, steps=1500)
+        barrier = BarrierPotential(25.0, 0.5, -4.0)
+        launched_late = Wavefunction(g, make_gaussian(g, WavepacketSpec(6.0, 8.0, 1.0)).values,
+                                     t=0.25)
+        with pytest.raises(BoundaryContaminationError) as caught:
+            evolve(launched_late, barrier, params)
+        steps = int(str(caught.value).split(" steps")[0].rsplit(" ", 1)[1])
+        # the same packet one plain step at a time first crosses the gate at that step
+        one_step = PropagationParams(dt=params.dt, steps=1)
+        values, taken = launched_late.values, 0
+        while max(abs(values[0]), abs(values[-1])) <= 1e-6:
+            values, _ = plain_strang(Wavefunction(g, values), barrier, one_step)
+            taken += 1
+        assert steps == 250 + taken
+        assert 250 < steps < 250 + params.steps
 
 
 class TestPlaneTransmission:
@@ -448,15 +456,33 @@ class TestFreeFlightBeforeTheBarrier:
         starts = []
         real = propagator.evolve
 
-        def spy(packets, *args, **kwargs):
-            starts.append(packets[0].t)
-            return real(packets, *args, **kwargs)
+        def spy(psi, *args, **kwargs):
+            starts.append(psi.t)
+            return real(psi, *args, **kwargs)
 
         monkeypatch.setattr(propagator, "evolve", spy)
         _, t_meas = simulated_transmission(FAR_BOX, spec, FAR_BARRIER, **FAR_RUN)
         chunk_t = FAR_RUN["dt"] * FAR_RUN["check_every"]
         assert starts[0] == pytest.approx(first_stepped, abs=1e-12)
         assert len(starts) == round((t_meas - first_stepped) / chunk_t)
+
+    def test_edge_error_after_a_free_flight_reads_as_a_stepped_flight(self):
+        # launched left, away from the barrier, the packet flies free until
+        # the chunk in which it runs into the left edge at t ~ 1.1
+        grid = Grid1D(half_width=64.0, points=2048)
+        spec = WavepacketSpec(center=-20.0, wavenumber=-32.0, sigma=1.0)
+        barrier = BarrierPotential(26.787825, 0.5)
+        run = dict(dt=5e-4, max_steps=12_000, check_every=200, boundary=0.0,
+                   edge_amplitude_max=1e-6)
+        with pytest.raises(BoundaryContaminationError) as driven:
+            simulated_transmission(grid, spec, barrier, **run)
+        psi = make_gaussian(grid, spec)
+        with pytest.raises(BoundaryContaminationError) as stepped:
+            while True:
+                psi = evolve(psi, barrier, PropagationParams(run["dt"], run["check_every"]),
+                             run["edge_amplitude_max"]).psi
+        assert psi.t > 1.0
+        assert str(driven.value) == str(stepped.value)
 
     def test_bad_step_or_barrier_fails_before_any_free_flight(self):
         # a budget of one chunk, flown free at either step size: checks left to the steps never run
@@ -631,9 +657,9 @@ def spy_on_flights(monkeypatch):
     calls = []
     real = propagator.evolve_until_measured
 
-    def driver(packets, barriers, *args, **kwargs):
-        calls.append([b.height for b in barriers])
-        return real(packets, barriers, *args, **kwargs)
+    def driver(psi, barrier, *args, **kwargs):
+        calls.append(barrier.height)
+        return real(psi, barrier, *args, **kwargs)
 
     monkeypatch.setattr(propagator, "evolve_until_measured", driver)
     return calls
@@ -694,7 +720,7 @@ class TestCalibrationRunsOnlyWhatItNeeds:
         calls = spy_on_flights(monkeypatch)
         result = calibrate_barrier(grid, CAL_SPEC, width=0.5, target=CAL_TARGET, tol=CAL_TOL,
                                    **CAL_RUN)
-        assert calls == [[result.barrier.height]]
+        assert calls == [result.barrier.height]
         assert result.iterations == 1
         assert result.history == ((result.barrier.height, result.transmission),)
 
@@ -755,7 +781,7 @@ class TestChunksThatNeverEnd:
         barrier = BarrierPotential(26.6, 0.5)
         with pytest.raises(ConfigurationError, match=name):
             evolve_until_measured(
-                [make_gaussian(grid, CAL_SPEC)], [barrier], lambda *_: None,
+                make_gaussian(grid, CAL_SPEC), barrier, lambda *_: None,
                 barrier_amplitude_max=1e-6, lobe_sigmas=5.0, **run,
             )
         with pytest.raises(ConfigurationError, match=name):
