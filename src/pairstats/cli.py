@@ -19,6 +19,7 @@ import argparse
 import configparser
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -271,23 +272,13 @@ def cmd_sweep(args) -> int:
     base, sweep_block = _load_config_file(args.config)
     if sweep_block is None:
         raise ConfigurationError(f"config file {args.config} has no [sweep] section")
-    sweep_config = SweepConfig(
-        base=base,
-        parameter=sweep_block["parameter"],
-        values=sweep_block["values"],
-    )
+    sweep_config = SweepConfig(base=base, **sweep_block)
     sweep_config.validate()
     resolved_base, calibration = _resolve_barrier(args, base)
     if calibration is not None:
         _say(args, f"calibrated barrier height {resolved_base.barrier_height:.10g} "
                    f"(T = {calibration.transmission:.6f})")
-    rows = sweep(
-        SweepConfig(
-            base=resolved_base,
-            parameter=sweep_config.parameter,
-            values=sweep_config.values,
-        )
-    )
+    rows = sweep(replace(sweep_config, base=resolved_base))
     out = _out_dir(args)
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as handle:
         rows_to_csv(rows, handle)
@@ -325,12 +316,10 @@ def cmd_density(args) -> int:
     path = out / f"density_{args.which}.csv"
     if args.evolved:
         resolved, _ = resolve_barrier(config)
-        (evolved,) = evolve_pair_to_measurement(
-            [resolved], resolved.barrier(), lambda _, psi_a, psi_b, *__: (psi_a, psi_b)
-        )
-        if isinstance(evolved, PairStatsError):
-            raise evolved
-        psi_a, psi_b = evolved
+        (state,) = evolve_pair_to_measurement([resolved], resolved.barrier())
+        if isinstance(state, PairStatsError):
+            raise state
+        psi_a, psi_b, *_ = state
     else:
         grid = config.grid()
         psi_a = make_gaussian(grid, config.spec_a())

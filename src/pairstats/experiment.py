@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from typing import IO, Callable, Optional
+from typing import IO, Optional
 
 from . import __version__
 from .errors import (
@@ -263,11 +263,6 @@ def default_scenario() -> ScenarioConfig:
         packet_wavenumber=8.0,
         packet_sigma=1.0,
         separation=20.0,
-        wavenumber_offset=0.0,
-        sign=BOSON,
-        barrier_width=0.5,
-        barrier_height=None,
-        barrier_center=0.0,
     )
 
 
@@ -288,19 +283,21 @@ def resolve_barrier(
 
 
 def evolve_pair_to_measurement(
-    configs: list[ScenarioConfig], barrier: BarrierPotential, measure: Callable
+    configs: list[ScenarioConfig], barrier: BarrierPotential
 ) -> list:
     """Follow packet A to each config's measurement; one outcome per config.
 
     The configs differ only in packet B, and only A is evolved: config
-    i's B is composed from A by `compose_b`.  It is measured at the
-    first chunk where A is ready and, unless B is A, holds at most
+    i's B is composed from A by `compose_b`.  It is taken at the first
+    chunk where A is ready and, unless B is A, holds at most
     COMPOSE_BARRIER_AMPLITUDE_MAX on the barrier, and where B is
     `measurement_ready` and `lobes_outgoing`: the outcome is
-    `measure(i, psi_a, psi_b, steps_done, leakage)`, the leakage being
-    A's peak edge amplitude so far and B's at launch.  A PairStatsError is the
-    outcome of the configs it concerns: a launch check or an error of
-    `measure` ends one, an edge error of A or the timeout all running.
+    `(psi_a, psi_b, steps_done, leakage)` at that chunk, the leakage
+    being A's peak edge amplitude so far and B's at launch.  A
+    PairStatsError is the outcome of the configs it concerns: a launch
+    check ends one, an edge error of A or the timeout all running.  The
+    flight stops at the chunk that takes the last config, and does not
+    start when every config failed at launch.
     """
     config = configs[0]
     spec_a = config.spec_a()
@@ -323,33 +320,28 @@ def evolve_pair_to_measurement(
         else:
             running[i] = edge_amplitude(psi_b)
 
-    def measure_cleared(psi_a, ready, steps_done, leakage) -> bool:
-        if not ready:
-            return False
-        drained = barrier_region_amplitude(psi_a, barrier) <= COMPOSE_BARRIER_AMPLITUDE_MAX
-        for i, launch_edge in list(running.items()):
-            cfg = configs[i]
-            if not (drained or cfg.identical_packets()):
-                continue
-            psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
-            if not (measurement_ready(psi_b, barrier, cfg.boundary, cfg.barrier_amplitude_max,
-                                      cfg.lobe_sigmas) and lobes_outgoing(psi_b, cfg.boundary)):
-                continue
-            del running[i]
-            try:
-                outcomes[i] = measure(i, psi_a, psi_b, steps_done, max(leakage, launch_edge))
-            except PairStatsError as err:
-                outcomes[i] = err
-        return not running
-
+    flight = evolve_until_measured(psi_a, barrier, **config.loop_settings())
     try:
-        if running and evolve_until_measured(
-            psi_a, barrier, measure_cleared, **config.loop_settings()
-        ) is None:
-            raise MeasurementTimeoutError(
-                f"packets did not clear the barrier within {config.max_steps} steps "
-                f"(t = {config.max_steps * config.dt:.6g})"
-            )
+        while running:
+            chunk = next(flight, None)
+            if chunk is None:
+                raise MeasurementTimeoutError(
+                    f"packets did not clear the barrier within {config.max_steps} steps "
+                    f"(t = {config.max_steps * config.dt:.6g})"
+                )
+            psi_a, ready, steps_done, leakage = chunk
+            if not ready:
+                continue
+            drained = barrier_region_amplitude(psi_a, barrier) <= COMPOSE_BARRIER_AMPLITUDE_MAX
+            for i, launch_edge in list(running.items()):
+                cfg = configs[i]
+                if not (drained or cfg.identical_packets()):
+                    continue
+                psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
+                if (measurement_ready(psi_b, barrier, cfg.boundary, cfg.barrier_amplitude_max,
+                                      cfg.lobe_sigmas) and lobes_outgoing(psi_b, cfg.boundary)):
+                    del running[i]
+                    outcomes[i] = (psi_a, psi_b, steps_done, max(leakage, launch_edge))
     except PairStatsError as err:
         outcomes.update(dict.fromkeys(running, err))
     return [outcomes[i] for i in range(len(configs))]
@@ -433,18 +425,18 @@ def _measure(
 def run_resolved(config: ScenarioConfig, param_value: float) -> tuple[ResultRow, SymmetrizedPair]:
     """Run one fully resolved scenario; raises on failure.
 
-    Returns the row and the pair it measured, at the measurement time
-    (before any stability extension).
+    Flies the pair to its measurement with `evolve_pair_to_measurement`,
+    then measures the states it returns with `_measure`: an error of
+    either is raised.  Returns the row and the pair it measured, at the
+    measurement time (before any stability extension).
     """
     barrier = config.barrier()
     if barrier is None:
         raise ConfigurationError("scenario has no barrier height; resolve_barrier first")
-    (outcome,) = evolve_pair_to_measurement(
-        [config], barrier, lambda _, *state: _measure(config, barrier, param_value, *state)
-    )
-    if isinstance(outcome, PairStatsError):
-        raise outcome
-    return outcome
+    (state,) = evolve_pair_to_measurement([config], barrier)
+    if isinstance(state, PairStatsError):
+        raise state
+    return _measure(config, barrier, param_value, *state)
 
 
 def run_scenario(config: ScenarioConfig) -> ResultRow:
@@ -462,23 +454,26 @@ def sweep(config: SweepConfig) -> list[ResultRow]:
 
     Rows come back in the order of `config.values`.  A failing value
     produces an invalid row carrying the error text; the sweep goes on.
-    All values are measured in one `evolve_pair_to_measurement` call,
-    which flies packet A alone and composes each value's B from it.
+    All values are flown in one `evolve_pair_to_measurement` call,
+    which flies packet A alone and composes each value's B from it;
+    the states it returns are measured after it, and an error of that
+    measurement is its row's error.
     """
     config.validate()
     base, _ = resolve_barrier(config.base)
     barrier = base.barrier()
     values = [float(v) for v in config.values]
     configs = [apply_sweep_parameter(base, config.parameter, v) for v in values]
-    outcomes = evolve_pair_to_measurement(
-        configs, barrier,
-        lambda i, *state: _measure(configs[i], barrier, values[i], *state)[0],
-    )
-    return [
-        ResultRow(param=v, error=f"{type(o).__name__}: {o}", barrier_height=base.barrier_height)
-        if isinstance(o, PairStatsError) else o
-        for v, o in zip(values, outcomes)
-    ]
+    rows = []
+    for cfg, value, state in zip(configs, values, evolve_pair_to_measurement(configs, barrier)):
+        try:
+            if isinstance(state, PairStatsError):
+                raise state
+            rows.append(_measure(cfg, barrier, value, *state)[0])
+        except PairStatsError as err:
+            rows.append(ResultRow(param=value, error=f"{type(err).__name__}: {err}",
+                                  barrier_height=base.barrier_height))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+from .errors import BudgetExceededError
+
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
 FD_LABEL = "FD"
@@ -165,8 +167,6 @@ def enumerate_mb_oracle(
     BudgetExceededError
         If M^N exceeds `budget` assignments.
     """
-    from .errors import BudgetExceededError
-
     if num_states < 1:
         raise ValueError("need at least one state")
     if num_particles < 0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -406,7 +406,6 @@ def _flies_free(psi: Wavefunction, barrier: BarrierPotential, edge_amplitude_max
 def evolve_until_measured(
     psi: Wavefunction,
     barrier: BarrierPotential,
-    measure: Callable,
     *,
     dt: float,
     max_steps: int,
@@ -415,8 +414,8 @@ def evolve_until_measured(
     edge_amplitude_max: float,
     barrier_amplitude_max: float,
     lobe_sigmas: float,
-):
-    """Evolve one packet over `barrier`, offering it to `measure` after every chunk.
+) -> Iterator[tuple[Wavefunction, bool, int, float]]:
+    """Evolve one packet over `barrier`, yielding it after every chunk.
 
     The packet flies in chunks of `check_every` steps.  Launched with at
     most FREE_FLIGHT_AMPLITUDE_MAX on the barrier support, it first
@@ -430,15 +429,17 @@ def evolve_until_measured(
     chunk after it: an edge crossing is raised by the steps, with their
     step count.  `check_every` and `max_steps` must be at least 1
     (chunks of 0 steps would never end the loop); they, the step size
-    and the barrier are checked before anything flies.
+    and the barrier are checked at the first `next`, before anything
+    flies.
 
     The packet is ready once it has visited the barrier (reached
     BARRIER_ACTIVATION_AMPLITUDE there at a chunk end) and passes
     `measurement_ready` with the given thresholds.  After each chunk
-    `measure(psi, ready, steps_done, leakage)` runs with the packet's
-    state, its ready flag and its peak edge amplitude so far (at the
-    chunk ends of the free flight, at every step after it).  Returns the
-    first truthy value of `measure`, or None when `max_steps` run out.
+    it yields `(psi, ready, steps_done, leakage)`: the packet's state,
+    its ready flag, the steps taken since launch and its peak edge
+    amplitude so far (at the chunk ends of the free flight, at every
+    step after it).  It stops once `max_steps` run out; the caller
+    measures the state it wants and stops asking.
     """
     for name, value in (("check_every", check_every), ("max_steps", max_steps)):
         if value < 1:
@@ -471,10 +472,7 @@ def evolve_until_measured(
                                   >= BARRIER_ACTIVATION_AMPLITUDE)
         ready = visited and measurement_ready(psi, barrier, boundary, barrier_amplitude_max,
                                               lobe_sigmas)
-        outcome = measure(psi, ready, steps_done, leakage)
-        if outcome:
-            return outcome
-    return None
+        yield psi, ready, steps_done, leakage
 
 
 def simulated_transmission(
@@ -489,24 +487,23 @@ def simulated_transmission(
     barrier_amplitude_max: float = DEFAULT_BARRIER_AMPLITUDE_MAX,
     lobe_sigmas: float = DEFAULT_LOBE_SIGMAS,
 ) -> tuple[float, float]:
-    """Run until the packet has visited and cleared the barrier; return (T, t_meas).
+    """Fly the packet until it has visited and cleared the barrier; return (T, t_meas).
 
-    Raises the flight's edge error, or a CalibrationError when `max_steps` run out.
+    T is the packet's probability right of `boundary` at the first ready
+    chunk of `evolve_until_measured`.  Raises the flight's edge error,
+    or a CalibrationError when `max_steps` run out.
     """
-    def measure(psi, ready, *_):
-        return ready and (probability_on_side(psi, "positive", boundary), psi.t)
-
-    outcome = evolve_until_measured(
-        make_gaussian(grid, spec), barrier, measure, dt=dt, max_steps=max_steps,
+    for psi, ready, *_ in evolve_until_measured(
+        make_gaussian(grid, spec), barrier, dt=dt, max_steps=max_steps,
         check_every=check_every, boundary=boundary, edge_amplitude_max=edge_amplitude_max,
         barrier_amplitude_max=barrier_amplitude_max, lobe_sigmas=lobe_sigmas,
+    ):
+        if ready:
+            return probability_on_side(psi, "positive", boundary), psi.t
+    raise CalibrationError(
+        f"measurement criterion not met within {max_steps} steps "
+        f"(t = {max_steps * dt:.6g}) for barrier height {barrier.height:.6g}"
     )
-    if outcome is None:
-        raise CalibrationError(
-            f"measurement criterion not met within {max_steps} steps "
-            f"(t = {max_steps * dt:.6g}) for barrier height {barrier.height:.6g}"
-        )
-    return outcome
 
 
 def _analytic_seed(transmission: Callable[[float], float], target: float, v_hi: float) -> float:
@@ -537,19 +534,16 @@ def calibrate_barrier(
     target: float = 0.5,
     tol: float = 0.005,
     center: float = 0.0,
-    dt: float = 5e-4,
-    max_steps: int = 60_000,
-    check_every: int = 200,
-    boundary: float = 0.0,
     max_iterations: int = 40,
-    edge_amplitude_max: float = DEFAULT_EDGE_AMPLITUDE_MAX,
-    barrier_amplitude_max: float = DEFAULT_BARRIER_AMPLITUDE_MAX,
-    lobe_sigmas: float = DEFAULT_LOBE_SIGMAS,
+    **flight,
 ) -> CalibrationResult:
     """Find the barrier height whose simulated transmission hits `target`.
 
     Transmission is measured from a full split-operator run of the packet
-    in `spec`, not from the analytic formula; the search accepts the
+    in `spec`, not from the analytic formula: `simulated_transmission`
+    with the flight settings in `flight` (`dt`, `max_steps`,
+    `check_every`, `boundary` and `edge_amplitude_max`, optionally
+    `barrier_amplitude_max` and `lobe_sigmas`).  The search accepts the
     first run with |T - target| <= tol.  The first run is at the first
     midpoint within tol of a bisection of [0.75, 1.3] x seed on the
     analytic momentum-averaged curve, seed being that curve's root (or
@@ -577,9 +571,6 @@ def calibrate_barrier(
     if max_iterations < 1:
         raise ConfigurationError(f"max_iterations must be at least 1, got {max_iterations}")
     spec.validate_on(grid)
-    loop = dict(dt=dt, max_steps=max_steps, check_every=check_every, boundary=boundary,
-                edge_amplitude_max=edge_amplitude_max,
-                barrier_amplitude_max=barrier_amplitude_max, lobe_sigmas=lobe_sigmas)
 
     def analytic(v0: float) -> float:
         return expected_packet_transmission(spec, BarrierPotential(v0, width, center))
@@ -607,7 +598,7 @@ def calibrate_barrier(
                 history,
             )
         transmission, t_meas = simulated_transmission(
-            grid, spec, BarrierPotential(v0, width, center), **loop
+            grid, spec, BarrierPotential(v0, width, center), **flight
         )
         history.append((v0, transmission))
         if abs(transmission - target) <= tol:

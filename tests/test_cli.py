@@ -6,6 +6,7 @@ the production configurations are exercised by the acceptance suite.
 """
 
 import configparser
+import io
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from pairstats.cli import (
 )
 from pairstats.errors import CalibrationError
 from pairstats.experiment import ScenarioConfig, config_from_dict
+from pairstats.grid import dump_wavefunction_csv
 from pairstats.propagator import BarrierPotential, CalibrationResult
 
 SMALL_INI = """\
@@ -517,6 +519,18 @@ class TestDensityCommand:
             assert float(dens) >= -1e-15
             if x1 == x2:
                 assert abs(float(dens)) < 1e-13
+
+    def test_evolved_packet_b_is_the_one_measured(self, tmp_path):
+        path = write_ini(tmp_path, separation="2.5")
+        out = tmp_path / "out"
+        assert main(["density", "single_b", "--evolved", "--config", path,
+                     "--out", str(out)]) == EXIT_OK
+        config = cli._load_config_file(path)[0]
+        _, pair = experiment.run_resolved(config, param_value=config.separation)
+        expected = io.StringIO(newline="")
+        dump_wavefunction_csv(pair.psi_b, expected)
+        written = (out / "density_single_b.csv").read_text(encoding="utf-8")
+        assert written.splitlines() == expected.getvalue().splitlines()
 
     @pytest.mark.parametrize("max_points", ["0", "-3"])
     def test_bad_max_points_exits_2_before_evolving(self, tmp_path, capsys, monkeypatch,

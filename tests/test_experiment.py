@@ -344,18 +344,14 @@ class TestRunScenario:
         base = small_scenario(barrier_amplitude_max=1e-8, lobe_sigmas=8.0)
         configs = [apply_sweep_parameter(base, "separation_d", d) for d in (0.0, 2.0, 4.0)]
         barrier = base.barrier()
-        seen = []
-
-        def measure(i, psi_a, psi_b, steps_done, leakage):
-            seen.append(i)
+        states = evolve_pair_to_measurement(configs, barrier)
+        assert len(states) == 3
+        assert not any(isinstance(state, PairStatsError) for state in states)
+        for psi_a, psi_b, steps_done, leakage in states:
             for psi in (psi_a, psi_b):
                 assert psi.t == pytest.approx(steps_done * base.dt, abs=1e-9)
                 assert measurement_ready(psi, barrier, base.boundary,
                                          base.barrier_amplitude_max, base.lobe_sigmas)
-            return i
-
-        assert evolve_pair_to_measurement(configs, barrier, measure) == [0, 1, 2]
-        assert sorted(seen) == [0, 1, 2]
 
     def test_unready_stability_packets_are_refused(self):
         # launch states sitting on the barrier, re-measured one step later
@@ -511,6 +507,17 @@ class TestOutOfBandOffsets:
         with pytest.raises(ConfigurationError,
                            match=f"wavenumber offset {dk} out of band.* over the limit 3e-11"):
             run_scenario(small_scenario(wavenumber_offset=dk))
+
+    def test_a_sweep_refused_at_every_value_starts_no_flight(self, monkeypatch):
+        def no_flight(*_, **__):
+            raise AssertionError("flew packet A with no config left to measure")
+
+        monkeypatch.setattr(propagator, "_flies_free", no_flight)
+        monkeypatch.setattr(propagator, "evolve", no_flight)
+        rows = sweep(SweepConfig(small_scenario(), "wavenumber_dk", (2.0, -40.0)))
+        for row in rows:
+            assert row.error.startswith(f"ConfigurationError: wavenumber offset {row.param} ")
+            assert not row.valid
 
     def test_a_refused_sweep_value_is_its_row_error(self):
         base = small_scenario()

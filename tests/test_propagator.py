@@ -500,7 +500,7 @@ class TestCalibration:
         spec = WavepacketSpec(center=-10.0, wavenumber=8.0, sigma=1.0)
         result = calibrate_barrier(
             grid, spec, width=0.5, target=0.5, tol=0.01,
-            dt=5e-4, max_steps=12_000, check_every=200,
+            dt=5e-4, max_steps=12_000, check_every=200, boundary=0.0, edge_amplitude_max=1e-6,
         )
         assert abs(result.transmission - 0.5) <= 0.01
         assert result.barrier.width == 0.5
@@ -525,7 +525,8 @@ class TestCalibration:
         with pytest.raises(CalibrationError) as caught:
             calibrate_barrier(
                 grid, spec, width=0.5, target=0.5, tol=1e-9,
-                dt=5e-4, max_steps=12_000, check_every=200, max_iterations=max_iterations,
+                dt=5e-4, max_steps=12_000, check_every=200, boundary=0.0, edge_amplitude_max=1e-6,
+                max_iterations=max_iterations,
             )
         assert len(caught.value.history) == max_iterations
         assert f"within {max_iterations} runs" in str(caught.value)
@@ -780,10 +781,10 @@ class TestChunksThatNeverEnd:
         run = dict(CAL_RUN, **bad)
         barrier = BarrierPotential(26.6, 0.5)
         with pytest.raises(ConfigurationError, match=name):
-            evolve_until_measured(
-                make_gaussian(grid, CAL_SPEC), barrier, lambda *_: None,
+            next(evolve_until_measured(
+                make_gaussian(grid, CAL_SPEC), barrier,
                 barrier_amplitude_max=1e-6, lobe_sigmas=5.0, **run,
-            )
+            ))
         with pytest.raises(ConfigurationError, match=name):
             simulated_transmission(grid, CAL_SPEC, barrier, **run)
         with pytest.raises(ConfigurationError, match=name):
