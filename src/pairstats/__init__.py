@@ -46,7 +46,6 @@ from .grid import (
     WavepacketSpec,
     inner_product,
     make_gaussian,
-    position_mean,
     position_std,
     probability_on_side,
     side_moments,
@@ -132,7 +131,6 @@ __all__ = [
     "measurement_ready",
     "occupancy_vectors",
     "pair_family",
-    "position_mean",
     "position_std",
     "probability_on_side",
     "quadrant_quadrature_oracle",

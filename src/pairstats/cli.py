@@ -2,7 +2,7 @@
 
 Subcommands: occupancy (exact counting tables), calibrate (tune the
 barrier to a target transmission), run (one two-packet scenario),
-sweep (scan separation, boost, or phase), density (CSV dumps for
+sweep (scan separation or boost), density (CSV dumps for
 plotting).  Scenario knobs come from an INI-style config file: `[grid]`
 half_width and points, `[packet]` center, wavenumber and sigma, and
 `[barrier]` width are required, every other key has a default, and
@@ -316,10 +316,10 @@ def cmd_density(args) -> int:
     path = out / f"density_{args.which}.csv"
     if args.evolved:
         resolved, _ = resolve_barrier(config)
-        (state,) = evolve_pair_to_measurement([resolved], resolved.barrier())
-        if isinstance(state, PairStatsError):
-            raise state
-        psi_a, psi_b, *_ = state
+        ((_, outcome),) = evolve_pair_to_measurement([resolved], resolved.barrier())
+        if isinstance(outcome, PairStatsError):
+            raise outcome
+        psi_a, psi_b, *_ = outcome
     else:
         grid = config.grid()
         psi_a = make_gaussian(grid, config.spec_a())

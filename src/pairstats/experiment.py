@@ -5,7 +5,8 @@ follows them until both have cleared it, symmetrizes, and integrates
 the four side quadrants.  Packet B is packet A displaced by
 `separation` away from the barrier and optionally boosted by
 `wavenumber_offset`; it is never evolved itself, but composed from
-packet A's spectrum, so every scenario and every sweep flies one packet.
+packet A's spectrum, so every scenario and every sweep flies one packet,
+and a sweep measures each pair as that flight hands it out.
 
 Everything is deterministic: identical configs produce byte-identical
 CSV/JSON outputs.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from typing import IO, Optional
+from typing import IO, Iterator, Optional
 
 from . import __version__
 from .errors import (
@@ -54,7 +55,7 @@ from .twoparticle import BOSON, FERMION, PAULI_GUARD, SymmetrizedPair, joint_pro
 # default so a calibrated MB-limit row still reads "MB"
 CLASSIFY_TOL = 0.005
 
-SWEEP_PARAMETERS = ("separation_d", "wavenumber_dk", "phase_k0d")
+SWEEP_PARAMETERS = ("separation_d", "wavenumber_dk")
 
 _SIGN_NAMES = {BOSON: "boson", FERMION: "fermion"}
 _SIGN_VALUES = {"boson": BOSON, "fermion": FERMION}
@@ -161,6 +162,10 @@ class ScenarioConfig:
             raise ConfigurationError(f"check_every must be >= 1, got {self.check_every}")
         if self.max_steps < 1:
             raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
+        for name in ("barrier_amplitude_max", "edge_amplitude_max", "lobe_sigmas",
+                     "norm_drift_max"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.calibration_target <= 1.0:
             raise ConfigurationError(
                 f"calibration target must be in (0, 1], got {self.calibration_target}"
@@ -192,7 +197,7 @@ class SweepConfig:
             raise ConfigurationError("sweep needs at least one value")
         if not all(math.isfinite(v) for v in self.values):
             raise ConfigurationError(f"sweep values must be finite, got {self.values}")
-        if self.parameter in ("separation_d", "phase_k0d") and any(v < 0 for v in self.values):
+        if self.parameter == "separation_d" and any(v < 0 for v in self.values):
             raise ConfigurationError("separations must be >= 0")
 
 
@@ -202,8 +207,6 @@ def apply_sweep_parameter(base: ScenarioConfig, parameter: str, value: float) ->
         return replace(base, separation=float(value))
     if parameter == "wavenumber_dk":
         return replace(base, wavenumber_offset=float(value))
-    if parameter == "phase_k0d":
-        return replace(base, separation=float(value) / base.packet_wavenumber)
     raise ConfigurationError(f"unknown sweep parameter {parameter!r}")
 
 
@@ -284,25 +287,25 @@ def resolve_barrier(
 
 def evolve_pair_to_measurement(
     configs: list[ScenarioConfig], barrier: BarrierPotential
-) -> list:
-    """Follow packet A to each config's measurement; one outcome per config.
+) -> Iterator[tuple]:
+    """Follow packet A to each config's measurement; yield `(i, outcome)` per config.
 
     The configs differ only in packet B, and only A is evolved: config
     i's B is composed from A by `compose_b`.  It is taken at the first
     chunk where A is ready and, unless B is A, holds at most
     COMPOSE_BARRIER_AMPLITUDE_MAX on the barrier, and where B is
     `measurement_ready` and `lobes_outgoing`: the outcome is
-    `(psi_a, psi_b, steps_done, leakage)` at that chunk, the leakage
-    being A's peak edge amplitude so far and B's at launch.  A
-    PairStatsError is the outcome of the configs it concerns: a launch
-    check ends one, an edge error of A or the timeout all running.  The
-    flight stops at the chunk that takes the last config, and does not
-    start when every config failed at launch.
+    `(psi_a, psi_b, steps_done, leakage)` at that chunk, yielded there,
+    the leakage being A's peak edge amplitude so far and B's at launch.
+    A PairStatsError is the outcome of the configs it concerns, yielded
+    when it arises: a launch check ends one before the flight, an edge
+    error of A or the timeout all still running.  The flight stops at
+    the chunk that takes the last config, and does not start when every
+    config failed at launch.
     """
     config = configs[0]
     spec_a = config.spec_a()
     psi_a = make_gaussian(config.grid(), spec_a)
-    outcomes: dict = {}
     running: dict[int, float] = {}  # config -> B's launch edge amplitude
     for i, cfg in enumerate(configs):
         try:
@@ -316,7 +319,7 @@ def evolve_pair_to_measurement(
                         f"{1.0 - abs(s0) ** 2:.3g} within the exclusion guard {PAULI_GUARD}"
                     )
         except PairStatsError as err:
-            outcomes[i] = err
+            yield i, err
         else:
             running[i] = edge_amplitude(psi_b)
 
@@ -341,10 +344,10 @@ def evolve_pair_to_measurement(
                 if (measurement_ready(psi_b, barrier, cfg.boundary, cfg.barrier_amplitude_max,
                                       cfg.lobe_sigmas) and lobes_outgoing(psi_b, cfg.boundary)):
                     del running[i]
-                    outcomes[i] = (psi_a, psi_b, steps_done, max(leakage, launch_edge))
+                    yield i, (psi_a, psi_b, steps_done, max(leakage, launch_edge))
     except PairStatsError as err:
-        outcomes.update(dict.fromkeys(running, err))
-    return [outcomes[i] for i in range(len(configs))]
+        for i in running:
+            yield i, err
 
 
 def _measure(
@@ -426,17 +429,17 @@ def run_resolved(config: ScenarioConfig, param_value: float) -> tuple[ResultRow,
     """Run one fully resolved scenario; raises on failure.
 
     Flies the pair to its measurement with `evolve_pair_to_measurement`,
-    then measures the states it returns with `_measure`: an error of
+    then measures the one pair it yields with `_measure`: an error of
     either is raised.  Returns the row and the pair it measured, at the
     measurement time (before any stability extension).
     """
     barrier = config.barrier()
     if barrier is None:
         raise ConfigurationError("scenario has no barrier height; resolve_barrier first")
-    (state,) = evolve_pair_to_measurement([config], barrier)
-    if isinstance(state, PairStatsError):
-        raise state
-    return _measure(config, barrier, param_value, *state)
+    ((_, outcome),) = evolve_pair_to_measurement([config], barrier)
+    if isinstance(outcome, PairStatsError):
+        raise outcome
+    return _measure(config, barrier, param_value, *outcome)
 
 
 def run_scenario(config: ScenarioConfig) -> ResultRow:
@@ -456,23 +459,25 @@ def sweep(config: SweepConfig) -> list[ResultRow]:
     produces an invalid row carrying the error text; the sweep goes on.
     All values are flown in one `evolve_pair_to_measurement` call,
     which flies packet A alone and composes each value's B from it;
-    the states it returns are measured after it, and an error of that
-    measurement is its row's error.
+    each pair is measured as it is yielded, and dropped, so the sweep
+    holds one pair at a time.  An error of that measurement is its
+    row's error.
     """
     config.validate()
     base, _ = resolve_barrier(config.base)
     barrier = base.barrier()
     values = [float(v) for v in config.values]
     configs = [apply_sweep_parameter(base, config.parameter, v) for v in values]
-    rows = []
-    for cfg, value, state in zip(configs, values, evolve_pair_to_measurement(configs, barrier)):
+    rows = [None] * len(values)
+    for i, outcome in evolve_pair_to_measurement(configs, barrier):
         try:
-            if isinstance(state, PairStatsError):
-                raise state
-            rows.append(_measure(cfg, barrier, value, *state)[0])
+            if isinstance(outcome, PairStatsError):
+                raise outcome
+            rows[i] = _measure(configs[i], barrier, values[i], *outcome)[0]
         except PairStatsError as err:
-            rows.append(ResultRow(param=value, error=f"{type(err).__name__}: {err}",
-                                  barrier_height=base.barrier_height))
+            rows[i] = ResultRow(param=values[i], error=f"{type(err).__name__}: {err}",
+                                barrier_height=base.barrier_height)
+        del outcome  # drop the pair before A flies on to the next one
     return rows
 
 

@@ -202,12 +202,6 @@ def probability_on_side(psi: Wavefunction, side: Side, boundary: float = 0.0) ->
     return float(np.sum(part) * psi.grid.dx)
 
 
-def position_mean(psi: Wavefunction) -> float:
-    """<x>, assuming unit norm."""
-    dens = np.abs(psi.values) ** 2
-    return float(np.sum(psi.grid.x * dens) * psi.grid.dx)
-
-
 def position_std(psi: Wavefunction) -> float:
     """Standard deviation of |psi|^2, assuming unit norm."""
     dens = np.abs(psi.values) ** 2 * psi.grid.dx

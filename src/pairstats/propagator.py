@@ -531,8 +531,8 @@ def calibrate_barrier(
     grid: Grid1D,
     spec: WavepacketSpec,
     width: float,
-    target: float = 0.5,
-    tol: float = 0.005,
+    target: float,
+    tol: float,
     center: float = 0.0,
     max_iterations: int = 40,
     **flight,

@@ -300,6 +300,24 @@ class TestConfigFileErrors:
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_USAGE
         assert f"{field} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("barrier_amplitude_max", "0"),
+        ("edge_amplitude_max", "-1"),
+        ("norm_drift_max", "-1"),
+        ("lobe_sigmas", "-5"),
+    ])
+    def test_threshold_at_or_below_zero_exits_2_before_evolving(
+        self, tmp_path, capsys, monkeypatch, field, value
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve called on a rejected config")
+
+        monkeypatch.setattr(propagator, "evolve", refuse)
+        monkeypatch.setattr(experiment, "evolve", refuse)
+        path = write_ini(tmp_path, extra=f"\n[measurement]\n{field} = {value}\n")
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert f"{field} must be positive, got {float(value)}" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("command", ["run", "sweep", "calibrate"])
     def test_grid_over_the_memory_cap_exits_2_before_evolving(

@@ -8,6 +8,7 @@ seconds range; the production-size runs live in the acceptance tests.
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import pytest
@@ -148,11 +149,6 @@ class TestSweepParameter:
         cfg = apply_sweep_parameter(small_scenario(), "wavenumber_dk", 0.5)
         assert cfg.wavenumber_offset == 0.5
 
-    def test_phase_maps_to_separation(self):
-        # k0 d = 4 at k0 = 8 means d = 0.5
-        cfg = apply_sweep_parameter(small_scenario(), "phase_k0d", 4.0)
-        assert cfg.separation == pytest.approx(0.5)
-
     def test_unknown_parameter(self):
         with pytest.raises(ConfigurationError):
             apply_sweep_parameter(small_scenario(), "barrier_height", 1.0)
@@ -174,8 +170,6 @@ class TestSweepConfig:
     def test_rejects_negative_separations(self):
         with pytest.raises(ConfigurationError, match=">= 0"):
             SweepConfig(small_scenario(), "separation_d", (-1.0,)).validate()
-        with pytest.raises(ConfigurationError, match=">= 0"):
-            SweepConfig(small_scenario(), "phase_k0d", (-1.0,)).validate()
         # carrier offsets may be negative
         SweepConfig(small_scenario(), "wavenumber_dk", (-0.5, 0.5)).validate()
 
@@ -184,11 +178,6 @@ class TestSweepConfig:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigurationError, match="must be finite"):
                 SweepConfig(small_scenario(), parameter, (1.0, bad)).validate()
-
-    def test_phase_sweep_needs_positive_carrier(self):
-        base = small_scenario(packet_wavenumber=0.0)
-        with pytest.raises(ConfigurationError, match="carrier"):
-            SweepConfig(base, "phase_k0d", (1.0,)).validate()
 
 
 class TestResultRowSerialization:
@@ -344,14 +333,26 @@ class TestRunScenario:
         base = small_scenario(barrier_amplitude_max=1e-8, lobe_sigmas=8.0)
         configs = [apply_sweep_parameter(base, "separation_d", d) for d in (0.0, 2.0, 4.0)]
         barrier = base.barrier()
-        states = evolve_pair_to_measurement(configs, barrier)
-        assert len(states) == 3
-        assert not any(isinstance(state, PairStatsError) for state in states)
-        for psi_a, psi_b, steps_done, leakage in states:
+        yielded = list(evolve_pair_to_measurement(configs, barrier))
+        assert sorted(i for i, _ in yielded) == [0, 1, 2]
+        assert not any(isinstance(state, PairStatsError) for _, state in yielded)
+        for _, (psi_a, psi_b, steps_done, leakage) in yielded:
             for psi in (psi_a, psi_b):
                 assert psi.t == pytest.approx(steps_done * base.dt, abs=1e-9)
                 assert measurement_ready(psi, barrier, base.boundary,
                                          base.barrier_amplitude_max, base.lobe_sigmas)
+
+    def test_each_pair_is_yielded_at_the_chunk_it_becomes_ready(self):
+        base = small_scenario()
+        values = (6.0, 0.0, 4.0, 2.0)
+        configs = [apply_sweep_parameter(base, "separation_d", d) for d in values]
+        yielded = [(i, state[2]) for i, state in
+                   evolve_pair_to_measurement(configs, base.barrier())]
+        assert yielded == [(1, 5800), (3, 6600), (2, 7400), (0, 8200)]
+        rows = sweep(SweepConfig(base, "separation_d", values))
+        assert [row.param for row in rows] == list(values)
+        assert [row.t_meas for row in rows] == [
+            pytest.approx(steps * base.dt) for steps in (8200, 5800, 7400, 6600)]
 
     def test_unready_stability_packets_are_refused(self):
         # launch states sitting on the barrier, re-measured one step later
@@ -488,6 +489,24 @@ class TestSweep:
         chunk_t = base.dt * base.check_every
         assert len(calls) == round(max(row.t_meas for row in rows) / chunk_t)
 
+    def test_holds_one_pair_at_a_time(self):
+        # each pair is measured and dropped before A flies on, so six
+        # values peak within two packets of one value
+        base = small_scenario()
+
+        def peak(values):
+            tracemalloc.start()
+            try:
+                sweep(SweepConfig(base, "separation_d", values))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak((5.0,))  # warm caches before measuring
+        one = peak((5.0,))
+        six = peak((0.0, 1.0, 2.0, 3.0, 4.0, 5.0))
+        assert six - one <= 2 * base.grid_points * 16
+
     def test_invalid_sweep_rejected_before_running(self):
         config = SweepConfig(small_scenario(), "height", (1.0,))
         with pytest.raises(ConfigurationError):
@@ -579,7 +598,6 @@ class TestDirectReference:
 
     @pytest.mark.parametrize("base, parameter, values", [
         (small_scenario(), "separation_d", (0.0, 1.37, 3.0)),
-        (small_scenario(), "phase_k0d", (17.0,)),
         # B composed from A at a wavenumber offset, here and at a stability time
         (small_scenario(separation=2.0, stability_fractions=(0.1,)), "wavenumber_dk", (-0.3, 0.5)),
         *[(small_scenario(separation=d, sign=sign, stability_fractions=(0.1,)), "wavenumber_dk",

@@ -25,7 +25,6 @@ from pairstats.grid import (
     half_line_overlap,
     inner_product,
     make_gaussian,
-    position_mean,
     position_std,
     probability_on_side,
     side_moments,
@@ -135,7 +134,8 @@ class TestMakeGaussian:
     def test_moments(self, grid):
         spec = WavepacketSpec(center=-5.0, wavenumber=8.0, sigma=1.5)
         psi = make_gaussian(grid, spec)
-        assert position_mean(psi) == pytest.approx(-5.0, abs=1e-10)
+        mean = np.sum(grid.x * np.abs(psi.values) ** 2) * grid.dx
+        assert mean == pytest.approx(-5.0, abs=1e-10)
         assert position_std(psi) == pytest.approx(1.5, abs=1e-8)
         spectrum = np.abs(np.fft.fft(psi.values)) ** 2
         assert np.sum(grid.k * spectrum) / np.sum(spectrum) == pytest.approx(8.0, abs=1e-10)

@@ -30,7 +30,6 @@ from pairstats.grid import (
     WavepacketSpec,
     Wavefunction,
     make_gaussian,
-    position_mean,
     position_std,
     probability_on_side,
 )
@@ -121,7 +120,8 @@ class TestFreeEvolution:
         result = evolve(psi, FREE, PropagationParams(dt=1e-3, steps=2000))
         out = result.psi
         assert out.t == pytest.approx(2.0)
-        assert position_mean(out) == pytest.approx(-12.0 + 2.0 * 2.0, abs=1e-8)
+        mean = np.sum(out.grid.x * np.abs(out.values) ** 2) * out.grid.dx
+        assert mean == pytest.approx(-12.0 + 2.0 * 2.0, abs=1e-8)
         expected = free_width(1.0, 2.0)  # sqrt(2)
         assert position_std(out) == pytest.approx(expected, rel=1e-8)
 
@@ -512,11 +512,11 @@ class TestCalibration:
     def test_rejects_bad_target_and_tol(self, grid):
         spec = WavepacketSpec(center=-10.0, wavenumber=8.0, sigma=1.0)
         with pytest.raises(ConfigurationError):
-            calibrate_barrier(grid, spec, width=0.5, target=0.0)
+            calibrate_barrier(grid, spec, width=0.5, target=0.0, tol=0.005)
         with pytest.raises(ConfigurationError):
-            calibrate_barrier(grid, spec, width=0.5, tol=0.0)
+            calibrate_barrier(grid, spec, width=0.5, target=0.5, tol=0.0)
         with pytest.raises(ConfigurationError, match="max_iterations"):
-            calibrate_barrier(grid, spec, width=0.5, max_iterations=0)
+            calibrate_barrier(grid, spec, width=0.5, target=0.5, tol=0.005, max_iterations=0)
 
     @pytest.mark.parametrize("max_iterations", [1, 2, 3])
     def test_budget_exhaustion_reports_history(self, grid, max_iterations):
@@ -788,4 +788,4 @@ class TestChunksThatNeverEnd:
         with pytest.raises(ConfigurationError, match=name):
             simulated_transmission(grid, CAL_SPEC, barrier, **run)
         with pytest.raises(ConfigurationError, match=name):
-            calibrate_barrier(grid, CAL_SPEC, width=0.5, **run)
+            calibrate_barrier(grid, CAL_SPEC, width=0.5, target=CAL_TARGET, tol=CAL_TOL, **run)
