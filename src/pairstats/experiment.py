@@ -46,6 +46,7 @@ from .propagator import (
     edge_amplitude,
     evolve,
     evolve_until_measured,
+    flight_progress,
     lobes_outgoing,
     measurement_ready,
 )
@@ -299,7 +300,8 @@ def evolve_pair_to_measurement(
     the leakage being A's peak edge amplitude so far and B's at launch.
     A PairStatsError is the outcome of the configs it concerns, yielded
     when it arises: a launch check ends one before the flight, an edge
-    error of A or the timeout all still running.  The flight stops at
+    error of A or the timeout all still running.  The timeout says how
+    far A got (`flight_progress`).  The flight stops at
     the chunk that takes the last config, and does not start when every
     config failed at launch.
     """
@@ -330,7 +332,8 @@ def evolve_pair_to_measurement(
             if chunk is None:
                 raise MeasurementTimeoutError(
                     f"packets did not clear the barrier within {config.max_steps} steps "
-                    f"(t = {config.max_steps * config.dt:.6g})"
+                    f"(t = {config.max_steps * config.dt:.6g}); "
+                    f"packet A: {flight_progress(psi_a, barrier, leakage)}"
                 )
             psi_a, ready, steps_done, leakage = chunk
             if not ready:
@@ -358,11 +361,20 @@ def _measure(
 
     The pair comes from `evolve_pair_to_measurement`, ready to measure.
     For a stability time A is evolved on and B composed from it again;
-    both packets must still be ready.  At a wavenumber offset B does not
+    both packets must still be ready.  The extension counts against
+    `max_steps`: a pair whose last stability time lies beyond it is
+    refused before any extension step.  At a wavenumber offset B does not
     keep pace with A, so B's own edge amplitude at these times, where
     the composition is exact, joins the leakage (mid-flight, while A is
     on the barrier, the composed B is not B and is not read).
     """
+    total = steps_done + int(round(max(config.stability_fractions, default=0.0) * steps_done))
+    if total > config.max_steps:
+        raise MeasurementTimeoutError(
+            f"stability extension would end at {total} steps, beyond max_steps "
+            f"{config.max_steps} (measured at {steps_done} steps)"
+        )
+
     def b_edge(psi: Wavefunction) -> float:
         return edge_amplitude(psi) if config.wavenumber_offset else 0.0
 

@@ -475,6 +475,17 @@ def evolve_until_measured(
         yield psi, ready, steps_done, leakage
 
 
+def flight_progress(psi: Wavefunction, barrier: BarrierPotential, leakage: float) -> str:
+    """How far a flight got, for its timeout message.
+
+    `psi` is the packet at the last chunk and `leakage` its peak edge
+    amplitude so far: a packet that never arrived holds nothing on the
+    barrier, one still draining holds its resonance there.
+    """
+    return (f"barrier amplitude {barrier_region_amplitude(psi, barrier):.3g} at the last chunk, "
+            f"peak edge amplitude {leakage:.3g}")
+
+
 def simulated_transmission(
     grid: Grid1D,
     spec: WavepacketSpec,
@@ -491,9 +502,10 @@ def simulated_transmission(
 
     T is the packet's probability right of `boundary` at the first ready
     chunk of `evolve_until_measured`.  Raises the flight's edge error,
-    or a CalibrationError when `max_steps` run out.
+    or a CalibrationError when `max_steps` run out, which says how far
+    the packet got (`flight_progress`).
     """
-    for psi, ready, *_ in evolve_until_measured(
+    for psi, ready, _, leakage in evolve_until_measured(
         make_gaussian(grid, spec), barrier, dt=dt, max_steps=max_steps,
         check_every=check_every, boundary=boundary, edge_amplitude_max=edge_amplitude_max,
         barrier_amplitude_max=barrier_amplitude_max, lobe_sigmas=lobe_sigmas,
@@ -502,7 +514,8 @@ def simulated_transmission(
             return probability_on_side(psi, "positive", boundary), psi.t
     raise CalibrationError(
         f"measurement criterion not met within {max_steps} steps "
-        f"(t = {max_steps * dt:.6g}) for barrier height {barrier.height:.6g}"
+        f"(t = {max_steps * dt:.6g}) for barrier height {barrier.height:.6g}; "
+        f"the packet: {flight_progress(psi, barrier, leakage)}"
     )
 
 

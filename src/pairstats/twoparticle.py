@@ -48,7 +48,7 @@ SUM_RULE_TOL = 1e-6
 PARTITION_TOL = 1e-12
 _NORM_TOL = 1e-6
 _ORACLE_MAX_POINTS = 4096
-_ORACLE_BLOCK = 32
+_ORACLE_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,8 +230,8 @@ def quadrant_quadrature_oracle(
     columns from the block's first row on.  The block's diagonal square
     counts once and the columns beyond it twice.  That is O(G^2 / 2)
     work and at most `_ORACLE_BLOCK` x G density values at a time, 24
-    bytes each while a block is built: at G = 4096 a 3.3 MB traced
-    peak and 0.07-0.10 s (2-core x86-64 host).  Refuses grids beyond
+    bytes each while a block is built: at G = 4096 a 1.0 MB traced
+    peak and 0.08-0.10 s (2-core x86-64 host).  Refuses grids beyond
     `max_points`.
     """
     grid = pair.psi_a.grid

@@ -8,6 +8,7 @@ seconds range; the production-size runs live in the acceptance tests.
 import io
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -303,6 +304,29 @@ class TestRunScenario:
         # the split is frozen after measurement; later reads must agree
         assert row.stability_a[0] == pytest.approx(row.a, abs=5e-3)
 
+    @pytest.mark.parametrize("max_steps", [10_500, 10_499])
+    def test_stability_extension_counts_against_max_steps(self, monkeypatch, max_steps):
+        # measured at 7000 steps, the fraction 0.5 takes the pair on to 10,500
+        extension = []
+        real_evolve = experiment.evolve
+
+        def spy(psi, barrier, params, *args, **kwargs):
+            extension.append(params.steps)
+            return real_evolve(psi, barrier, params, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "evolve", spy)
+        config = small_scenario(stability_fractions=(0.25, 0.5), max_steps=max_steps)
+        if max_steps >= 10_500:
+            row = run_scenario(config)
+            assert row.t_meas == pytest.approx(7000 * config.dt)
+            assert extension == [1750, 1750]
+        else:
+            with pytest.raises(MeasurementTimeoutError,
+                               match=r"end at 10500 steps, beyond max_steps 10499 "
+                                     r"\(measured at 7000 steps\)"):
+                run_scenario(config)
+            assert extension == []
+
     def test_returns_the_pair_measured_before_the_extension(self):
         config = small_scenario(stability_fractions=(0.2,))
         row, pair = run_resolved(config, param_value=config.separation)
@@ -405,19 +429,31 @@ class TestRunScenario:
 
 class TestSweep:
     def test_error_rows_recorded_not_raised(self):
+        # d = 3 is measured at 7000 steps, d = 6 would be at 8200
         config = SweepConfig(
-            base=small_scenario(sign=FERMION),
+            base=small_scenario(sign=FERMION, max_steps=7800),
             parameter="separation_d",
-            values=(0.0, 3.0),
+            values=(0.0, 3.0, 6.0),
         )
         rows = sweep(config)
-        assert len(rows) == 2
+        assert len(rows) == 3
         assert rows[0].param == 0.0
         assert not rows[0].valid
         assert "PauliDegeneracyError" in rows[0].error
         assert math.isnan(rows[0].a)
         assert rows[1].valid
         assert rows[1].error is None
+        assert not rows[2].valid and math.isnan(rows[2].a)
+        # the timeout says how far A got: drained off the barrier and clear
+        # of the box edges, so it is B that is late
+        found = re.fullmatch(
+            r"MeasurementTimeoutError: packets did not clear the barrier within 7800 steps "
+            r"\(t = 3\.9\); packet A: barrier amplitude (\S+) at the last chunk, "
+            r"peak edge amplitude (\S+)", rows[2].error)
+        assert found
+        on_barrier, edge = map(float, found.groups())
+        assert on_barrier <= propagator.COMPOSE_BARRIER_AMPLITUDE_MAX
+        assert 0.0 < edge <= config.base.edge_amplitude_max
 
     def test_rows_keep_requested_order(self):
         config = SweepConfig(

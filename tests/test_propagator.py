@@ -13,6 +13,7 @@ never by the code under test.
 """
 
 import math
+import re
 import signal
 
 import numpy as np
@@ -410,12 +411,20 @@ class TestSimulatedTransmission:
         spec = WavepacketSpec(center=-10.0, wavenumber=-8.0, sigma=1.0)
         barrier = BarrierPotential(8.0, 0.5)
         assert BARRIER_ACTIVATION_AMPLITUDE > 0
-        with pytest.raises(CalibrationError, match="not met"):
+        with pytest.raises(CalibrationError, match="not met") as caught:
             simulated_transmission(
                 grid, spec, barrier,
                 dt=5e-4, max_steps=400, check_every=100,
                 boundary=0.0, edge_amplitude_max=1e-6,
             )
+        # the error says how far the packet got: it never reached the
+        # barrier, and never the box edges
+        found = re.search(r"the packet: barrier amplitude (\S+) at the last chunk, "
+                          r"peak edge amplitude (\S+)$", str(caught.value))
+        assert found
+        on_barrier, edge = map(float, found.groups())
+        assert on_barrier < BARRIER_ACTIVATION_AMPLITUDE
+        assert edge <= 1e-6
 
 
 FAR_BOX = Grid1D(half_width=64.0, points=2048)
