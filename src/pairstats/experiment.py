@@ -24,10 +24,9 @@ from .errors import (
     ConfigurationError,
     MeasurementTimeoutError,
     PairStatsError,
-    PauliDegeneracyError,
     PrematureMeasurementError,
 )
-from .grid import Grid1D, WavepacketSpec, Wavefunction, inner_product, make_gaussian
+from .grid import Grid1D, WavepacketSpec, Wavefunction, make_gaussian
 from .occupancy import be_probability, classify_pair, fd_probability, mb_probability
 from .propagator import (
     COMPOSE_BARRIER_AMPLITUDE_MAX,
@@ -47,10 +46,9 @@ from .propagator import (
     evolve,
     evolve_until_measured,
     flight_progress,
-    lobes_outgoing,
     measurement_ready,
 )
-from .twoparticle import BOSON, FERMION, PAULI_GUARD, SymmetrizedPair, joint_probabilities, make_pair
+from .twoparticle import BOSON, FERMION, SymmetrizedPair, joint_probabilities, make_pair
 
 # classification tolerance for report labels; looser than the exact-point
 # default so a calibrated MB-limit row still reads "MB"
@@ -295,15 +293,19 @@ def evolve_pair_to_measurement(
     i's B is composed from A by `compose_b`.  It is taken at the first
     chunk where A is ready and, unless B is A, holds at most
     COMPOSE_BARRIER_AMPLITUDE_MAX on the barrier, and where B is
-    `measurement_ready` and `lobes_outgoing`: the outcome is
+    `measurement_ready` too: the outcome is
     `(psi_a, psi_b, steps_done, leakage)` at that chunk, yielded there,
     the leakage being A's peak edge amplitude so far and B's at launch.
     A PairStatsError is the outcome of the configs it concerns, yielded
-    when it arises: a launch check ends one before the flight, an edge
-    error of A or the timeout all still running.  The timeout says how
-    far A got (`flight_progress`).  The flight stops at
-    the chunk that takes the last config, and does not start when every
-    config failed at launch.
+    when it arises: a launch check (`validate`, then `make_pair` of the
+    launch states) ends one before the flight, an edge error of A or
+    the timeout all still running.  Each timeout says how far A got
+    (`flight_progress`) and, when A holds at most
+    COMPOSE_BARRIER_AMPLITUDE_MAX on the barrier there, how far the
+    config's own B got: B composed from A at that last chunk, its edge
+    amplitude the larger of that chunk's and its launch's.  The flight
+    stops at the chunk that takes the last config, and does not start
+    when every config failed at launch.
     """
     config = configs[0]
     spec_a = config.spec_a()
@@ -313,13 +315,7 @@ def evolve_pair_to_measurement(
         try:
             cfg.validate()
             psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
-            if cfg.sign == FERMION:
-                s0 = inner_product(psi_a, psi_b)
-                if not (1.0 - abs(s0) ** 2) > PAULI_GUARD:
-                    raise PauliDegeneracyError(
-                        f"antisymmetric pair degenerate at launch: 1 - |s|^2 = "
-                        f"{1.0 - abs(s0) ** 2:.3g} within the exclusion guard {PAULI_GUARD}"
-                    )
+            make_pair(psi_a, psi_b, cfg.sign)
         except PairStatsError as err:
             yield i, err
         else:
@@ -330,11 +326,7 @@ def evolve_pair_to_measurement(
         while running:
             chunk = next(flight, None)
             if chunk is None:
-                raise MeasurementTimeoutError(
-                    f"packets did not clear the barrier within {config.max_steps} steps "
-                    f"(t = {config.max_steps * config.dt:.6g}); "
-                    f"packet A: {flight_progress(psi_a, barrier, leakage)}"
-                )
+                break
             psi_a, ready, steps_done, leakage = chunk
             if not ready:
                 continue
@@ -344,13 +336,24 @@ def evolve_pair_to_measurement(
                 if not (drained or cfg.identical_packets()):
                     continue
                 psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
-                if (measurement_ready(psi_b, barrier, cfg.boundary, cfg.barrier_amplitude_max,
-                                      cfg.lobe_sigmas) and lobes_outgoing(psi_b, cfg.boundary)):
+                if measurement_ready(psi_b, barrier, cfg.boundary, cfg.barrier_amplitude_max,
+                                     cfg.lobe_sigmas):
                     del running[i]
                     yield i, (psi_a, psi_b, steps_done, max(leakage, launch_edge))
     except PairStatsError as err:
         for i in running:
             yield i, err
+        return
+    for i, launch_edge in running.items():  # the timeout
+        progress = f"packet A: {flight_progress(psi_a, barrier, leakage)}"
+        if barrier_region_amplitude(psi_a, barrier) <= COMPOSE_BARRIER_AMPLITUDE_MAX:
+            psi_b = compose_b(psi_a, spec_a, configs[i].separation, configs[i].wavenumber_offset)
+            b_leakage = max(launch_edge, edge_amplitude(psi_b))
+            progress += f"; packet B: {flight_progress(psi_b, barrier, b_leakage)}"
+        yield i, MeasurementTimeoutError(
+            f"packets did not clear the barrier within {config.max_steps} steps "
+            f"(t = {config.max_steps * config.dt:.6g}); {progress}"
+        )
 
 
 def _measure(
@@ -361,12 +364,14 @@ def _measure(
 
     The pair comes from `evolve_pair_to_measurement`, ready to measure.
     For a stability time A is evolved on and B composed from it again;
-    both packets must still be ready.  The extension counts against
-    `max_steps`: a pair whose last stability time lies beyond it is
-    refused before any extension step.  At a wavenumber offset B does not
-    keep pace with A, so B's own edge amplitude at these times, where
-    the composition is exact, joins the leakage (mid-flight, while A is
-    on the barrier, the composed B is not B and is not read).
+    both packets must still pass `measurement_ready` (a pair yet to
+    scatter fails it), or it raises PrematureMeasurementError.  The
+    extension counts against `max_steps`: a pair whose last stability
+    time lies beyond it is refused before any extension step.  At a
+    wavenumber offset B does not keep pace with A, so B's own edge
+    amplitude at these times, where the composition is exact, joins
+    the leakage (mid-flight, while A is on the barrier, the composed B
+    is not B and is not read).
     """
     total = steps_done + int(round(max(config.stability_fractions, default=0.0) * steps_done))
     if total > config.max_steps:

@@ -35,11 +35,6 @@ DEFAULT_BARRIER_AMPLITUDE_MAX = 1e-6
 DEFAULT_LOBE_SIGMAS = 5.0
 _MIN_LOBE_MASS = 1e-4
 
-# amplitude inside the barrier support that counts as "the packet is here";
-# evolve_until_measured waits for this before trusting the cleared-barrier criterion,
-# otherwise a packet that has not yet arrived already looks cleared
-BARRIER_ACTIVATION_AMPLITUDE = 1e-3
-
 # amplitude on the barrier support up to which evolve_until_measured lets a
 # packet that has not yet been stepped fly free: the barrier's phases then act
 # on rounding noise only, so the exact kinetic phase gives the Strang state
@@ -244,16 +239,16 @@ def measurement_ready(
     barrier_amplitude_max: float = DEFAULT_BARRIER_AMPLITUDE_MAX,
     lobe_sigmas: float = DEFAULT_LOBE_SIGMAS,
 ) -> bool:
-    """True once the packet has cleared the barrier region.
+    """True once the packet has scattered: off the barrier and only moving away.
 
-    Two conditions: amplitude inside the barrier support is below
-    `barrier_amplitude_max`, and on each side carrying noticeable mass
-    the lobe center sits at least `lobe_sigmas` measured lobe widths
-    away from the boundary.
-
-    A packet that never approached the barrier also satisfies both;
-    `evolve_until_measured` gates on BARRIER_ACTIVATION_AMPLITUDE having
-    been reached first to tell "cleared" from "not arrived yet".
+    Three conditions, cheapest first: amplitude inside the barrier
+    support is below `barrier_amplitude_max`; on each side carrying
+    noticeable mass the lobe center sits at least `lobe_sigmas`
+    measured lobe widths away from the boundary; and no noticeable mass
+    moves towards `boundary`, neither the right-moving part (k > 0)
+    left of it nor the left-moving part right of it (one FFT pair).
+    A packet that has not reached the barrier yet fails the last one,
+    so the test needs no memory of the flight.
     """
     if barrier_region_amplitude(psi, barrier) > barrier_amplitude_max:
         return False
@@ -263,14 +258,6 @@ def measurement_ready(
             continue
         if not abs(mean - boundary) >= lobe_sigmas * std:
             return False
-    return True
-
-
-def lobes_outgoing(psi: Wavefunction, boundary: float) -> bool:
-    """True when no noticeable mass moves towards `boundary` from either side.
-
-    B composed from a cleared A before B reached the barrier fails this.
-    """
     right = np.fft.ifft(np.fft.fft(psi.values) * (psi.grid.k > 0))
     i0 = psi.grid.split_index(boundary)
     inbound = np.sum(np.abs(right[:i0]) ** 2) + np.sum(np.abs(psi.values[i0:] - right[i0:]) ** 2)
@@ -432,11 +419,10 @@ def evolve_until_measured(
     and the barrier are checked at the first `next`, before anything
     flies.
 
-    The packet is ready once it has visited the barrier (reached
-    BARRIER_ACTIVATION_AMPLITUDE there at a chunk end) and passes
-    `measurement_ready` with the given thresholds.  After each chunk
-    it yields `(psi, ready, steps_done, leakage)`: the packet's state,
-    its ready flag, the steps taken since launch and its peak edge
+    The packet is ready when it passes `measurement_ready` with the
+    given thresholds, a test of the chunk's state alone.  After each
+    chunk it yields `(psi, ready, steps_done, leakage)`: the packet's
+    state, its ready flag, the steps taken since launch and its peak edge
     amplitude so far (at the chunk ends of the free flight, at every
     step after it).  It stops once `max_steps` run out; the caller
     measures the state it wants and stops asking.
@@ -447,7 +433,6 @@ def evolve_until_measured(
     grid = psi.grid
     PropagationParams(dt=dt, steps=check_every).validate_on(grid)
     barrier.validate_on(grid)
-    visited = False
     leakage = 0.0
     # the launch spectrum while the packet flies free, None once it is stepped
     free = np.fft.fft(psi.values) if _flies_free(psi, barrier, edge_amplitude_max) else None
@@ -468,10 +453,7 @@ def evolve_until_measured(
             result = evolve(psi, barrier, params, edge_amplitude_max)
             psi = result.psi
             leakage = max(leakage, result.max_edge_amplitude)
-            visited = visited or (barrier_region_amplitude(psi, barrier)
-                                  >= BARRIER_ACTIVATION_AMPLITUDE)
-        ready = visited and measurement_ready(psi, barrier, boundary, barrier_amplitude_max,
-                                              lobe_sigmas)
+        ready = measurement_ready(psi, barrier, boundary, barrier_amplitude_max, lobe_sigmas)
         yield psi, ready, steps_done, leakage
 
 
@@ -480,7 +462,8 @@ def flight_progress(psi: Wavefunction, barrier: BarrierPotential, leakage: float
 
     `psi` is the packet at the last chunk and `leakage` its peak edge
     amplitude so far: a packet that never arrived holds nothing on the
-    barrier, one still draining holds its resonance there.
+    barrier, one still draining holds its resonance there.  The pair
+    driver also reads packet B with it, B composed from A at that chunk.
     """
     return (f"barrier amplitude {barrier_region_amplitude(psi, barrier):.3g} at the last chunk, "
             f"peak edge amplitude {leakage:.3g}")
@@ -498,15 +481,24 @@ def simulated_transmission(
     barrier_amplitude_max: float = DEFAULT_BARRIER_AMPLITUDE_MAX,
     lobe_sigmas: float = DEFAULT_LOBE_SIGMAS,
 ) -> tuple[float, float]:
-    """Fly the packet until it has visited and cleared the barrier; return (T, t_meas).
+    """Fly the packet until it has scattered off the barrier; return (T, t_meas).
 
     T is the packet's probability right of `boundary` at the first ready
-    chunk of `evolve_until_measured`.  Raises the flight's edge error,
-    or a CalibrationError when `max_steps` run out, which says how far
-    the packet got (`flight_progress`).
+    chunk of `evolve_until_measured`.  A launch state that already
+    passes `measurement_ready` has nothing to scatter and raises a
+    ConfigurationError before any step.  Otherwise raises the flight's
+    edge error, or a CalibrationError when `max_steps` run out, which
+    says how far the packet got (`flight_progress`).
     """
+    psi = make_gaussian(grid, spec)
+    if measurement_ready(psi, barrier, boundary, barrier_amplitude_max, lobe_sigmas):
+        raise ConfigurationError(
+            f"packet launched at {spec.center} with wavenumber {spec.wavenumber} is ready to "
+            f"measure before it flies: nothing of it is on the barrier or moves towards the "
+            f"boundary at {boundary}, so it has nothing to scatter"
+        )
     for psi, ready, _, leakage in evolve_until_measured(
-        make_gaussian(grid, spec), barrier, dt=dt, max_steps=max_steps,
+        psi, barrier, dt=dt, max_steps=max_steps,
         check_every=check_every, boundary=boundary, edge_amplitude_max=edge_amplitude_max,
         barrier_amplitude_max=barrier_amplitude_max, lobe_sigmas=lobe_sigmas,
     ):

@@ -388,6 +388,16 @@ class TestRunScenario:
         with pytest.raises(PrematureMeasurementError, match="packet A has not cleared"):
             experiment._measure(config, barrier, 0.0, psi_a, psi_b, 10, 0.0)
 
+    def test_pair_yet_to_scatter_is_refused_at_its_stability_time(self):
+        # launch states far left of the barrier and moving right, 200 steps
+        # on: off the barrier and far from the boundary, but still inbound
+        config = small_scenario(packet_center=-30.0, stability_fractions=(0.1,))
+        spec_a = config.spec_a()
+        psi_a = make_gaussian(config.grid(), spec_a)
+        psi_b = propagator.compose_b(psi_a, spec_a, config.separation, 0.0)
+        with pytest.raises(PrematureMeasurementError, match="packet A has not cleared"):
+            experiment._measure(config, config.barrier(), 3.0, psi_a, psi_b, 2000, 0.0)
+
     def test_b_launched_at_the_box_edge_is_measured_after_it_scatters_and_invalid(self):
         # B starts 6.05 sigma from the left edge: its launch tail already
         # exceeds edge_amplitude_max there, and it reaches the barrier at
@@ -422,8 +432,12 @@ class TestRunScenario:
         with pytest.raises(MeasurementTimeoutError):
             run_scenario(small_scenario(max_steps=400))
 
-    def test_fermion_coincident_launch_is_degenerate(self):
-        with pytest.raises(PauliDegeneracyError):
+    def test_fermion_coincident_launch_is_degenerate(self, monkeypatch):
+        def no_flight(*_, **__):
+            raise AssertionError("flew a pair refused at launch")
+
+        monkeypatch.setattr(propagator, "evolve", no_flight)
+        with pytest.raises(PauliDegeneracyError, match="degenerate"):
             run_scenario(small_scenario(sign=FERMION, separation=0.0))
 
 
@@ -445,15 +459,19 @@ class TestSweep:
         assert rows[1].error is None
         assert not rows[2].valid and math.isnan(rows[2].a)
         # the timeout says how far A got: drained off the barrier and clear
-        # of the box edges, so it is B that is late
+        # of the box edges, so it is B that is late, and so it says how far
+        # B got: still on the barrier
         found = re.fullmatch(
             r"MeasurementTimeoutError: packets did not clear the barrier within 7800 steps "
             r"\(t = 3\.9\); packet A: barrier amplitude (\S+) at the last chunk, "
+            r"peak edge amplitude (\S+); packet B: barrier amplitude (\S+) at the last chunk, "
             r"peak edge amplitude (\S+)", rows[2].error)
         assert found
-        on_barrier, edge = map(float, found.groups())
+        on_barrier, edge, b_on_barrier, b_edge = map(float, found.groups())
         assert on_barrier <= propagator.COMPOSE_BARRIER_AMPLITUDE_MAX
         assert 0.0 < edge <= config.base.edge_amplitude_max
+        assert b_on_barrier > config.base.barrier_amplitude_max
+        assert 0.0 < b_edge <= config.base.edge_amplitude_max
 
     def test_rows_keep_requested_order(self):
         config = SweepConfig(

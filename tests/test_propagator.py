@@ -18,6 +18,8 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairstats import propagator
 from pairstats.errors import (
@@ -35,7 +37,6 @@ from pairstats.grid import (
     probability_on_side,
 )
 from pairstats.propagator import (
-    BARRIER_ACTIVATION_AMPLITUDE,
     _analytic_seed,
     BarrierPotential,
     PropagationParams,
@@ -346,28 +347,44 @@ class TestPacketTransmission:
 
 
 class TestMeasurementReadiness:
-    def test_far_packet_is_ready(self, grid):
-        psi = make_gaussian(grid, WavepacketSpec(-10.0, 8.0, 1.0))
+    # the packets below move left, away from the boundary, unless a test
+    # says otherwise: nothing of them is inbound
+
+    def test_far_packet_is_ready_only_once_it_moves_away(self, grid):
         barrier = BarrierPotential(8.0, 0.5)
-        assert barrier_region_amplitude(psi, barrier) < 1e-10
-        assert measurement_ready(psi, barrier)
+        leaving = make_gaussian(grid, WavepacketSpec(-10.0, -8.0, 1.0))
+        assert barrier_region_amplitude(leaving, barrier) < 1e-10
+        assert measurement_ready(leaving, barrier)
+        # the same packet moving in has yet to scatter
+        assert not measurement_ready(make_gaussian(grid, WavepacketSpec(-10.0, 8.0, 1.0)), barrier)
+
+    @settings(deadline=None, database=None)
+    @given(sigma=st.floats(0.5, 2.0), k0=st.floats(4.0, 12.0), place=st.floats(0.0, 0.99))
+    def test_approaching_packet_is_never_ready(self, sigma, k0, place):
+        # on the small_scenario box, launched anywhere from 6 sigma left of
+        # the barrier to 6 sigma from the box edge: clear of the barrier, its
+        # lobe far from the boundary, and all of it still to scatter
+        near = FAR_BARRIER.support[0] - 6.0 * sigma
+        far = -FAR_BOX.half_width + 6.0 * sigma
+        psi = make_gaussian(FAR_BOX, WavepacketSpec(near + place * (far - near), k0, sigma))
+        assert not measurement_ready(psi, FAR_BARRIER)
 
     def test_lobe_too_close_to_boundary(self, grid):
         # barrier far away so only the lobe condition is in play
-        psi = make_gaussian(grid, WavepacketSpec(-3.0, 8.0, 1.0))
+        psi = make_gaussian(grid, WavepacketSpec(-3.0, -8.0, 1.0))
         barrier = BarrierPotential(8.0, 0.5, center=20.0)
         # 3 < 5 sigma: not separated yet even though the barrier is quiet
         assert barrier_region_amplitude(psi, barrier) < 1e-6
         assert not measurement_ready(psi, barrier)
 
     def test_amplitude_in_barrier_blocks_measurement(self, grid):
-        psi = make_gaussian(grid, WavepacketSpec(-10.0, 8.0, 1.0))
+        psi = make_gaussian(grid, WavepacketSpec(-10.0, -8.0, 1.0))
         barrier = BarrierPotential(8.0, 22.0)  # support reaches the packet
         assert barrier_region_amplitude(psi, barrier) > 1e-3
         assert not measurement_ready(psi, barrier)
 
     def test_threshold_is_configurable(self, grid):
-        psi = make_gaussian(grid, WavepacketSpec(-7.0, 8.0, 1.0))
+        psi = make_gaussian(grid, WavepacketSpec(-7.0, -8.0, 1.0))
         barrier = BarrierPotential(8.0, 4.0)
         amp = barrier_region_amplitude(psi, barrier)
         assert not measurement_ready(psi, barrier, barrier_amplitude_max=amp / 2.0)
@@ -376,7 +393,7 @@ class TestMeasurementReadiness:
     def test_lobe_sigmas_is_configurable(self, grid):
         # sigma = 0.8 keeps the clipped far-side tail under the lobe-mass
         # floor, so only the near lobe decides readiness
-        psi = make_gaussian(grid, WavepacketSpec(-3.5, 8.0, 0.8))
+        psi = make_gaussian(grid, WavepacketSpec(-3.5, -8.0, 0.8))
         barrier = BarrierPotential(8.0, 0.5, center=20.0)
         assert not measurement_ready(psi, barrier, lobe_sigmas=5.0)
         assert measurement_ready(psi, barrier, lobe_sigmas=3.0)
@@ -405,12 +422,25 @@ class TestSimulatedTransmission:
         )
         assert 0.0 < t_sim < 1.0
 
-    def test_never_arriving_packet_times_out(self, grid):
-        # moving away from the barrier: the visited gate must keep the
-        # run from declaring an instant (and empty) measurement
+    def test_packet_moving_away_is_refused_at_launch(self, grid, monkeypatch):
+        # it is ready to measure before it flies, with nothing to scatter:
+        # refused before any step rather than measured at once
         spec = WavepacketSpec(center=-10.0, wavenumber=-8.0, sigma=1.0)
         barrier = BarrierPotential(8.0, 0.5)
-        assert BARRIER_ACTIVATION_AMPLITUDE > 0
+        calls = []
+        monkeypatch.setattr(propagator, "evolve", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ConfigurationError, match="nothing to scatter"):
+            simulated_transmission(
+                grid, spec, barrier,
+                dt=5e-4, max_steps=400, check_every=100,
+                boundary=0.0, edge_amplitude_max=1e-6,
+            )
+        assert calls == []
+
+    def test_never_arriving_packet_times_out(self, grid):
+        # approaching, but 400 steps take it 1.6 of the 10 to the barrier
+        spec = WavepacketSpec(center=-10.0, wavenumber=8.0, sigma=1.0)
+        barrier = BarrierPotential(8.0, 0.5)
         with pytest.raises(CalibrationError, match="not met") as caught:
             simulated_transmission(
                 grid, spec, barrier,
@@ -423,7 +453,7 @@ class TestSimulatedTransmission:
                           r"peak edge amplitude (\S+)$", str(caught.value))
         assert found
         on_barrier, edge = map(float, found.groups())
-        assert on_barrier < BARRIER_ACTIVATION_AMPLITUDE
+        assert on_barrier < 1e-3
         assert edge <= 1e-6
 
 
@@ -433,12 +463,17 @@ FAR_RUN = dict(dt=5e-4, max_steps=12_000, check_every=200, boundary=0.0, edge_am
 
 
 def stepped_flight(grid, spec, barrier, dt, max_steps, check_every, boundary, edge_amplitude_max):
-    """(T, t_meas) of a packet stepped from launch in plain chunked `evolve` calls."""
+    """(T, t_meas) of a packet stepped from launch in plain chunked `evolve` calls.
+
+    Measured at the first chunk that passes `measurement_ready` once the
+    packet has reached 1e-3 on the barrier at some chunk: a gate that
+    remembers the flight, which the stateless test has to agree with.
+    """
     psi = make_gaussian(grid, spec)
     visited = False
     for _ in range(max_steps // check_every):
         psi = evolve(psi, barrier, PropagationParams(dt, check_every), edge_amplitude_max).psi
-        visited = visited or barrier_region_amplitude(psi, barrier) >= BARRIER_ACTIVATION_AMPLITUDE
+        visited = visited or barrier_region_amplitude(psi, barrier) >= 1e-3
         if visited and measurement_ready(psi, barrier, boundary):
             return probability_on_side(psi, "positive", boundary), psi.t
     raise AssertionError("the stepped flight was never measured")
@@ -477,14 +512,21 @@ class TestFreeFlightBeforeTheBarrier:
 
     def test_edge_error_after_a_free_flight_reads_as_a_stepped_flight(self):
         # launched left, away from the barrier, the packet flies free until
-        # the chunk in which it runs into the left edge at t ~ 1.1
+        # the chunk in which it runs into the left edge at t ~ 1.1; it is
+        # ready at every chunk before, and the flight is driven past them
         grid = Grid1D(half_width=64.0, points=2048)
         spec = WavepacketSpec(center=-20.0, wavenumber=-32.0, sigma=1.0)
         barrier = BarrierPotential(26.787825, 0.5)
         run = dict(dt=5e-4, max_steps=12_000, check_every=200, boundary=0.0,
                    edge_amplitude_max=1e-6)
+        readies = []
         with pytest.raises(BoundaryContaminationError) as driven:
-            simulated_transmission(grid, spec, barrier, **run)
+            for _, ready, _, _ in evolve_until_measured(
+                make_gaussian(grid, spec), barrier, **run,
+                barrier_amplitude_max=1e-6, lobe_sigmas=5.0,
+            ):
+                readies.append(ready)
+        assert readies and all(readies)
         psi = make_gaussian(grid, spec)
         with pytest.raises(BoundaryContaminationError) as stepped:
             while True:
