@@ -297,15 +297,13 @@ def evolve_pair_to_measurement(
     `(psi_a, psi_b, steps_done, leakage)` at that chunk, yielded there,
     the leakage being A's peak edge amplitude so far and B's at launch.
     A PairStatsError is the outcome of the configs it concerns, yielded
-    when it arises: a launch check (`validate`, then `make_pair` of the
-    launch states) ends one before the flight, an edge error of A or
-    the timeout all still running.  Each timeout says how far A got
-    (`flight_progress`) and, when A holds at most
-    COMPOSE_BARRIER_AMPLITUDE_MAX on the barrier there, how far the
-    config's own B got: B composed from A at that last chunk, its edge
-    amplitude the larger of that chunk's and its launch's.  The flight
-    stops at the chunk that takes the last config, and does not start
-    when every config failed at launch.
+    when it arises: a launch check (`validate`, `make_pair`) ends one
+    before the flight, an edge error of A or the timeout all still
+    running.  Each timeout says how far A got (`flight_progress`) and,
+    when B is not A and A has drained off the barrier, how far B got,
+    composed at that last chunk.  The flight stops at the chunk that
+    takes the last config, and does not start when every config failed
+    at launch.
     """
     config = configs[0]
     spec_a = config.spec_a()
@@ -321,13 +319,11 @@ def evolve_pair_to_measurement(
         else:
             running[i] = edge_amplitude(psi_b)
 
-    flight = evolve_until_measured(psi_a, barrier, **config.loop_settings())
+    if not running:
+        return
     try:
-        while running:
-            chunk = next(flight, None)
-            if chunk is None:
-                break
-            psi_a, ready, steps_done, leakage = chunk
+        for psi_a, ready, steps_done, leakage in evolve_until_measured(
+                psi_a, barrier, **config.loop_settings()):
             if not ready:
                 continue
             drained = barrier_region_amplitude(psi_a, barrier) <= COMPOSE_BARRIER_AMPLITUDE_MAX
@@ -340,14 +336,20 @@ def evolve_pair_to_measurement(
                                      cfg.lobe_sigmas):
                     del running[i]
                     yield i, (psi_a, psi_b, steps_done, max(leakage, launch_edge))
+            if not running:
+                return
     except PairStatsError as err:
         for i in running:
             yield i, err
         return
-    for i, launch_edge in running.items():  # the timeout
-        progress = f"packet A: {flight_progress(psi_a, barrier, leakage)}"
-        if barrier_region_amplitude(psi_a, barrier) <= COMPOSE_BARRIER_AMPLITUDE_MAX:
-            psi_b = compose_b(psi_a, spec_a, configs[i].separation, configs[i].wavenumber_offset)
+    # the timeout
+    drained = barrier_region_amplitude(psi_a, barrier) <= COMPOSE_BARRIER_AMPLITUDE_MAX
+    progress_a = f"packet A: {flight_progress(psi_a, barrier, leakage)}"
+    for i, launch_edge in running.items():
+        cfg = configs[i]
+        progress = progress_a
+        if drained and not cfg.identical_packets():
+            psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
             b_leakage = max(launch_edge, edge_amplitude(psi_b))
             progress += f"; packet B: {flight_progress(psi_b, barrier, b_leakage)}"
         yield i, MeasurementTimeoutError(
@@ -364,14 +366,13 @@ def _measure(
 
     The pair comes from `evolve_pair_to_measurement`, ready to measure.
     For a stability time A is evolved on and B composed from it again;
-    both packets must still pass `measurement_ready` (a pair yet to
-    scatter fails it), or it raises PrematureMeasurementError.  The
-    extension counts against `max_steps`: a pair whose last stability
-    time lies beyond it is refused before any extension step.  At a
-    wavenumber offset B does not keep pace with A, so B's own edge
-    amplitude at these times, where the composition is exact, joins
-    the leakage (mid-flight, while A is on the barrier, the composed B
-    is not B and is not read).
+    both packets must still pass `measurement_ready`, which a pair yet
+    to scatter fails.  The extension counts against `max_steps`: a pair
+    whose last stability time lies beyond it is refused before any
+    extension step.  At a wavenumber offset B does not keep pace with A,
+    so B's own edge amplitude at these times, where the composition is
+    exact, joins the leakage (mid-flight, while A is on the barrier, the
+    composed B is not B and is not read).
     """
     total = steps_done + int(round(max(config.stability_fractions, default=0.0) * steps_done))
     if total > config.max_steps:

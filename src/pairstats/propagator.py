@@ -245,10 +245,8 @@ def measurement_ready(
     support is below `barrier_amplitude_max`; on each side carrying
     noticeable mass the lobe center sits at least `lobe_sigmas`
     measured lobe widths away from the boundary; and no noticeable mass
-    moves towards `boundary`, neither the right-moving part (k > 0)
-    left of it nor the left-moving part right of it (one FFT pair).
-    A packet that has not reached the barrier yet fails the last one,
-    so the test needs no memory of the flight.
+    moves towards the barrier or the boundary (one FFT pair), which a
+    packet yet to scatter fails wherever the boundary lies.
     """
     if barrier_region_amplitude(psi, barrier) > barrier_amplitude_max:
         return False
@@ -259,8 +257,10 @@ def measurement_ready(
         if not abs(mean - boundary) >= lobe_sigmas * std:
             return False
     right = np.fft.ifft(np.fft.fft(psi.values) * (psi.grid.k > 0))
-    i0 = psi.grid.split_index(boundary)
-    inbound = np.sum(np.abs(right[:i0]) ** 2) + np.sum(np.abs(psi.values[i0:] - right[i0:]) ** 2)
+    i_right = psi.grid.split_index(max(boundary, barrier.center))
+    i_left = psi.grid.split_index(min(boundary, barrier.center))
+    inbound = (np.sum(np.abs(right[:i_right]) ** 2)
+               + np.sum(np.abs(psi.values[i_left:] - right[i_left:]) ** 2))
     return bool(inbound * psi.grid.dx < _MIN_LOBE_MASS)
 
 
@@ -462,8 +462,8 @@ def flight_progress(psi: Wavefunction, barrier: BarrierPotential, leakage: float
 
     `psi` is the packet at the last chunk and `leakage` its peak edge
     amplitude so far: a packet that never arrived holds nothing on the
-    barrier, one still draining holds its resonance there.  The pair
-    driver also reads packet B with it, B composed from A at that chunk.
+    barrier, one still draining holds its resonance there.  Also read
+    on packet B composed from A at that chunk.
     """
     return (f"barrier amplitude {barrier_region_amplitude(psi, barrier):.3g} at the last chunk, "
             f"peak edge amplitude {leakage:.3g}")
@@ -485,18 +485,15 @@ def simulated_transmission(
 
     T is the packet's probability right of `boundary` at the first ready
     chunk of `evolve_until_measured`.  A launch state that already
-    passes `measurement_ready` has nothing to scatter and raises a
-    ConfigurationError before any step.  Otherwise raises the flight's
-    edge error, or a CalibrationError when `max_steps` run out, which
-    says how far the packet got (`flight_progress`).
+    passes `measurement_ready` has nothing to scatter: ConfigurationError
+    before any step.  Otherwise raises the flight's edge error, or a
+    CalibrationError when `max_steps` run out, which says how far the
+    packet got (`flight_progress`).
     """
     psi = make_gaussian(grid, spec)
     if measurement_ready(psi, barrier, boundary, barrier_amplitude_max, lobe_sigmas):
-        raise ConfigurationError(
-            f"packet launched at {spec.center} with wavenumber {spec.wavenumber} is ready to "
-            f"measure before it flies: nothing of it is on the barrier or moves towards the "
-            f"boundary at {boundary}, so it has nothing to scatter"
-        )
+        raise ConfigurationError(f"packet launched at {spec.center} with wavenumber "
+                                 f"{spec.wavenumber} is ready before it flies: nothing to scatter")
     for psi, ready, _, leakage in evolve_until_measured(
         psi, barrier, dt=dt, max_steps=max_steps,
         check_every=check_every, boundary=boundary, edge_amplitude_max=edge_amplitude_max,

@@ -432,6 +432,16 @@ class TestRunScenario:
         with pytest.raises(MeasurementTimeoutError):
             run_scenario(small_scenario(max_steps=400))
 
+    def test_identical_pair_timeout_names_packet_a_once(self):
+        # at 5600 steps A holds 1.1e-6 on the barrier: drained enough to
+        # compose B from, not yet ready, and B is A
+        with pytest.raises(MeasurementTimeoutError) as caught:
+            run_scenario(small_scenario(separation=0.0, max_steps=5600))
+        assert re.fullmatch(
+            r"packets did not clear the barrier within 5600 steps \(t = 2\.8\); "
+            r"packet A: barrier amplitude \S+ at the last chunk, peak edge amplitude \S+",
+            str(caught.value))
+
     def test_fermion_coincident_launch_is_degenerate(self, monkeypatch):
         def no_flight(*_, **__):
             raise AssertionError("flew a pair refused at launch")

@@ -18,8 +18,6 @@ import signal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pairstats import propagator
 from pairstats.errors import (
@@ -358,16 +356,31 @@ class TestMeasurementReadiness:
         # the same packet moving in has yet to scatter
         assert not measurement_ready(make_gaussian(grid, WavepacketSpec(-10.0, 8.0, 1.0)), barrier)
 
-    @settings(deadline=None, database=None)
-    @given(sigma=st.floats(0.5, 2.0), k0=st.floats(4.0, 12.0), place=st.floats(0.0, 0.99))
-    def test_approaching_packet_is_never_ready(self, sigma, k0, place):
-        # on the small_scenario box, launched anywhere from 6 sigma left of
-        # the barrier to 6 sigma from the box edge: clear of the barrier, its
-        # lobe far from the boundary, and all of it still to scatter
-        near = FAR_BARRIER.support[0] - 6.0 * sigma
-        far = -FAR_BOX.half_width + 6.0 * sigma
-        psi = make_gaussian(FAR_BOX, WavepacketSpec(near + place * (far - near), k0, sigma))
-        assert not measurement_ready(psi, FAR_BARRIER)
+    @pytest.mark.parametrize("sigma, k0, center", [
+        # the corners of sigma in [0.5, 2], k0 in [4, 12] and a launch from
+        # 6 sigma left of the barrier to just over 6 sigma from the box edge
+        *[(sigma, k0, center)
+          for sigma, centers in ((0.5, (-3.25, -60.5)), (2.0, (-12.25, -51.5)))
+          for k0 in (4.0, 12.0) for center in centers],
+        (1.0, 4.0, -32.1),
+    ])
+    def test_approaching_packet_is_never_ready(self, sigma, k0, center):
+        # on the small_scenario box (G = 2048, L = 64): its lobe far from the
+        # boundary and all of it still to scatter
+        psi = make_gaussian(Grid1D(half_width=64.0, points=2048),
+                            WavepacketSpec(center, k0, sigma))
+        assert not measurement_ready(psi, BarrierPotential(26.787825, 0.5))
+
+    @pytest.mark.parametrize("center, launch", [(15.0, 6.0), (-15.0, -6.0)])
+    def test_packet_between_boundary_and_barrier_is_not_ready(self, center, launch):
+        # past the boundary, far from it and quiet on the barrier, but heading
+        # for the barrier: only the inbound test holds it back
+        barrier = BarrierPotential(26.787825, 0.5, center)
+        k0 = math.copysign(8.0, launch)
+        psi = make_gaussian(Grid1D(half_width=64.0, points=2048), WavepacketSpec(launch, k0, 1.0))
+        assert barrier_region_amplitude(psi, barrier) < 1e-6
+        assert measurement_ready(psi, BarrierPotential(26.787825, 0.5, -center))
+        assert not measurement_ready(psi, barrier)
 
     def test_lobe_too_close_to_boundary(self, grid):
         # barrier far away so only the lobe condition is in play
@@ -486,6 +499,20 @@ class TestFreeFlightBeforeTheBarrier:
         t_ref, t_meas_ref = stepped_flight(FAR_BOX, spec, FAR_BARRIER, **FAR_RUN)
         assert t_meas == t_meas_ref
         assert abs(t_sim - t_ref) <= 1e-12
+
+    def test_boundary_left_of_the_barrier_waits_for_the_scattering(self):
+        # the packet is past the boundary and clear of it at t ~ 1.3, long
+        # before it reaches the barrier at x = 20; it is measured once its
+        # reflected lobe is back past the boundary, where the split at the
+        # boundary is the split at the barrier
+        box = Grid1D(half_width=128.0, points=4096)
+        spec = WavepacketSpec(center=-4.0, wavenumber=8.0, sigma=1.0)
+        barrier = BarrierPotential(26.787825, 0.5, 20.0)
+        run = dict(dt=5e-4, max_steps=30_000, check_every=200, edge_amplitude_max=1e-6)
+        t_sim, t_meas = simulated_transmission(box, spec, barrier, boundary=0.0, **run)
+        t_ref, t_meas_ref = simulated_transmission(box, spec, barrier, boundary=20.0, **run)
+        assert t_meas > t_meas_ref
+        assert abs(t_sim - t_ref) <= 1e-5
 
     @pytest.mark.parametrize("center, first_stepped", [
         (-20.0, 0.9),  # nothing but rounding noise on the barrier until t = 0.9
