@@ -51,8 +51,6 @@ def transmission_check():
         dt=2e-4,
         max_steps=40_000,
         check_every=200,
-        boundary=0.0,
-        edge_amplitude_max=1e-6,
     )
     dev = abs(transmission - averaged) / averaged
     print(f"  simulated on the grid:     T = {transmission:.6f}")

@@ -120,7 +120,10 @@ def _scenario_from_args(args) -> tuple[ScenarioConfig, Optional[dict]]:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigurationError(f"cannot use {out} as the output directory: {err}") from err
     return out
 
 
@@ -205,6 +208,7 @@ def cmd_occupancy(args) -> int:
 def cmd_calibrate(args) -> int:
     config, _ = _scenario_from_args(args)
     config.validate()
+    out = _out_dir(args) / "calibration.json"
     if config.barrier_height is None:
         _say(args, f"calibrating barrier width {config.barrier_width} "
                    f"to T = {config.calibration_target} +- {config.calibration_tol}")
@@ -226,7 +230,6 @@ def cmd_calibrate(args) -> int:
     }
     if calibration is not None:
         report["calibration"] = calibration_record(config, calibration)
-    out = _out_dir(args) / "calibration.json"
     with open(out, "w", encoding="utf-8") as handle:
         write_summary_json(report, handle)
     print(
@@ -240,12 +243,13 @@ def cmd_run(args) -> int:
     config, _ = _scenario_from_args(args)
     if args.oracle:
         check_oracle_budget(config.grid_points)
+    config.validate()
+    out = _out_dir(args)
     resolved, calibration = _resolve_barrier(args, config)
     if calibration is not None:
         _say(args, f"calibrated barrier height {resolved.barrier_height:.10g} "
                    f"(T = {calibration.transmission:.6f})")
     row, pair = run_resolved(resolved, param_value=resolved.separation)
-    out = _out_dir(args)
     with open(out / "run.csv", "w", encoding="utf-8", newline="") as handle:
         rows_to_csv([row], handle)
     summary = summary_dict("run", resolved, [row], calibration=calibration)
@@ -255,7 +259,7 @@ def cmd_run(args) -> int:
     for line in compare_with_counting(row).lines():
         print(line)
     if args.oracle:
-        quad = quadrant_quadrature_oracle(pair, resolved.boundary)
+        quad = quadrant_quadrature_oracle(pair, resolved.barrier_center)
         delta = max(
             abs(quad.p20 - row.p20), abs(quad.p02 - row.p02), abs(quad.p11 - row.p11)
         )
@@ -274,12 +278,12 @@ def cmd_sweep(args) -> int:
         raise ConfigurationError(f"config file {args.config} has no [sweep] section")
     sweep_config = SweepConfig(base=base, **sweep_block)
     sweep_config.validate()
+    out = _out_dir(args)
     resolved_base, calibration = _resolve_barrier(args, base)
     if calibration is not None:
         _say(args, f"calibrated barrier height {resolved_base.barrier_height:.10g} "
                    f"(T = {calibration.transmission:.6f})")
     rows = sweep(replace(sweep_config, base=resolved_base))
-    out = _out_dir(args)
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as handle:
         rows_to_csv(rows, handle)
     summary = summary_dict(
@@ -315,7 +319,7 @@ def cmd_density(args) -> int:
     out = _out_dir(args)
     path = out / f"density_{args.which}.csv"
     if args.evolved:
-        resolved, _ = resolve_barrier(config)
+        resolved, _ = _resolve_barrier(args, config)
         ((_, outcome),) = evolve_pair_to_measurement([resolved], resolved.barrier())
         if isinstance(outcome, PairStatsError):
             raise outcome

@@ -33,8 +33,7 @@ from .propagator import (
     COMPOSE_LOSS_MAX,
     COMPOSE_SPECTRUM_CUT,
     DEFAULT_BARRIER_AMPLITUDE_MAX,
-    DEFAULT_EDGE_AMPLITUDE_MAX,
-    DEFAULT_LOBE_SIGMAS,
+    EDGE_AMPLITUDE_MAX,
     BarrierPotential,
     CalibrationResult,
     PropagationParams,
@@ -47,12 +46,15 @@ from .propagator import (
     evolve_until_measured,
     flight_progress,
     measurement_ready,
+    unready_reason,
 )
 from .twoparticle import BOSON, FERMION, SymmetrizedPair, joint_probabilities, make_pair
 
 # classification tolerance for report labels; looser than the exact-point
 # default so a calibrated MB-limit row still reads "MB"
 CLASSIFY_TOL = 0.005
+
+NORM_DRIFT_MAX = 1e-8  # largest drift of either packet's norm from 1 in a valid row
 
 SWEEP_PARAMETERS = ("separation_d", "wavenumber_dk")
 
@@ -62,7 +64,7 @@ _SIGN_VALUES = {"boson": BOSON, "fermion": FERMION}
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete recipe for one two-packet barrier run."""
+    """Complete recipe for one two-packet barrier run, split at `barrier_center` to measure."""
 
     # grid
     grid_half_width: float
@@ -86,11 +88,7 @@ class ScenarioConfig:
     max_steps: int = 60_000
     check_every: int = 200
     # measurement
-    boundary: float = 0.0
     barrier_amplitude_max: float = DEFAULT_BARRIER_AMPLITUDE_MAX
-    edge_amplitude_max: float = DEFAULT_EDGE_AMPLITUDE_MAX
-    lobe_sigmas: float = DEFAULT_LOBE_SIGMAS
-    norm_drift_max: float = 1e-8
     # extra measurement times t_meas * (1 + f), recorded per row as stability_a
     stability_fractions: tuple[float, ...] = ()
 
@@ -125,10 +123,8 @@ class ScenarioConfig:
 
     def loop_settings(self) -> dict:
         """Step size, step budget and measurement gate, as keywords of the propagator's loops."""
-        return {name: getattr(self, name) for name in (
-            "dt", "max_steps", "check_every", "boundary",
-            "edge_amplitude_max", "barrier_amplitude_max", "lobe_sigmas",
-        )}
+        return {name: getattr(self, name)
+                for name in ("dt", "max_steps", "check_every", "barrier_amplitude_max")}
 
     def validate(self) -> None:
         for f in fields(self):
@@ -161,10 +157,9 @@ class ScenarioConfig:
             raise ConfigurationError(f"check_every must be >= 1, got {self.check_every}")
         if self.max_steps < 1:
             raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
-        for name in ("barrier_amplitude_max", "edge_amplitude_max", "lobe_sigmas",
-                     "norm_drift_max"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.barrier_amplitude_max > 0:
+            raise ConfigurationError(
+                f"barrier_amplitude_max must be positive, got {self.barrier_amplitude_max}")
         if not 0.0 < self.calibration_target <= 1.0:
             raise ConfigurationError(
                 f"calibration target must be in (0, 1], got {self.calibration_target}"
@@ -332,8 +327,7 @@ def evolve_pair_to_measurement(
                 if not (drained or cfg.identical_packets()):
                     continue
                 psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
-                if measurement_ready(psi_b, barrier, cfg.boundary, cfg.barrier_amplitude_max,
-                                     cfg.lobe_sigmas):
+                if measurement_ready(psi_b, barrier, cfg.barrier_amplitude_max):
                     del running[i]
                     yield i, (psi_a, psi_b, steps_done, max(leakage, launch_edge))
             if not running:
@@ -364,15 +358,18 @@ def _measure(
 ) -> tuple[ResultRow, SymmetrizedPair]:
     """Measure one pair at its measurement time, then at the stability times.
 
-    The pair comes from `evolve_pair_to_measurement`, ready to measure.
-    For a stability time A is evolved on and B composed from it again;
-    both packets must still pass `measurement_ready`, which a pair yet
-    to scatter fails.  The extension counts against `max_steps`: a pair
-    whose last stability time lies beyond it is refused before any
-    extension step.  At a wavenumber offset B does not keep pace with A,
-    so B's own edge amplitude at these times, where the composition is
-    exact, joins the leakage (mid-flight, while A is on the barrier, the
-    composed B is not B and is not read).
+    The pair comes from `evolve_pair_to_measurement`, ready to measure,
+    and is split at the barrier's centre.  For a stability time A is
+    evolved on and B composed from it again; both packets must still
+    pass the readiness tests, which a pair yet to scatter fails: the
+    PrematureMeasurementError names the test failed (`unready_reason`).
+    The extension counts against `max_steps`: a pair whose last
+    stability time lies beyond it is refused before any extension step.
+    At a wavenumber offset B does not keep pace with A, so B's own edge
+    amplitude at these times, where the composition is exact, joins the
+    leakage (mid-flight, while A is on the barrier, the composed B is
+    not B and is not read).  A valid row keeps NORM_DRIFT_MAX,
+    EDGE_AMPLITUDE_MAX and the quadrant sum rule.
     """
     total = steps_done + int(round(max(config.stability_fractions, default=0.0) * steps_done))
     if total > config.max_steps:
@@ -386,7 +383,7 @@ def _measure(
 
     leakage = max(leakage, b_edge(psi_b))
     pair = make_pair(psi_a, psi_b, config.sign)
-    stats = joint_probabilities(pair, config.boundary)
+    stats = joint_probabilities(pair, barrier.center)
 
     stability: list[float] = []
     later_a, later_b = psi_a, psi_b
@@ -395,20 +392,20 @@ def _measure(
         extra = int(round(fraction * steps_done))
         if extra > prev_extra:
             params = PropagationParams(dt=config.dt, steps=extra - prev_extra)
-            result = evolve(later_a, barrier, params, config.edge_amplitude_max)
+            result = evolve(later_a, barrier, params)
             later_a = result.psi
             later_b = compose_b(later_a, config.spec_a(), config.separation,
                                 config.wavenumber_offset)
             leakage = max(leakage, result.max_edge_amplitude, b_edge(later_b))
             prev_extra = extra
             for name, psi in zip("AB", (later_a, later_b)):
-                if not measurement_ready(psi, barrier, config.boundary,
-                                         config.barrier_amplitude_max, config.lobe_sigmas):
+                reason = unready_reason(psi, barrier, config.barrier_amplitude_max)
+                if reason is not None:
                     raise PrematureMeasurementError(
-                        f"packet {name} has not cleared the barrier region; "
+                        f"packet {name} is not ready at t = {psi.t:.6g}: {reason}; "
                         f"measuring now would split lobes still interacting"
                     )
-        later = joint_probabilities(make_pair(later_a, later_b, config.sign), config.boundary)
+        later = joint_probabilities(make_pair(later_a, later_b, config.sign), barrier.center)
         stability.append(float(later.a))
 
     norm_drift = float(
@@ -416,8 +413,8 @@ def _measure(
     )
     leakage = float(leakage)
     valid = bool(
-        norm_drift <= config.norm_drift_max
-        and leakage <= config.edge_amplitude_max
+        norm_drift <= NORM_DRIFT_MAX
+        and leakage <= EDGE_AMPLITUDE_MAX
         and abs(stats.sum_check - 1.0) <= 1e-6
     )
     row = ResultRow(
@@ -588,11 +585,7 @@ _CONFIG_KEYS = {
     "dt": ("evolution", "dt", False),
     "max_steps": ("evolution", "max_steps", False),
     "check_every": ("evolution", "check_every", False),
-    "boundary": ("measurement", "boundary", False),
     "barrier_amplitude_max": ("measurement", "barrier_amplitude_max", False),
-    "edge_amplitude_max": ("measurement", "edge_amplitude_max", False),
-    "lobe_sigmas": ("measurement", "lobe_sigmas", False),
-    "norm_drift_max": ("measurement", "norm_drift_max", False),
     "stability_fractions": ("measurement", "stability_fractions", False),
 }
 _CONFIG_SECTIONS = tuple(dict.fromkeys(section for section, _, _ in _CONFIG_KEYS.values()))

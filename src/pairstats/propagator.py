@@ -30,9 +30,9 @@ from .errors import (
 )
 from .grid import Grid1D, WavepacketSpec, Wavefunction, make_gaussian, probability_on_side, side_moments
 
-DEFAULT_EDGE_AMPLITUDE_MAX = 1e-6
+EDGE_AMPLITUDE_MAX = 1e-6  # on either box-edge sample, past which the periodic box wraps
 DEFAULT_BARRIER_AMPLITUDE_MAX = 1e-6
-DEFAULT_LOBE_SIGMAS = 5.0
+LOBE_SIGMAS = 5.0  # lobe widths a measured lobe's center keeps from the barrier's centre
 _MIN_LOBE_MASS = 1e-4
 
 # amplitude on the barrier support up to which evolve_until_measured lets a
@@ -127,7 +127,7 @@ def evolve(
     psi: Wavefunction,
     barrier: BarrierPotential,
     params: PropagationParams,
-    edge_amplitude_max: float = DEFAULT_EDGE_AMPLITUDE_MAX,
+    edge_amplitude_max: float = EDGE_AMPLITUDE_MAX,
 ) -> EvolutionResult:
     """Run `params.steps` Strang steps, watching the box edges.
 
@@ -232,36 +232,41 @@ def expected_packet_transmission(
     return float(np.trapezoid(weight * analytic_plane_transmission(k, barrier), k))
 
 
+def unready_reason(
+    psi: Wavefunction,
+    barrier: BarrierPotential,
+    barrier_amplitude_max: float = DEFAULT_BARRIER_AMPLITUDE_MAX,
+) -> str | None:
+    """The readiness test the packet fails, in words; None once it has scattered.
+
+    The box is split at the barrier's centre.  Cheapest test first: at
+    most `barrier_amplitude_max` on the barrier support; each side's lobe,
+    if it holds noticeable mass, LOBE_SIGMAS of its widths from the split;
+    no noticeable mass moving towards the barrier (one FFT pair).
+    """
+    amplitude = barrier_region_amplitude(psi, barrier)
+    if amplitude > barrier_amplitude_max:
+        return f"amplitude {amplitude:.3g} on the barrier, over {barrier_amplitude_max:.3g}"
+    for side in ("negative", "positive"):
+        mass, mean, std = side_moments(psi, side, barrier.center)
+        if mass >= _MIN_LOBE_MASS and not abs(mean - barrier.center) >= LOBE_SIGMAS * std:
+            return f"{side}-side lobe at {mean:.6g} within {LOBE_SIGMAS:g} widths of the barrier"
+    right = np.fft.ifft(np.fft.fft(psi.values) * (psi.grid.k > 0))
+    i0 = psi.grid.split_index(barrier.center)
+    inbound = (np.sum(np.abs(right[:i0]) ** 2)
+               + np.sum(np.abs(psi.values[i0:] - right[i0:]) ** 2)) * psi.grid.dx
+    if not inbound < _MIN_LOBE_MASS:
+        return f"mass {inbound:.3g} still moving towards the barrier"
+    return None
+
+
 def measurement_ready(
     psi: Wavefunction,
     barrier: BarrierPotential,
-    boundary: float = 0.0,
     barrier_amplitude_max: float = DEFAULT_BARRIER_AMPLITUDE_MAX,
-    lobe_sigmas: float = DEFAULT_LOBE_SIGMAS,
 ) -> bool:
-    """True once the packet has scattered: off the barrier and only moving away.
-
-    Three conditions, cheapest first: amplitude inside the barrier
-    support is below `barrier_amplitude_max`; on each side carrying
-    noticeable mass the lobe center sits at least `lobe_sigmas`
-    measured lobe widths away from the boundary; and no noticeable mass
-    moves towards the barrier or the boundary (one FFT pair), which a
-    packet yet to scatter fails wherever the boundary lies.
-    """
-    if barrier_region_amplitude(psi, barrier) > barrier_amplitude_max:
-        return False
-    for side in ("negative", "positive"):
-        mass, mean, std = side_moments(psi, side, boundary)
-        if mass < _MIN_LOBE_MASS:
-            continue
-        if not abs(mean - boundary) >= lobe_sigmas * std:
-            return False
-    right = np.fft.ifft(np.fft.fft(psi.values) * (psi.grid.k > 0))
-    i_right = psi.grid.split_index(max(boundary, barrier.center))
-    i_left = psi.grid.split_index(min(boundary, barrier.center))
-    inbound = (np.sum(np.abs(right[:i_right]) ** 2)
-               + np.sum(np.abs(psi.values[i_left:] - right[i_left:]) ** 2))
-    return bool(inbound * psi.grid.dx < _MIN_LOBE_MASS)
+    """True once the packet has scattered (`unready_reason` finds no test it fails)."""
+    return unready_reason(psi, barrier, barrier_amplitude_max) is None
 
 
 def barrier_region_amplitude(psi: Wavefunction, barrier: BarrierPotential) -> float:
@@ -384,10 +389,10 @@ def calibration_bracket(
     return max(above, default=None), min(below, default=None)
 
 
-def _flies_free(psi: Wavefunction, barrier: BarrierPotential, edge_amplitude_max: float) -> bool:
+def _flies_free(psi: Wavefunction, barrier: BarrierPotential) -> bool:
     """True while the packet holds only rounding noise on its barrier and stays off the edges."""
     return (barrier_region_amplitude(psi, barrier) <= FREE_FLIGHT_AMPLITUDE_MAX
-            and edge_amplitude(psi) <= edge_amplitude_max)
+            and edge_amplitude(psi) <= EDGE_AMPLITUDE_MAX)
 
 
 def evolve_until_measured(
@@ -397,10 +402,7 @@ def evolve_until_measured(
     dt: float,
     max_steps: int,
     check_every: int,
-    boundary: float,
-    edge_amplitude_max: float,
     barrier_amplitude_max: float,
-    lobe_sigmas: float,
 ) -> Iterator[tuple[Wavefunction, bool, int, float]]:
     """Evolve one packet over `barrier`, yielding it after every chunk.
 
@@ -411,7 +413,7 @@ def evolve_until_measured(
     steps reproduce while the barrier holds nothing of it, for as long
     as at the chunk's end it still holds at most
     FREE_FLIGHT_AMPLITUDE_MAX on the barrier and at most
-    `edge_amplitude_max` on the box edges.  The first chunk that fails
+    EDGE_AMPLITUDE_MAX on the box edges.  The first chunk that fails
     either test is stepped from its start by `evolve`, and so is every
     chunk after it: an edge crossing is raised by the steps, with their
     step count.  `check_every` and `max_steps` must be at least 1
@@ -419,8 +421,8 @@ def evolve_until_measured(
     and the barrier are checked at the first `next`, before anything
     flies.
 
-    The packet is ready when it passes `measurement_ready` with the
-    given thresholds, a test of the chunk's state alone.  After each
+    The packet is ready when it passes `measurement_ready` at
+    `barrier_amplitude_max`, a test of the chunk's state alone.  After each
     chunk it yields `(psi, ready, steps_done, leakage)`: the packet's
     state, its ready flag, the steps taken since launch and its peak edge
     amplitude so far (at the chunk ends of the free flight, at every
@@ -435,7 +437,7 @@ def evolve_until_measured(
     barrier.validate_on(grid)
     leakage = 0.0
     # the launch spectrum while the packet flies free, None once it is stepped
-    free = np.fft.fft(psi.values) if _flies_free(psi, barrier, edge_amplitude_max) else None
+    free = np.fft.fft(psi.values) if _flies_free(psi, barrier) else None
     steps_done = 0
     while steps_done < max_steps:
         params = PropagationParams(dt=dt, steps=min(check_every, max_steps - steps_done))
@@ -444,16 +446,16 @@ def evolve_until_measured(
             flown = Wavefunction(grid, np.fft.ifft(
                 free * np.exp(-0.5j * dt * steps_done * grid.k**2)
             ), t=psi.t + params.steps * params.dt)
-            if _flies_free(flown, barrier, edge_amplitude_max):
+            if _flies_free(flown, barrier):
                 psi = flown
                 leakage = max(leakage, edge_amplitude(flown))
             else:
                 free = None
         if free is None:
-            result = evolve(psi, barrier, params, edge_amplitude_max)
+            result = evolve(psi, barrier, params)
             psi = result.psi
             leakage = max(leakage, result.max_edge_amplitude)
-        ready = measurement_ready(psi, barrier, boundary, barrier_amplitude_max, lobe_sigmas)
+        ready = measurement_ready(psi, barrier, barrier_amplitude_max)
         yield psi, ready, steps_done, leakage
 
 
@@ -476,31 +478,27 @@ def simulated_transmission(
     dt: float,
     max_steps: int,
     check_every: int,
-    boundary: float,
-    edge_amplitude_max: float,
     barrier_amplitude_max: float = DEFAULT_BARRIER_AMPLITUDE_MAX,
-    lobe_sigmas: float = DEFAULT_LOBE_SIGMAS,
 ) -> tuple[float, float]:
     """Fly the packet until it has scattered off the barrier; return (T, t_meas).
 
-    T is the packet's probability right of `boundary` at the first ready
-    chunk of `evolve_until_measured`.  A launch state that already
-    passes `measurement_ready` has nothing to scatter: ConfigurationError
-    before any step.  Otherwise raises the flight's edge error, or a
-    CalibrationError when `max_steps` run out, which says how far the
-    packet got (`flight_progress`).
+    T is the packet's probability right of the barrier's centre at the
+    first ready chunk of `evolve_until_measured`.  A launch state that
+    already passes `measurement_ready` has nothing to scatter:
+    ConfigurationError before any step.  Otherwise raises the flight's
+    edge error, or a CalibrationError when `max_steps` run out, which
+    says how far the packet got (`flight_progress`).
     """
     psi = make_gaussian(grid, spec)
-    if measurement_ready(psi, barrier, boundary, barrier_amplitude_max, lobe_sigmas):
+    if measurement_ready(psi, barrier, barrier_amplitude_max):
         raise ConfigurationError(f"packet launched at {spec.center} with wavenumber "
                                  f"{spec.wavenumber} is ready before it flies: nothing to scatter")
     for psi, ready, _, leakage in evolve_until_measured(
-        psi, barrier, dt=dt, max_steps=max_steps,
-        check_every=check_every, boundary=boundary, edge_amplitude_max=edge_amplitude_max,
-        barrier_amplitude_max=barrier_amplitude_max, lobe_sigmas=lobe_sigmas,
+        psi, barrier, dt=dt, max_steps=max_steps, check_every=check_every,
+        barrier_amplitude_max=barrier_amplitude_max,
     ):
         if ready:
-            return probability_on_side(psi, "positive", boundary), psi.t
+            return probability_on_side(psi, "positive", barrier.center), psi.t
     raise CalibrationError(
         f"measurement criterion not met within {max_steps} steps "
         f"(t = {max_steps * dt:.6g}) for barrier height {barrier.height:.6g}; "
@@ -544,9 +542,8 @@ def calibrate_barrier(
     Transmission is measured from a full split-operator run of the packet
     in `spec`, not from the analytic formula: `simulated_transmission`
     with the flight settings in `flight` (`dt`, `max_steps`,
-    `check_every`, `boundary` and `edge_amplitude_max`, optionally
-    `barrier_amplitude_max` and `lobe_sigmas`).  The search accepts the
-    first run with |T - target| <= tol.  The first run is at the first
+    `check_every`, optionally `barrier_amplitude_max`).  The search
+    accepts the first run with |T - target| <= tol.  The first run is at the first
     midpoint within tol of a bisection of [0.75, 1.3] x seed on the
     analytic momentum-averaged curve, seed being that curve's root (or
     at its last midpoint, after `max_iterations` halvings).

@@ -65,10 +65,7 @@ CALIBRATION_FIELDS = (
     "dt",
     "max_steps",
     "check_every",
-    "boundary",
     "barrier_amplitude_max",
-    "edge_amplitude_max",
-    "lobe_sigmas",
 )
 
 
@@ -175,7 +172,6 @@ def test_criterion_2_propagator_oracles(acceptance_report):
     t_sim, _ = simulated_transmission(
         fine, spec, barrier,
         dt=1e-4, max_steps=60_000, check_every=500,
-        boundary=0.0, edge_amplitude_max=1e-6,
     )
     t_ref = expected_packet_transmission(spec, barrier)
     t_dev = abs(t_sim - t_ref) / t_ref

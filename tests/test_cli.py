@@ -63,6 +63,10 @@ values = {values}
 """
 
 
+# what a subcommand needs beyond its config to fly a scenario
+SUBCOMMAND_ARGS = {"density": ("joint", "--evolved")}
+
+
 def write_ini(tmp_path, name="scenario.ini", *, sign="boson", separation="3",
               height="26.787825", sweep_values=None, sweep_parameter="separation_d",
               extra=""):
@@ -286,7 +290,7 @@ class TestConfigFileErrors:
 
     @pytest.mark.parametrize("height, extra, field", [
         ("nan", "", "barrier_height"),
-        ("26.787825", "\n[measurement]\nlobe_sigmas = inf\n", "lobe_sigmas"),
+        ("26.787825", "\n[measurement]\nbarrier_amplitude_max = inf\n", "barrier_amplitude_max"),
     ])
     def test_non_finite_value_exits_2_before_evolving(
         self, tmp_path, capsys, monkeypatch, height, extra, field
@@ -305,10 +309,13 @@ class TestConfigFileErrors:
         ("edge_amplitude_max", "-1"),
         ("norm_drift_max", "-1"),
         ("lobe_sigmas", "-5"),
+        ("boundary", "0"),
     ])
     def test_threshold_at_or_below_zero_exits_2_before_evolving(
         self, tmp_path, capsys, monkeypatch, field, value
     ):
+        # barrier_amplitude_max is the one settable threshold; the others
+        # and the split (the barrier's centre) are no keys of a file
         def refuse(*args, **kwargs):
             raise AssertionError("evolve called on a rejected config")
 
@@ -316,7 +323,25 @@ class TestConfigFileErrors:
         monkeypatch.setattr(experiment, "evolve", refuse)
         path = write_ini(tmp_path, extra=f"\n[measurement]\n{field} = {value}\n")
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_USAGE
-        assert f"{field} must be positive, got {float(value)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if field == "barrier_amplitude_max":
+            assert f"{field} must be positive, got {float(value)}" in err
+        else:
+            assert f"unknown keys in section [measurement]: ['{field}']" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "calibrate", "density"])
+    def test_unusable_out_exits_2_before_evolving(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve called with no place to write the result")
+
+        monkeypatch.setattr(propagator, "evolve", refuse)
+        monkeypatch.setattr(experiment, "evolve", refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n", encoding="utf-8")
+        path = write_ini(tmp_path, height="calibrate", sweep_values="3")
+        argv = [command, *SUBCOMMAND_ARGS.get(command, ()), "--config", path, "--out", str(taken)]
+        assert main(argv) == EXIT_USAGE
+        assert f"error: cannot use {taken} as the output directory" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("command", ["run", "sweep", "calibrate"])
@@ -578,7 +603,7 @@ class TestCalibrateCommand:
         assert 0.4 < report["transmission"] < 0.6
         assert "calibration" not in report  # no bisection happened
 
-    @pytest.mark.parametrize("command", ["calibrate", "run", "sweep"])
+    @pytest.mark.parametrize("command", ["calibrate", "run", "sweep", "density"])
     def test_verbose_lists_every_calibration_run(self, tmp_path, capsys, monkeypatch, command):
         fake = CalibrationResult(
             barrier=BarrierPotential(26.787825, 0.5), transmission=0.5012, iterations=2,
@@ -587,8 +612,8 @@ class TestCalibrateCommand:
         monkeypatch.setattr(cli, "resolve_barrier", lambda config: (
             replace(config, barrier_height=fake.barrier.height), fake))
         path = write_ini(tmp_path, height="calibrate", sweep_values="3")
-        assert main([command, "--config", path, "--out", str(tmp_path / "out"),
-                     "--verbose"]) == EXIT_OK
+        assert main([command, *SUBCOMMAND_ARGS.get(command, ()), "--config", path,
+                     "--out", str(tmp_path / "out"), "--verbose"]) == EXIT_OK
         captured = capsys.readouterr()
         # each run is followed by the bracket of the runs so far: the highest
         # height above target, the lowest below it, "-" while a side is unknown
@@ -598,7 +623,7 @@ class TestCalibrateCommand:
         ) > first
         assert "bracket" not in captured.out
 
-    @pytest.mark.parametrize("command", ["calibrate", "run", "sweep"])
+    @pytest.mark.parametrize("command", ["calibrate", "run", "sweep", "density"])
     def test_verbose_lists_the_runs_of_a_failed_calibration(
         self, tmp_path, capsys, monkeypatch, command
     ):
@@ -607,7 +632,8 @@ class TestCalibrateCommand:
 
         monkeypatch.setattr(cli, "resolve_barrier", fail)
         path = write_ini(tmp_path, height="calibrate", sweep_values="3")
-        argv = [command, "--config", path, "--out", str(tmp_path / "out")]
+        argv = [command, *SUBCOMMAND_ARGS.get(command, ()), "--config", path,
+                "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_CALIBRATION
         quiet = capsys.readouterr()
         assert main(argv + ["--verbose"]) == EXIT_CALIBRATION

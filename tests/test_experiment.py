@@ -132,7 +132,7 @@ class TestScenarioConfig:
         float_fields = [
             f.name for f in fields(config) if isinstance(getattr(config, f.name), float)
         ]
-        assert "barrier_height" in float_fields and "lobe_sigmas" in float_fields
+        assert "barrier_height" in float_fields and "barrier_amplitude_max" in float_fields
         for name in float_fields:
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
@@ -332,7 +332,7 @@ class TestRunScenario:
         row, pair = run_resolved(config, param_value=config.separation)
         assert pair.psi_a.t == pair.psi_b.t == pytest.approx(row.t_meas, abs=1e-9)
         assert pair.sign == config.sign
-        fresh = joint_probabilities(pair, config.boundary)
+        fresh = joint_probabilities(pair, config.barrier_center)
         assert (fresh.p20, fresh.p02, fresh.p11) == (row.p20, row.p02, row.p11)
 
     def test_identical_packets_share_one_evolution(self, monkeypatch):
@@ -353,8 +353,8 @@ class TestRunScenario:
         assert len(calls) == chunks + 1
 
     def test_measure_sees_only_packets_ready_under_the_config(self):
-        # thresholds stricter than the propagator defaults (1e-6, 5.0)
-        base = small_scenario(barrier_amplitude_max=1e-8, lobe_sigmas=8.0)
+        # a barrier threshold stricter than the propagator default 1e-6
+        base = small_scenario(barrier_amplitude_max=1e-8)
         configs = [apply_sweep_parameter(base, "separation_d", d) for d in (0.0, 2.0, 4.0)]
         barrier = base.barrier()
         yielded = list(evolve_pair_to_measurement(configs, barrier))
@@ -363,8 +363,7 @@ class TestRunScenario:
         for _, (psi_a, psi_b, steps_done, leakage) in yielded:
             for psi in (psi_a, psi_b):
                 assert psi.t == pytest.approx(steps_done * base.dt, abs=1e-9)
-                assert measurement_ready(psi, barrier, base.boundary,
-                                         base.barrier_amplitude_max, base.lobe_sigmas)
+                assert measurement_ready(psi, barrier, base.barrier_amplitude_max)
 
     def test_each_pair_is_yielded_at_the_chunk_it_becomes_ready(self):
         base = small_scenario()
@@ -385,28 +384,31 @@ class TestRunScenario:
         psi_a = make_gaussian(grid, WavepacketSpec(-1.0, 0.0, 0.8))
         psi_b = make_gaussian(grid, WavepacketSpec(-1.5, 0.0, 0.8))
         barrier = BarrierPotential(8.0, 0.5)
-        with pytest.raises(PrematureMeasurementError, match="packet A has not cleared"):
+        with pytest.raises(PrematureMeasurementError,
+                           match=r"packet A is not ready at t = \S+: amplitude \S+ on the barrier"):
             experiment._measure(config, barrier, 0.0, psi_a, psi_b, 10, 0.0)
 
     def test_pair_yet_to_scatter_is_refused_at_its_stability_time(self):
         # launch states far left of the barrier and moving right, 200 steps
-        # on: off the barrier and far from the boundary, but still inbound
+        # on: off the barrier and its lobe far from it, but still inbound
         config = small_scenario(packet_center=-30.0, stability_fractions=(0.1,))
         spec_a = config.spec_a()
         psi_a = make_gaussian(config.grid(), spec_a)
         psi_b = propagator.compose_b(psi_a, spec_a, config.separation, 0.0)
-        with pytest.raises(PrematureMeasurementError, match="packet A has not cleared"):
+        with pytest.raises(PrematureMeasurementError,
+                           match=r"packet A is not ready at t = \S+: mass \S+ "
+                                 r"still moving towards the barrier"):
             experiment._measure(config, config.barrier(), 3.0, psi_a, psi_b, 2000, 0.0)
 
     def test_b_launched_at_the_box_edge_is_measured_after_it_scatters_and_invalid(self):
         # B starts 6.05 sigma from the left edge: its launch tail already
-        # exceeds edge_amplitude_max there, and it reaches the barrier at
+        # exceeds EDGE_AMPLITUDE_MAX there, and it reaches the barrier at
         # t ~ 6.5, long after A (and so the B composed from A) cleared it
         config = small_scenario(packet_sigma=2.0, packet_center=-24.0, separation=27.9,
                                 barrier_amplitude_max=1e-3, max_steps=40_000)
         launch_b = make_gaussian(config.grid(), config.spec_b())
         edge_b = max(abs(launch_b.values[0]), abs(launch_b.values[-1]))
-        assert edge_b > config.edge_amplitude_max
+        assert edge_b > propagator.EDGE_AMPLITUDE_MAX
         row, _ = run_resolved(config, param_value=config.separation)
         assert row.error is None and not row.valid
         assert row.leakage == pytest.approx(edge_b, rel=1e-6)
@@ -424,9 +426,9 @@ class TestRunScenario:
         assert row.error is None and not row.valid
         edge_at_measurement = propagator.edge_amplitude(pair.psi_b)
         if fractions:
-            assert edge_at_measurement <= config.edge_amplitude_max < row.leakage
+            assert edge_at_measurement <= propagator.EDGE_AMPLITUDE_MAX < row.leakage
         else:
-            assert row.leakage == edge_at_measurement > config.edge_amplitude_max
+            assert row.leakage == edge_at_measurement > propagator.EDGE_AMPLITUDE_MAX
 
     def test_timeout_is_reported(self):
         with pytest.raises(MeasurementTimeoutError):
@@ -479,9 +481,9 @@ class TestSweep:
         assert found
         on_barrier, edge, b_on_barrier, b_edge = map(float, found.groups())
         assert on_barrier <= propagator.COMPOSE_BARRIER_AMPLITUDE_MAX
-        assert 0.0 < edge <= config.base.edge_amplitude_max
+        assert 0.0 < edge <= propagator.EDGE_AMPLITUDE_MAX
         assert b_on_barrier > config.base.barrier_amplitude_max
-        assert 0.0 < b_edge <= config.base.edge_amplitude_max
+        assert 0.0 < b_edge <= propagator.EDGE_AMPLITUDE_MAX
 
     def test_rows_keep_requested_order(self):
         config = SweepConfig(
@@ -624,13 +626,12 @@ def direct_reference(config: ScenarioConfig, t_meas: float):
     def advance(packets, steps):
         while steps > 0:
             params = PropagationParams(dt=config.dt, steps=min(steps, config.check_every))
-            packets = [evolve(psi, barrier, params, config.edge_amplitude_max).psi
-                       for psi in packets]
+            packets = [evolve(psi, barrier, params).psi for psi in packets]
             steps -= params.steps
         return packets
 
     def measured(packets):
-        return joint_probabilities(make_pair(*packets, config.sign), config.boundary)
+        return joint_probabilities(make_pair(*packets, config.sign), config.barrier_center)
 
     steps = round(t_meas / config.dt)
     at_t_meas = packets = advance(packets, steps)

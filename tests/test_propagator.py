@@ -33,6 +33,7 @@ from pairstats.grid import (
     make_gaussian,
     position_std,
     probability_on_side,
+    side_moments,
 )
 from pairstats.propagator import (
     _analytic_seed,
@@ -345,7 +346,7 @@ class TestPacketTransmission:
 
 
 class TestMeasurementReadiness:
-    # the packets below move left, away from the boundary, unless a test
+    # the packets below move left, away from the barrier, unless a test
     # says otherwise: nothing of them is inbound
 
     def test_far_packet_is_ready_only_once_it_moves_away(self, grid):
@@ -366,15 +367,16 @@ class TestMeasurementReadiness:
     ])
     def test_approaching_packet_is_never_ready(self, sigma, k0, center):
         # on the small_scenario box (G = 2048, L = 64): its lobe far from the
-        # boundary and all of it still to scatter
+        # barrier and all of it still to scatter
         psi = make_gaussian(Grid1D(half_width=64.0, points=2048),
                             WavepacketSpec(center, k0, sigma))
         assert not measurement_ready(psi, BarrierPotential(26.787825, 0.5))
 
     @pytest.mark.parametrize("center, launch", [(15.0, 6.0), (-15.0, -6.0)])
     def test_packet_between_boundary_and_barrier_is_not_ready(self, center, launch):
-        # past the boundary, far from it and quiet on the barrier, but heading
-        # for the barrier: only the inbound test holds it back
+        # past x = 0, far from the barrier and quiet on it, but heading for
+        # it: only the inbound test holds it back; with the barrier on its
+        # other side it is leaving, and ready
         barrier = BarrierPotential(26.787825, 0.5, center)
         k0 = math.copysign(8.0, launch)
         psi = make_gaussian(Grid1D(half_width=64.0, points=2048), WavepacketSpec(launch, k0, 1.0))
@@ -382,13 +384,25 @@ class TestMeasurementReadiness:
         assert measurement_ready(psi, BarrierPotential(26.787825, 0.5, -center))
         assert not measurement_ready(psi, barrier)
 
-    def test_lobe_too_close_to_boundary(self, grid):
-        # barrier far away so only the lobe condition is in play
-        psi = make_gaussian(grid, WavepacketSpec(-3.0, -8.0, 1.0))
-        barrier = BarrierPotential(8.0, 0.5, center=20.0)
-        # 3 < 5 sigma: not separated yet even though the barrier is quiet
-        assert barrier_region_amplitude(psi, barrier) < 1e-6
+    def test_lobe_too_close_to_boundary(self, monkeypatch):
+        # two bumps leaving the barrier, 30 apart: the left side's lobe is
+        # sqrt(15^2 + 1) wide around -25, within 5 of its widths of the split
+        # at 0, while the barrier is quiet and nothing moves towards it
+        box = Grid1D(half_width=64.0, points=2048)
+        near, far = (make_gaussian(box, WavepacketSpec(c, -8.0, 1.0)) for c in (-10.0, -40.0))
+        psi = Wavefunction(box, (near.values + far.values) / math.sqrt(2.0))
+        barrier = BarrierPotential(26.787825, 0.5)
+        _, mean, std = side_moments(psi, "negative", 0.0)
+        assert mean == pytest.approx(-25.0, abs=1e-6)
+        assert std == pytest.approx(math.hypot(15.0, 1.0), abs=1e-6)
+        assert barrier_region_amplitude(psi, barrier) < 1e-10
         assert not measurement_ready(psi, barrier)
+        assert "lobe" in propagator.unready_reason(psi, barrier)
+        # the near bump alone is one narrow lobe, and the pair passes a
+        # lobe test 1.5 lobe widths wide: only the lobe test held it back
+        assert measurement_ready(near, barrier)
+        monkeypatch.setattr(propagator, "LOBE_SIGMAS", 1.5)
+        assert measurement_ready(psi, barrier)
 
     def test_amplitude_in_barrier_blocks_measurement(self, grid):
         psi = make_gaussian(grid, WavepacketSpec(-10.0, -8.0, 1.0))
@@ -403,14 +417,6 @@ class TestMeasurementReadiness:
         assert not measurement_ready(psi, barrier, barrier_amplitude_max=amp / 2.0)
         assert measurement_ready(psi, barrier, barrier_amplitude_max=amp * 2.0)
 
-    def test_lobe_sigmas_is_configurable(self, grid):
-        # sigma = 0.8 keeps the clipped far-side tail under the lobe-mass
-        # floor, so only the near lobe decides readiness
-        psi = make_gaussian(grid, WavepacketSpec(-3.5, -8.0, 0.8))
-        barrier = BarrierPotential(8.0, 0.5, center=20.0)
-        assert not measurement_ready(psi, barrier, lobe_sigmas=5.0)
-        assert measurement_ready(psi, barrier, lobe_sigmas=3.0)
-
 
 class TestSimulatedTransmission:
     def test_mostly_transmitting_barrier(self, grid):
@@ -419,7 +425,6 @@ class TestSimulatedTransmission:
         t_sim, t_meas = simulated_transmission(
             grid, spec, barrier,
             dt=5e-4, max_steps=10_000, check_every=100,
-            boundary=0.0, edge_amplitude_max=1e-6,
         )
         assert t_meas > 1.25  # flight time to the barrier alone
         expected = expected_packet_transmission(spec, barrier)
@@ -431,7 +436,6 @@ class TestSimulatedTransmission:
         t_sim, _ = simulated_transmission(
             grid, spec, barrier,
             dt=5e-4, max_steps=10_000, check_every=100,
-            boundary=0.0, edge_amplitude_max=1e-6,
         )
         assert 0.0 < t_sim < 1.0
 
@@ -446,7 +450,6 @@ class TestSimulatedTransmission:
             simulated_transmission(
                 grid, spec, barrier,
                 dt=5e-4, max_steps=400, check_every=100,
-                boundary=0.0, edge_amplitude_max=1e-6,
             )
         assert calls == []
 
@@ -458,7 +461,6 @@ class TestSimulatedTransmission:
             simulated_transmission(
                 grid, spec, barrier,
                 dt=5e-4, max_steps=400, check_every=100,
-                boundary=0.0, edge_amplitude_max=1e-6,
             )
         # the error says how far the packet got: it never reached the
         # barrier, and never the box edges
@@ -472,10 +474,10 @@ class TestSimulatedTransmission:
 
 FAR_BOX = Grid1D(half_width=64.0, points=2048)
 FAR_BARRIER = BarrierPotential(26.787825, 0.5)
-FAR_RUN = dict(dt=5e-4, max_steps=12_000, check_every=200, boundary=0.0, edge_amplitude_max=1e-6)
+FAR_RUN = dict(dt=5e-4, max_steps=12_000, check_every=200)
 
 
-def stepped_flight(grid, spec, barrier, dt, max_steps, check_every, boundary, edge_amplitude_max):
+def stepped_flight(grid, spec, barrier, dt, max_steps, check_every):
     """(T, t_meas) of a packet stepped from launch in plain chunked `evolve` calls.
 
     Measured at the first chunk that passes `measurement_ready` once the
@@ -485,10 +487,10 @@ def stepped_flight(grid, spec, barrier, dt, max_steps, check_every, boundary, ed
     psi = make_gaussian(grid, spec)
     visited = False
     for _ in range(max_steps // check_every):
-        psi = evolve(psi, barrier, PropagationParams(dt, check_every), edge_amplitude_max).psi
+        psi = evolve(psi, barrier, PropagationParams(dt, check_every)).psi
         visited = visited or barrier_region_amplitude(psi, barrier) >= 1e-3
-        if visited and measurement_ready(psi, barrier, boundary):
-            return probability_on_side(psi, "positive", boundary), psi.t
+        if visited and measurement_ready(psi, barrier):
+            return probability_on_side(psi, "positive", barrier.center), psi.t
     raise AssertionError("the stepped flight was never measured")
 
 
@@ -500,19 +502,20 @@ class TestFreeFlightBeforeTheBarrier:
         assert t_meas == t_meas_ref
         assert abs(t_sim - t_ref) <= 1e-12
 
-    def test_boundary_left_of_the_barrier_waits_for_the_scattering(self):
-        # the packet is past the boundary and clear of it at t ~ 1.3, long
-        # before it reaches the barrier at x = 20; it is measured once its
-        # reflected lobe is back past the boundary, where the split at the
-        # boundary is the split at the barrier
-        box = Grid1D(half_width=128.0, points=4096)
-        spec = WavepacketSpec(center=-4.0, wavenumber=8.0, sigma=1.0)
-        barrier = BarrierPotential(26.787825, 0.5, 20.0)
-        run = dict(dt=5e-4, max_steps=30_000, check_every=200, edge_amplitude_max=1e-6)
-        t_sim, t_meas = simulated_transmission(box, spec, barrier, boundary=0.0, **run)
-        t_ref, t_meas_ref = simulated_transmission(box, spec, barrier, boundary=20.0, **run)
-        assert t_meas > t_meas_ref
-        assert abs(t_sim - t_ref) <= 1e-5
+    @pytest.mark.parametrize("shift", [-160, 80])
+    def test_the_split_follows_the_barrier(self, shift):
+        # barrier and launch moved by a whole number of samples: on the
+        # periodic box the same flight, measured at the same time and split
+        # at the moved barrier, so the packet is measured after it has
+        # scattered wherever the barrier sits
+        dx = FAR_BOX.dx
+        spec = WavepacketSpec(center=-20.0, wavenumber=8.0, sigma=1.0)
+        t_ref, t_meas_ref = simulated_transmission(FAR_BOX, spec, FAR_BARRIER, **FAR_RUN)
+        t_sim, t_meas = simulated_transmission(
+            FAR_BOX, WavepacketSpec(center=-20.0 + shift * dx, wavenumber=8.0, sigma=1.0),
+            BarrierPotential(26.787825, 0.5, shift * dx), **FAR_RUN)
+        assert t_meas == t_meas_ref
+        assert abs(t_sim - t_ref) <= 1e-13
 
     @pytest.mark.parametrize("center, first_stepped", [
         (-20.0, 0.9),  # nothing but rounding noise on the barrier until t = 0.9
@@ -544,21 +547,18 @@ class TestFreeFlightBeforeTheBarrier:
         grid = Grid1D(half_width=64.0, points=2048)
         spec = WavepacketSpec(center=-20.0, wavenumber=-32.0, sigma=1.0)
         barrier = BarrierPotential(26.787825, 0.5)
-        run = dict(dt=5e-4, max_steps=12_000, check_every=200, boundary=0.0,
-                   edge_amplitude_max=1e-6)
+        run = dict(dt=5e-4, max_steps=12_000, check_every=200)
         readies = []
         with pytest.raises(BoundaryContaminationError) as driven:
             for _, ready, _, _ in evolve_until_measured(
-                make_gaussian(grid, spec), barrier, **run,
-                barrier_amplitude_max=1e-6, lobe_sigmas=5.0,
+                make_gaussian(grid, spec), barrier, **run, barrier_amplitude_max=1e-6,
             ):
                 readies.append(ready)
         assert readies and all(readies)
         psi = make_gaussian(grid, spec)
         with pytest.raises(BoundaryContaminationError) as stepped:
             while True:
-                psi = evolve(psi, barrier, PropagationParams(run["dt"], run["check_every"]),
-                             run["edge_amplitude_max"]).psi
+                psi = evolve(psi, barrier, PropagationParams(run["dt"], run["check_every"])).psi
         assert psi.t > 1.0
         assert str(driven.value) == str(stepped.value)
 
@@ -578,7 +578,7 @@ class TestCalibration:
         spec = WavepacketSpec(center=-10.0, wavenumber=8.0, sigma=1.0)
         result = calibrate_barrier(
             grid, spec, width=0.5, target=0.5, tol=0.01,
-            dt=5e-4, max_steps=12_000, check_every=200, boundary=0.0, edge_amplitude_max=1e-6,
+            dt=5e-4, max_steps=12_000, check_every=200,
         )
         assert abs(result.transmission - 0.5) <= 0.01
         assert result.barrier.width == 0.5
@@ -603,7 +603,7 @@ class TestCalibration:
         with pytest.raises(CalibrationError) as caught:
             calibrate_barrier(
                 grid, spec, width=0.5, target=0.5, tol=1e-9,
-                dt=5e-4, max_steps=12_000, check_every=200, boundary=0.0, edge_amplitude_max=1e-6,
+                dt=5e-4, max_steps=12_000, check_every=200,
                 max_iterations=max_iterations,
             )
         assert len(caught.value.history) == max_iterations
@@ -625,7 +625,7 @@ def eighty_halvings(transmission, target, v_hi):
 
 
 CAL_SPEC = WavepacketSpec(center=-10.0, wavenumber=8.0, sigma=1.0)
-CAL_RUN = dict(dt=5e-4, max_steps=12_000, check_every=200, boundary=0.0, edge_amplitude_max=1e-6)
+CAL_RUN = dict(dt=5e-4, max_steps=12_000, check_every=200)
 CAL_TARGET, CAL_TOL = 0.5, 0.005
 # near the simulated root of CAL_SPEC on a width-0.5 barrier, 1024-point grid
 CAL_ROOT = 26.6
@@ -861,7 +861,7 @@ class TestChunksThatNeverEnd:
         with pytest.raises(ConfigurationError, match=name):
             next(evolve_until_measured(
                 make_gaussian(grid, CAL_SPEC), barrier,
-                barrier_amplitude_max=1e-6, lobe_sigmas=5.0, **run,
+                barrier_amplitude_max=1e-6, **run,
             ))
         with pytest.raises(ConfigurationError, match=name):
             simulated_transmission(grid, CAL_SPEC, barrier, **run)
