@@ -399,8 +399,8 @@ def _measure(
             leakage = max(leakage, result.max_edge_amplitude, b_edge(later_b))
             prev_extra = extra
             for name, psi in zip("AB", (later_a, later_b)):
-                reason = unready_reason(psi, barrier, config.barrier_amplitude_max)
-                if reason is not None:
+                if not measurement_ready(psi, barrier, config.barrier_amplitude_max):
+                    reason = unready_reason(psi, barrier, config.barrier_amplitude_max)
                     raise PrematureMeasurementError(
                         f"packet {name} is not ready at t = {psi.t:.6g}: {reason}; "
                         f"measuring now would split lobes still interacting"

@@ -389,10 +389,10 @@ def calibration_bracket(
     return max(above, default=None), min(below, default=None)
 
 
-def _flies_free(psi: Wavefunction, barrier: BarrierPotential) -> bool:
+def _flies_free(psi: Wavefunction, barrier: BarrierPotential, edge_amplitude_max: float) -> bool:
     """True while the packet holds only rounding noise on its barrier and stays off the edges."""
     return (barrier_region_amplitude(psi, barrier) <= FREE_FLIGHT_AMPLITUDE_MAX
-            and edge_amplitude(psi) <= EDGE_AMPLITUDE_MAX)
+            and edge_amplitude(psi) <= edge_amplitude_max)
 
 
 def evolve_until_measured(
@@ -403,23 +403,22 @@ def evolve_until_measured(
     max_steps: int,
     check_every: int,
     barrier_amplitude_max: float,
+    edge_amplitude_max: float = EDGE_AMPLITUDE_MAX,
 ) -> Iterator[tuple[Wavefunction, bool, int, float]]:
     """Evolve one packet over `barrier`, yielding it after every chunk.
 
     The packet flies in chunks of `check_every` steps.  Launched with at
-    most FREE_FLIGHT_AMPLITUDE_MAX on the barrier support, it first
-    flies free: each chunk it is the launch state under the exact
-    kinetic phase exp(-i k^2 t/2) (one inverse FFT), which the Strang
-    steps reproduce while the barrier holds nothing of it, for as long
-    as at the chunk's end it still holds at most
-    FREE_FLIGHT_AMPLITUDE_MAX on the barrier and at most
-    EDGE_AMPLITUDE_MAX on the box edges.  The first chunk that fails
-    either test is stepped from its start by `evolve`, and so is every
-    chunk after it: an edge crossing is raised by the steps, with their
-    step count.  `check_every` and `max_steps` must be at least 1
-    (chunks of 0 steps would never end the loop); they, the step size
-    and the barrier are checked at the first `next`, before anything
-    flies.
+    most FREE_FLIGHT_AMPLITUDE_MAX on the barrier support and at most
+    `edge_amplitude_max` on the box edges, it first flies free: each
+    chunk it is the launch state under the exact kinetic phase
+    exp(-i k^2 t/2) (one inverse FFT), which the Strang steps reproduce
+    while the barrier holds nothing of it, for as long as the chunk's
+    end passes both tests.  The first chunk that fails one is stepped
+    from its start by `evolve`, and so is every chunk after it: an edge
+    crossing is raised by the steps, with their step count.
+    `check_every` and `max_steps` must be at least 1 (chunks of 0 steps
+    would never end the loop); they, the step size and the barrier are
+    checked at the first `next`, before anything flies.
 
     The packet is ready when it passes `measurement_ready` at
     `barrier_amplitude_max`, a test of the chunk's state alone.  After each
@@ -437,7 +436,7 @@ def evolve_until_measured(
     barrier.validate_on(grid)
     leakage = 0.0
     # the launch spectrum while the packet flies free, None once it is stepped
-    free = np.fft.fft(psi.values) if _flies_free(psi, barrier) else None
+    free = np.fft.fft(psi.values) if _flies_free(psi, barrier, edge_amplitude_max) else None
     steps_done = 0
     while steps_done < max_steps:
         params = PropagationParams(dt=dt, steps=min(check_every, max_steps - steps_done))
@@ -446,13 +445,13 @@ def evolve_until_measured(
             flown = Wavefunction(grid, np.fft.ifft(
                 free * np.exp(-0.5j * dt * steps_done * grid.k**2)
             ), t=psi.t + params.steps * params.dt)
-            if _flies_free(flown, barrier):
+            if _flies_free(flown, barrier, edge_amplitude_max):
                 psi = flown
                 leakage = max(leakage, edge_amplitude(flown))
             else:
                 free = None
         if free is None:
-            result = evolve(psi, barrier, params)
+            result = evolve(psi, barrier, params, edge_amplitude_max)
             psi = result.psi
             leakage = max(leakage, result.max_edge_amplitude)
         ready = measurement_ready(psi, barrier, barrier_amplitude_max)
@@ -478,24 +477,30 @@ def simulated_transmission(
     dt: float,
     max_steps: int,
     check_every: int,
+    boundary: float | None = None,
+    edge_amplitude_max: float = EDGE_AMPLITUDE_MAX,
     barrier_amplitude_max: float = DEFAULT_BARRIER_AMPLITUDE_MAX,
 ) -> tuple[float, float]:
     """Fly the packet until it has scattered off the barrier; return (T, t_meas).
 
     T is the packet's probability right of the barrier's centre at the
-    first ready chunk of `evolve_until_measured`.  A launch state that
-    already passes `measurement_ready` has nothing to scatter:
-    ConfigurationError before any step.  Otherwise raises the flight's
-    edge error, or a CalibrationError when `max_steps` run out, which
-    says how far the packet got (`flight_progress`).
+    first ready chunk of `evolve_until_measured`, its edges held to
+    `edge_amplitude_max`; a `boundary` other than that centre is a
+    ConfigurationError.  A launch state that already passes
+    `measurement_ready` has nothing to scatter: ConfigurationError before
+    any step.  Otherwise raises the flight's edge error, or a
+    CalibrationError when `max_steps` run out, which says how far the
+    packet got (`flight_progress`).
     """
+    if boundary not in (None, barrier.center):
+        raise ConfigurationError(f"the split is the barrier centre {barrier.center}, not {boundary}")
     psi = make_gaussian(grid, spec)
     if measurement_ready(psi, barrier, barrier_amplitude_max):
         raise ConfigurationError(f"packet launched at {spec.center} with wavenumber "
                                  f"{spec.wavenumber} is ready before it flies: nothing to scatter")
     for psi, ready, _, leakage in evolve_until_measured(
         psi, barrier, dt=dt, max_steps=max_steps, check_every=check_every,
-        barrier_amplitude_max=barrier_amplitude_max,
+        barrier_amplitude_max=barrier_amplitude_max, edge_amplitude_max=edge_amplitude_max,
     ):
         if ready:
             return probability_on_side(psi, "positive", barrier.center), psi.t

@@ -306,16 +306,10 @@ class TestConfigFileErrors:
 
     @pytest.mark.parametrize("field, value", [
         ("barrier_amplitude_max", "0"),
-        ("edge_amplitude_max", "-1"),
-        ("norm_drift_max", "-1"),
-        ("lobe_sigmas", "-5"),
-        ("boundary", "0"),
     ])
     def test_threshold_at_or_below_zero_exits_2_before_evolving(
         self, tmp_path, capsys, monkeypatch, field, value
     ):
-        # barrier_amplitude_max is the one settable threshold; the others
-        # and the split (the barrier's centre) are no keys of a file
         def refuse(*args, **kwargs):
             raise AssertionError("evolve called on a rejected config")
 
@@ -323,11 +317,28 @@ class TestConfigFileErrors:
         monkeypatch.setattr(experiment, "evolve", refuse)
         path = write_ini(tmp_path, extra=f"\n[measurement]\n{field} = {value}\n")
         assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        if field == "barrier_amplitude_max":
-            assert f"{field} must be positive, got {float(value)}" in err
-        else:
-            assert f"unknown keys in section [measurement]: ['{field}']" in err
+        assert f"{field} must be positive, got {float(value)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("edge_amplitude_max", "-1"),
+        ("norm_drift_max", "-1"),
+        ("lobe_sigmas", "-5"),
+        ("boundary", "0"),
+    ])
+    def test_removed_measurement_key_exits_2_before_evolving(
+        self, tmp_path, capsys, monkeypatch, field, value
+    ):
+        # the split is the barrier's centre and the other three are
+        # module constants: none of them is a key of a file
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve called on a rejected config")
+
+        monkeypatch.setattr(propagator, "evolve", refuse)
+        monkeypatch.setattr(experiment, "evolve", refuse)
+        path = write_ini(tmp_path, extra=f"\n[measurement]\n{field} = {value}\n")
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert (f"unknown keys in section [measurement]: ['{field}']"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["run", "sweep", "calibrate", "density"])
     def test_unusable_out_exits_2_before_evolving(self, tmp_path, capsys, monkeypatch, command):

@@ -373,7 +373,7 @@ class TestMeasurementReadiness:
         assert not measurement_ready(psi, BarrierPotential(26.787825, 0.5))
 
     @pytest.mark.parametrize("center, launch", [(15.0, 6.0), (-15.0, -6.0)])
-    def test_packet_between_boundary_and_barrier_is_not_ready(self, center, launch):
+    def test_packet_past_x0_heading_for_the_barrier_is_not_ready(self, center, launch):
         # past x = 0, far from the barrier and quiet on it, but heading for
         # it: only the inbound test holds it back; with the barrier on its
         # other side it is leaving, and ready
@@ -384,7 +384,7 @@ class TestMeasurementReadiness:
         assert measurement_ready(psi, BarrierPotential(26.787825, 0.5, -center))
         assert not measurement_ready(psi, barrier)
 
-    def test_lobe_too_close_to_boundary(self, monkeypatch):
+    def test_lobe_too_close_to_the_split(self, monkeypatch):
         # two bumps leaving the barrier, 30 apart: the left side's lobe is
         # sqrt(15^2 + 1) wide around -25, within 5 of its widths of the split
         # at 0, while the barrier is quiet and nothing moves towards it
@@ -452,6 +452,24 @@ class TestSimulatedTransmission:
                 dt=5e-4, max_steps=400, check_every=100,
             )
         assert calls == []
+
+    def test_split_off_the_barrier_centre_is_refused(self, grid, monkeypatch):
+        # boundary stays a positional slot; the split is the barrier's centre
+        spec = WavepacketSpec(center=-10.0, wavenumber=8.0, sigma=1.0)
+        calls = []
+        monkeypatch.setattr(propagator, "evolve", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ConfigurationError, match="the split is the barrier centre 2.0, not 0.0"):
+            simulated_transmission(grid, spec, BarrierPotential(8.0, 0.5, 2.0),
+                                   5e-4, 400, 100, 0.0)
+        assert calls == []
+
+    def test_edge_limit_reaches_the_flight(self, grid):
+        # the launch's Gaussian tail on the edges already exceeds 1e-300:
+        # no free flight, and the first stepped chunk raises
+        spec = WavepacketSpec(center=-10.0, wavenumber=8.0, sigma=1.0)
+        with pytest.raises(BoundaryContaminationError, match="exceeded 1e-300 after 1 steps"):
+            simulated_transmission(grid, spec, BarrierPotential(8.0, 0.5),
+                                   5e-4, 400, 100, None, 1e-300)
 
     def test_never_arriving_packet_times_out(self, grid):
         # approaching, but 400 steps take it 1.6 of the 10 to the barrier
