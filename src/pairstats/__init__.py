@@ -69,6 +69,7 @@ from .twoparticle import (
     joint_density,
     joint_probabilities,
     make_pair,
+    outgoing_probabilities,
     quadrant_quadrature_oracle,
 )
 from .experiment import (
@@ -130,6 +131,7 @@ __all__ = [
     "mb_probability",
     "measurement_ready",
     "occupancy_vectors",
+    "outgoing_probabilities",
     "pair_family",
     "position_std",
     "probability_on_side",

@@ -62,6 +62,7 @@ from .propagator import calibration_bracket, simulated_transmission
 from .twoparticle import (
     check_oracle_budget,
     dump_joint_density_csv,
+    joint_probabilities,
     make_pair,
     quadrant_quadrature_oracle,
 )
@@ -259,9 +260,10 @@ def cmd_run(args) -> int:
     for line in compare_with_counting(row).lines():
         print(line)
     if args.oracle:
+        fast = joint_probabilities(pair, resolved.barrier_center)
         quad = quadrant_quadrature_oracle(pair, resolved.barrier_center)
         delta = max(
-            abs(quad.p20 - row.p20), abs(quad.p02 - row.p02), abs(quad.p11 - row.p11)
+            abs(quad.p20 - fast.p20), abs(quad.p02 - fast.p02), abs(quad.p11 - fast.p11)
         )
         print(f"oracle: 2d quadrature max|diff| = {delta:.3e}")
     print(f"wrote {out / 'run.csv'} and {out / 'run.json'}")

@@ -46,7 +46,7 @@ class PauliDegeneracyError(PairStatsError):
 
 
 class PrematureMeasurementError(PairStatsError):
-    """Quadrant probabilities requested before the packets cleared the barrier."""
+    """A read-out requested before the packet has scattered off the barrier."""
 
 
 class MeasurementTimeoutError(PairStatsError):

@@ -1,8 +1,8 @@
 """Scenario orchestration: configs, single runs, sweeps and reports.
 
 A scenario launches two Gaussian packets at a rectangular barrier,
-follows them until both have cleared it, symmetrizes, and integrates
-the four side quadrants.  Packet B is packet A displaced by
+follows them until both have scattered, symmetrizes, and reads the
+four side quadrants out by momentum sign.  Packet B is packet A displaced by
 `separation` away from the barrier and optionally boosted by
 `wavenumber_offset`; it is never evolved itself, but composed from
 packet A's spectrum, so every scenario and every sweep flies one packet,
@@ -48,7 +48,7 @@ from .propagator import (
     measurement_ready,
     unready_reason,
 )
-from .twoparticle import BOSON, FERMION, SymmetrizedPair, joint_probabilities, make_pair
+from .twoparticle import BOSON, FERMION, SymmetrizedPair, make_pair, outgoing_probabilities
 
 # classification tolerance for report labels; looser than the exact-point
 # default so a calibrated MB-limit row still reads "MB"
@@ -282,20 +282,21 @@ def resolve_barrier(
 def evolve_pair_to_measurement(
     configs: list[ScenarioConfig], barrier: BarrierPotential
 ) -> Iterator[tuple]:
-    """Follow packet A to each config's measurement; yield `(i, outcome)` per config.
+    """Follow packet A to each config's read-out; yield `(i, outcome)` per config.
 
     The configs differ only in packet B, and only A is evolved: config
-    i's B is composed from A by `compose_b`.  It is taken at the first
-    chunk where A is ready and, unless B is A, holds at most
-    COMPOSE_BARRIER_AMPLITUDE_MAX on the barrier, and where B is
-    `measurement_ready` too: the outcome is
+    i's B is composed from A by `compose_b`, as B's outgoing state.  It
+    is taken at the first chunk where A is ready and, unless B is A,
+    holds at most COMPOSE_BARRIER_AMPLITUDE_MAX on the barrier; at
+    dk != 0, which amplifies A's residual there, also its composed B
+    must hold at most its `barrier_amplitude_max` there.  The outcome is
     `(psi_a, psi_b, steps_done, leakage)` at that chunk, yielded there,
     the leakage being A's peak edge amplitude so far and B's at launch.
     A PairStatsError is the outcome of the configs it concerns, yielded
     when it arises: a launch check (`validate`, `make_pair`) ends one
     before the flight, an edge error of A or the timeout all still
     running.  Each timeout says how far A got (`flight_progress`) and,
-    when B is not A and A has drained off the barrier, how far B got,
+    at dk != 0 once A has drained off the barrier, how far B got,
     composed at that last chunk.  The flight stops at the chunk that
     takes the last config, and does not start when every config failed
     at launch.
@@ -327,9 +328,11 @@ def evolve_pair_to_measurement(
                 if not (drained or cfg.identical_packets()):
                     continue
                 psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
-                if measurement_ready(psi_b, barrier, cfg.barrier_amplitude_max):
-                    del running[i]
-                    yield i, (psi_a, psi_b, steps_done, max(leakage, launch_edge))
+                if (cfg.wavenumber_offset
+                        and barrier_region_amplitude(psi_b, barrier) > cfg.barrier_amplitude_max):
+                    continue
+                del running[i]
+                yield i, (psi_a, psi_b, steps_done, max(leakage, launch_edge))
             if not running:
                 return
     except PairStatsError as err:
@@ -342,7 +345,7 @@ def evolve_pair_to_measurement(
     for i, launch_edge in running.items():
         cfg = configs[i]
         progress = progress_a
-        if drained and not cfg.identical_packets():
+        if drained and cfg.wavenumber_offset:
             psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
             b_leakage = max(launch_edge, edge_amplitude(psi_b))
             progress += f"; packet B: {flight_progress(psi_b, barrier, b_leakage)}"
@@ -356,13 +359,13 @@ def _measure(
     config: ScenarioConfig, barrier: BarrierPotential, param_value: float,
     psi_a: Wavefunction, psi_b: Wavefunction, steps_done: int, leakage: float,
 ) -> tuple[ResultRow, SymmetrizedPair]:
-    """Measure one pair at its measurement time, then at the stability times.
+    """Read one pair out by momentum sign (`outgoing_probabilities`), then at the stability times.
 
-    The pair comes from `evolve_pair_to_measurement`, ready to measure,
-    and is split at the barrier's centre.  For a stability time A is
-    evolved on and B composed from it again; both packets must still
-    pass the readiness tests, which a pair yet to scatter fails: the
-    PrematureMeasurementError names the test failed (`unready_reason`).
+    The pair comes from `evolve_pair_to_measurement`, ready to read.  For
+    a stability time A is evolved on and must still pass
+    `measurement_ready` (the PrematureMeasurementError names the test it
+    fails), and B is composed from it again: `stability_a` moves only
+    with what A still held on the barrier.
     The extension counts against `max_steps`: a pair whose last
     stability time lies beyond it is refused before any extension step.
     At a wavenumber offset B does not keep pace with A, so B's own edge
@@ -383,30 +386,23 @@ def _measure(
 
     leakage = max(leakage, b_edge(psi_b))
     pair = make_pair(psi_a, psi_b, config.sign)
-    stats = joint_probabilities(pair, barrier.center)
+    stats = outgoing_probabilities(pair)
 
     stability: list[float] = []
-    later_a, later_b = psi_a, psi_b
-    prev_extra = 0
+    later_a, prev_extra = psi_a, 0
     for fraction in config.stability_fractions:
         extra = int(round(fraction * steps_done))
-        if extra > prev_extra:
-            params = PropagationParams(dt=config.dt, steps=extra - prev_extra)
-            result = evolve(later_a, barrier, params)
-            later_a = result.psi
-            later_b = compose_b(later_a, config.spec_a(), config.separation,
-                                config.wavenumber_offset)
-            leakage = max(leakage, result.max_edge_amplitude, b_edge(later_b))
-            prev_extra = extra
-            for name, psi in zip("AB", (later_a, later_b)):
-                if not measurement_ready(psi, barrier, config.barrier_amplitude_max):
-                    reason = unready_reason(psi, barrier, config.barrier_amplitude_max)
-                    raise PrematureMeasurementError(
-                        f"packet {name} is not ready at t = {psi.t:.6g}: {reason}; "
-                        f"measuring now would split lobes still interacting"
-                    )
-        later = joint_probabilities(make_pair(later_a, later_b, config.sign), barrier.center)
-        stability.append(float(later.a))
+        result = evolve(later_a, barrier, PropagationParams(dt=config.dt, steps=extra - prev_extra))
+        later_a, prev_extra = result.psi, extra
+        if not measurement_ready(later_a, barrier, config.barrier_amplitude_max):
+            reason = unready_reason(later_a, barrier, config.barrier_amplitude_max)
+            raise PrematureMeasurementError(
+                f"packet A is not ready at t = {later_a.t:.6g}: {reason}; "
+                f"its momentum read-out would count mass yet to scatter"
+            )
+        later_b = compose_b(later_a, config.spec_a(), config.separation, config.wavenumber_offset)
+        leakage = max(leakage, result.max_edge_amplitude, b_edge(later_b))
+        stability.append(float(outgoing_probabilities(make_pair(later_a, later_b, config.sign)).a))
 
     norm_drift = float(
         max(abs(pair.psi_a.norm_sq() - 1.0), abs(pair.psi_b.norm_sq() - 1.0))
@@ -443,10 +439,10 @@ def _measure(
 def run_resolved(config: ScenarioConfig, param_value: float) -> tuple[ResultRow, SymmetrizedPair]:
     """Run one fully resolved scenario; raises on failure.
 
-    Flies the pair to its measurement with `evolve_pair_to_measurement`,
-    then measures the one pair it yields with `_measure`: an error of
-    either is raised.  Returns the row and the pair it measured, at the
-    measurement time (before any stability extension).
+    Flies the pair to its read-out with `evolve_pair_to_measurement`,
+    then reads the one pair it yields out with `_measure`: an error of
+    either is raised.  Returns the row and the pair it read, at the
+    read-out time (before any stability extension).
     """
     barrier = config.barrier()
     if barrier is None:

@@ -202,6 +202,16 @@ def probability_on_side(psi: Wavefunction, side: Side, boundary: float = 0.0) ->
     return float(np.sum(part) * psi.grid.dx)
 
 
+def momentum_split(psi_hat: np.ndarray, phi_hat: np.ndarray, grid: Grid1D) -> tuple[complex, complex]:
+    """The k > 0 and k <= 0 parts of <psi|phi> from the packets' FFTs, weighted dx/G (Parseval).
+
+    The two add back to `inner_product` to rounding precision.
+    """
+    weighted = np.conj(psi_hat) * phi_hat * (grid.dx / grid.points)
+    right = grid.k > 0
+    return complex(np.sum(weighted[right])), complex(np.sum(weighted[~right]))
+
+
 def position_std(psi: Wavefunction) -> float:
     """Standard deviation of |psi|^2, assuming unit norm."""
     dens = np.abs(psi.values) ** 2 * psi.grid.dx

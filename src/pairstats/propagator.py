@@ -28,12 +28,11 @@ from .errors import (
     ConfigurationError,
     StabilityError,
 )
-from .grid import Grid1D, WavepacketSpec, Wavefunction, make_gaussian, probability_on_side, side_moments
+from .grid import Grid1D, WavepacketSpec, Wavefunction, make_gaussian, momentum_split
 
 EDGE_AMPLITUDE_MAX = 1e-6  # on either box-edge sample, past which the periodic box wraps
 DEFAULT_BARRIER_AMPLITUDE_MAX = 1e-6
-LOBE_SIGMAS = 5.0  # lobe widths a measured lobe's center keeps from the barrier's centre
-_MIN_LOBE_MASS = 1e-4
+INBOUND_MASS_MAX = 1e-4  # mass moving towards the barrier below which a packet has scattered
 
 # amplitude on the barrier support up to which evolve_until_measured lets a
 # packet that has not yet been stepped fly free: the barrier's phases then act
@@ -239,23 +238,19 @@ def unready_reason(
 ) -> str | None:
     """The readiness test the packet fails, in words; None once it has scattered.
 
-    The box is split at the barrier's centre.  Cheapest test first: at
-    most `barrier_amplitude_max` on the barrier support; each side's lobe,
-    if it holds noticeable mass, LOBE_SIGMAS of its widths from the split;
-    no noticeable mass moving towards the barrier (one FFT pair).
+    Two tests, the cheaper first: at most `barrier_amplitude_max` on the
+    barrier support, and less than INBOUND_MASS_MAX moving towards the
+    barrier (right-moving left of its centre or left-moving right of it,
+    one FFT pair).  Past both, its momentum sign says where it ends.
     """
     amplitude = barrier_region_amplitude(psi, barrier)
     if amplitude > barrier_amplitude_max:
         return f"amplitude {amplitude:.3g} on the barrier, over {barrier_amplitude_max:.3g}"
-    for side in ("negative", "positive"):
-        mass, mean, std = side_moments(psi, side, barrier.center)
-        if mass >= _MIN_LOBE_MASS and not abs(mean - barrier.center) >= LOBE_SIGMAS * std:
-            return f"{side}-side lobe at {mean:.6g} within {LOBE_SIGMAS:g} widths of the barrier"
     right = np.fft.ifft(np.fft.fft(psi.values) * (psi.grid.k > 0))
     i0 = psi.grid.split_index(barrier.center)
     inbound = (np.sum(np.abs(right[:i0]) ** 2)
                + np.sum(np.abs(psi.values[i0:] - right[i0:]) ** 2)) * psi.grid.dx
-    if not inbound < _MIN_LOBE_MASS:
+    if not inbound < INBOUND_MASS_MAX:
         return f"mass {inbound:.3g} still moving towards the barrier"
     return None
 
@@ -299,8 +294,7 @@ COMPOSE_SPECTRUM_CUT = 1e-10
 # 1e-10 of a B evolved for real (measured up to |dk| = 1.5 at sigma = 1,
 # where the loss is 2.5e-11).  Beyond it the error follows the loss up
 # (3.4e-10 at |dk| = 1.7), and a slow B waits on A's amplified low-|k|
-# remnant at the barrier: dk = -1.55 and -1.7 time out or fail their
-# stability check where B evolved for real is measured.
+# remnant at the barrier.
 COMPOSE_LOSS_MAX = 3e-11
 
 
@@ -483,14 +477,14 @@ def simulated_transmission(
 ) -> tuple[float, float]:
     """Fly the packet until it has scattered off the barrier; return (T, t_meas).
 
-    T is the packet's probability right of the barrier's centre at the
-    first ready chunk of `evolve_until_measured`, its edges held to
-    `edge_amplitude_max`; a `boundary` other than that centre is a
-    ConfigurationError.  A launch state that already passes
-    `measurement_ready` has nothing to scatter: ConfigurationError before
-    any step.  Otherwise raises the flight's edge error, or a
-    CalibrationError when `max_steps` run out, which says how far the
-    packet got (`flight_progress`).
+    T is the packet's probability at k > 0 (`grid.momentum_split`) at
+    the first ready chunk of `evolve_until_measured`, its edges held to
+    `edge_amplitude_max`.  `boundary` is kept for positional callers:
+    one other than the barrier's centre is a ConfigurationError.  A
+    launch state that already passes `measurement_ready` has nothing to
+    scatter: ConfigurationError before any step.  Otherwise raises the
+    flight's edge error, or a CalibrationError when `max_steps` run
+    out, which says how far the packet got (`flight_progress`).
     """
     if boundary not in (None, barrier.center):
         raise ConfigurationError(f"the split is the barrier centre {barrier.center}, not {boundary}")
@@ -503,7 +497,8 @@ def simulated_transmission(
         barrier_amplitude_max=barrier_amplitude_max, edge_amplitude_max=edge_amplitude_max,
     ):
         if ready:
-            return probability_on_side(psi, "positive", barrier.center), psi.t
+            spectrum = np.fft.fft(psi.values)
+            return momentum_split(spectrum, spectrum, grid)[0].real, psi.t
     raise CalibrationError(
         f"measurement criterion not met within {max_steps} steps "
         f"(t = {max_steps * dt:.6g}) for barrier height {barrier.height:.6g}; "

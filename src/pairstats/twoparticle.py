@@ -12,19 +12,20 @@ The familiar 1/sqrt(2) is the s = 0 limit of this.
 
 Integrating |Psi|^2 over the four side quadrants never needs a 2D
 quadrature: with T_X, R_X the single-particle side masses and I_+/- the
-half-line overlaps of conj(psi_A) psi_B,
+one-sided overlaps of conj(psi_A) psi_B,
 
     p02 = C^2 (2 T_A T_B + sign 2 |I_+|^2)          both positive
     p20 = C^2 (2 R_A R_B + sign 2 |I_-|^2)          both negative
     p11 = C^2 (2 T_A R_B + 2 R_A T_B + sign 4 Re(I_+ conj(I_-)))
 
-and I_+ + I_- = s by the shared quadrature split.  The direct 2D
-integration is kept as an oracle to guard the factorized path.
+and I_+ + I_- = s by the shared split: the momentum sign in
+`outgoing_probabilities`, a half-line in `joint_probabilities`.  The
+direct 2D integration is kept as an oracle to guard the factorized path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .grid import (
     Wavefunction,
     half_line_overlap,
     inner_product,
+    momentum_split,
     probability_on_side,
 )
 
@@ -160,21 +162,11 @@ def joint_density(pair: SymmetrizedPair, x1, x2):
     return dens
 
 
-def joint_probabilities(pair: SymmetrizedPair, boundary: float = 0.0) -> JointStats:
-    """Quadrant probabilities from the factorized 1D integrals.
-
-    The caller vouches for the timing; `propagator.evolve_until_measured`
-    hands over only packets that have cleared the barrier.
-    """
-    t_a = probability_on_side(pair.psi_a, "positive", boundary)
-    r_a = probability_on_side(pair.psi_a, "negative", boundary)
-    t_b = probability_on_side(pair.psi_b, "positive", boundary)
-    r_b = probability_on_side(pair.psi_b, "negative", boundary)
-    i_plus = half_line_overlap(pair.psi_a, pair.psi_b, "positive", boundary)
-    i_minus = half_line_overlap(pair.psi_a, pair.psi_b, "negative", boundary)
+def _joint_stats(pair: SymmetrizedPair, t_a, r_a, t_b, r_b, i_plus, i_minus) -> JointStats:
+    """The quadrant formula from one split's sides; checks the partition and the sum rule."""
     if abs((i_plus + i_minus) - pair.s) > PARTITION_TOL:
         raise ConsistencyError(
-            f"half-line overlaps do not partition the full overlap: "
+            f"one-sided overlaps do not partition the full overlap: "
             f"|I+ + I- - s| = {abs(i_plus + i_minus - pair.s):.3g}"
         )
     sign = pair.sign
@@ -191,20 +183,37 @@ def joint_probabilities(pair: SymmetrizedPair, boundary: float = 0.0) -> JointSt
         raise ConsistencyError(
             f"quadrant sum rule violated: p20 + p02 + p11 = {sum_check!r}"
         )
-    return JointStats(
-        p20=p20,
-        p02=p02,
-        p11=p11,
-        a=0.5 * (p20 + p02),
-        s=pair.s,
-        i_plus=i_plus,
-        i_minus=i_minus,
-        t_a=t_a,
-        r_a=r_a,
-        t_b=t_b,
-        r_b=r_b,
-        sum_check=sum_check,
-    )
+    return JointStats(p20, p02, p11, 0.5 * (p20 + p02), pair.s, i_plus, i_minus,
+                      t_a, r_a, t_b, r_b, sum_check)
+
+
+def joint_probabilities(pair: SymmetrizedPair, boundary: float = 0.0) -> JointStats:
+    """Quadrant probabilities split in position at `boundary`, from the factorized 1D integrals.
+
+    Agrees with `outgoing_probabilities` once both packets' lobes have
+    left `boundary` behind them, which the caller vouches for.
+    """
+    sides = ("positive", "negative")
+    return _joint_stats(
+        pair, *(probability_on_side(psi, side, boundary)
+                for psi in (pair.psi_a, pair.psi_b) for side in sides),
+        *(half_line_overlap(pair.psi_a, pair.psi_b, side, boundary) for side in sides))
+
+
+def outgoing_probabilities(pair: SymmetrizedPair) -> JointStats:
+    """Quadrant probabilities split by momentum sign: k > 0 transmitted, k <= 0 reflected.
+
+    A scattered packet ends on the side its momentum points to, and free
+    flight changes no spectral sum: this is the position split at
+    t -> infinity, read at any time after the scattering.
+    """
+    grid = pair.psi_a.grid
+    hat_a = np.fft.fft(pair.psi_a.values)
+    hat_b = hat_a if pair.psi_b is pair.psi_a else np.fft.fft(pair.psi_b.values)
+    t_a, r_a = momentum_split(hat_a, hat_a, grid)
+    t_b, r_b = momentum_split(hat_b, hat_b, grid)
+    return _joint_stats(pair, t_a.real, r_a.real, t_b.real, r_b.real,
+                        *momentum_split(hat_a, hat_b, grid))
 
 
 def check_oracle_budget(points: int, max_points: int = _ORACLE_MAX_POINTS) -> None:
@@ -222,8 +231,8 @@ def quadrant_quadrature_oracle(
 ) -> JointStats:
     """Quadrant probabilities by direct 2D summation of the joint density.
 
-    Exists purely to guard the factorized path in `joint_probabilities`,
-    so it sums |Psi|^2 sample by sample, not the half-line integrals.
+    Guards the factorized path in `joint_probabilities`, whose side masses
+    and overlaps it reports, so it sums |Psi|^2 sample by sample.
     |Psi(x1, x2)|^2 = |Psi(x2, x1)|^2 for either sign, and a swap keeps
     each quadrant class (both negative, both positive, mixed), so only
     the upper triangle is evaluated: rows in blocks of `_ORACLE_BLOCK`,
@@ -258,25 +267,9 @@ def quadrant_quadrature_oracle(
             + 2.0 * float(np.sum(beyond[:k, c:]))
         )
         del block, square, beyond  # one block alive at a time
-    p20 = p_nn * w2
-    p02 = p_pp * w2
-    p11 = p_mixed * w2
-    i_plus = half_line_overlap(pair.psi_a, pair.psi_b, "positive", boundary)
-    i_minus = half_line_overlap(pair.psi_a, pair.psi_b, "negative", boundary)
-    return JointStats(
-        p20=p20,
-        p02=p02,
-        p11=p11,
-        a=0.5 * (p20 + p02),
-        s=pair.s,
-        i_plus=i_plus,
-        i_minus=i_minus,
-        t_a=probability_on_side(pair.psi_a, "positive", boundary),
-        r_a=probability_on_side(pair.psi_a, "negative", boundary),
-        t_b=probability_on_side(pair.psi_b, "positive", boundary),
-        r_b=probability_on_side(pair.psi_b, "negative", boundary),
-        sum_check=(p20 + p02) + p11,
-    )
+    p20, p02, p11 = p_nn * w2, p_pp * w2, p_mixed * w2
+    return replace(joint_probabilities(pair, boundary), p20=p20, p02=p02, p11=p11,
+                   a=0.5 * (p20 + p02), sum_check=(p20 + p02) + p11)
 
 
 def dump_joint_density_csv(pair: SymmetrizedPair, out, max_points: int = 256) -> None:

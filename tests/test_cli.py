@@ -422,11 +422,20 @@ class TestRunCommand:
 
         def recording_oracle(pair, *args, **kwargs):
             oracle_times.append((pair.psi_a.t, pair.psi_b.t))
+            split_pairs.append(pair)
             return real_oracle(pair, *args, **kwargs)
+
+        # the quadrature is set against the position split of its own pair
+        split_pairs, real_split = [], cli.joint_probabilities
+
+        def recording_split(pair, *args, **kwargs):
+            split_pairs.append(pair)
+            return real_split(pair, *args, **kwargs)
 
         for module in (experiment, cli):
             monkeypatch.setattr(module, "evolve_pair_to_measurement", counting_evolve_pair)
         monkeypatch.setattr(cli, "quadrant_quadrature_oracle", recording_oracle)
+        monkeypatch.setattr(cli, "joint_probabilities", recording_split)
         capsys.readouterr()
         assert main(["run", "--config", path, "--out", str(checked), "--oracle"]) == EXIT_OK
         stdout = capsys.readouterr().out
@@ -438,6 +447,7 @@ class TestRunCommand:
         row = json.loads((checked / "run.json").read_text(encoding="utf-8"))["rows"][0]
         assert len(row["stability_a"]) == 2
         assert oracle_times == [(pytest.approx(row["t_meas"], abs=1e-9),) * 2]
+        assert len(split_pairs) == 2 and split_pairs[0] is split_pairs[1]
         tagged = [ln for ln in stdout.splitlines() if ln.startswith("oracle:")]
         assert len(tagged) == 1
         assert float(tagged[0].rsplit("=", 1)[1]) <= 1e-12

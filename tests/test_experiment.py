@@ -12,6 +12,7 @@ import re
 import tracemalloc
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 import pairstats
@@ -47,7 +48,13 @@ from pairstats.experiment import (
 from pairstats.grid import WavepacketSpec, make_gaussian
 from pairstats.occupancy import PAIR_LABELS
 from pairstats.propagator import BarrierPotential, PropagationParams, evolve, measurement_ready
-from pairstats.twoparticle import BOSON, FERMION, joint_probabilities, make_pair
+from pairstats.twoparticle import (
+    BOSON,
+    FERMION,
+    joint_probabilities,
+    make_pair,
+    outgoing_probabilities,
+)
 
 
 def small_scenario(**overrides) -> ScenarioConfig:
@@ -304,9 +311,9 @@ class TestRunScenario:
         # the split is frozen after measurement; later reads must agree
         assert row.stability_a[0] == pytest.approx(row.a, abs=5e-3)
 
-    @pytest.mark.parametrize("max_steps", [10_500, 10_499])
+    @pytest.mark.parametrize("max_steps", [8700, 8699])
     def test_stability_extension_counts_against_max_steps(self, monkeypatch, max_steps):
-        # measured at 7000 steps, the fraction 0.5 takes the pair on to 10,500
+        # read out at 5800 steps, the fraction 0.5 takes the pair on to 8700
         extension = []
         real_evolve = experiment.evolve
 
@@ -316,14 +323,14 @@ class TestRunScenario:
 
         monkeypatch.setattr(experiment, "evolve", spy)
         config = small_scenario(stability_fractions=(0.25, 0.5), max_steps=max_steps)
-        if max_steps >= 10_500:
+        if max_steps >= 8700:
             row = run_scenario(config)
-            assert row.t_meas == pytest.approx(7000 * config.dt)
-            assert extension == [1750, 1750]
+            assert row.t_meas == pytest.approx(5800 * config.dt)
+            assert extension == [1450, 1450]
         else:
             with pytest.raises(MeasurementTimeoutError,
-                               match=r"end at 10500 steps, beyond max_steps 10499 "
-                                     r"\(measured at 7000 steps\)"):
+                               match=r"end at 8700 steps, beyond max_steps 8699 "
+                                     r"\(measured at 5800 steps\)"):
                 run_scenario(config)
             assert extension == []
 
@@ -332,7 +339,7 @@ class TestRunScenario:
         row, pair = run_resolved(config, param_value=config.separation)
         assert pair.psi_a.t == pair.psi_b.t == pytest.approx(row.t_meas, abs=1e-9)
         assert pair.sign == config.sign
-        fresh = joint_probabilities(pair, config.barrier_center)
+        fresh = outgoing_probabilities(pair)
         assert (fresh.p20, fresh.p02, fresh.p11) == (row.p20, row.p02, row.p11)
 
     def test_identical_packets_share_one_evolution(self, monkeypatch):
@@ -352,30 +359,63 @@ class TestRunScenario:
         chunks = round(row.t_meas / (config.dt * config.check_every))
         assert len(calls) == chunks + 1
 
+    def test_identical_pair_checks_a_once_per_stability_time(self, monkeypatch):
+        # B is A: the one state is tested once at each stability time
+        checked = []
+        real_ready = experiment.measurement_ready
+
+        def spy(psi, *args, **kwargs):
+            checked.append(psi.t)
+            return real_ready(psi, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "measurement_ready", spy)
+        config = small_scenario(separation=0.0, stability_fractions=(0.1, 0.2))
+        row = run_scenario(config)
+        assert len(row.stability_a) == 2
+        assert checked == [pytest.approx(row.t_meas * (1.0 + f)) for f in (0.1, 0.2)]
+
     def test_measure_sees_only_packets_ready_under_the_config(self):
-        # a barrier threshold stricter than the propagator default 1e-6
+        # a barrier threshold stricter than the propagator default 1e-6: A
+        # is read where it passes the config's gate, later than at 1e-6
         base = small_scenario(barrier_amplitude_max=1e-8)
         configs = [apply_sweep_parameter(base, "separation_d", d) for d in (0.0, 2.0, 4.0)]
         barrier = base.barrier()
         yielded = list(evolve_pair_to_measurement(configs, barrier))
         assert sorted(i for i, _ in yielded) == [0, 1, 2]
         assert not any(isinstance(state, PairStatsError) for _, state in yielded)
+        at_default = evolve_pair_to_measurement(
+            [replace(cfg, barrier_amplitude_max=1e-6) for cfg in configs], barrier)
+        default_steps = {state[2] for _, state in at_default}
         for _, (psi_a, psi_b, steps_done, leakage) in yielded:
-            for psi in (psi_a, psi_b):
-                assert psi.t == pytest.approx(steps_done * base.dt, abs=1e-9)
-                assert measurement_ready(psi, barrier, base.barrier_amplitude_max)
+            assert psi_a.t == psi_b.t == pytest.approx(steps_done * base.dt, abs=1e-9)
+            assert measurement_ready(psi_a, barrier, base.barrier_amplitude_max)
+            assert steps_done > max(default_steps)
 
     def test_each_pair_is_yielded_at_the_chunk_it_becomes_ready(self):
+        # at dk = 0 every pair is ready where A is: at A's drain, far B or not
         base = small_scenario()
         values = (6.0, 0.0, 4.0, 2.0)
         configs = [apply_sweep_parameter(base, "separation_d", d) for d in values]
         yielded = [(i, state[2]) for i, state in
                    evolve_pair_to_measurement(configs, base.barrier())]
-        assert yielded == [(1, 5800), (3, 6600), (2, 7400), (0, 8200)]
+        assert yielded == [(0, 5800), (1, 5800), (2, 5800), (3, 5800)]
         rows = sweep(SweepConfig(base, "separation_d", values))
         assert [row.param for row in rows] == list(values)
-        assert [row.t_meas for row in rows] == [
-            pytest.approx(steps * base.dt) for steps in (8200, 5800, 7400, 6600)]
+        assert [row.t_meas for row in rows] == [pytest.approx(5800 * base.dt)] * 4
+
+    def test_a_row_at_a_wavenumber_offset_waits_for_its_b_to_leave_the_barrier(self):
+        # B composed from A amplifies A's residual on the barrier at dk != 0,
+        # so its row is read once the composed B holds at most the gate there
+        base = small_scenario(separation=3.0)
+        values = (0.0, -1.0, 1.0)
+        configs = [apply_sweep_parameter(base, "wavenumber_dk", dk) for dk in values]
+        barrier = base.barrier()
+        yielded = list(evolve_pair_to_measurement(configs, barrier))
+        assert [(i, state[2]) for i, state in yielded] == [(0, 5800), (2, 6200), (1, 8600)]
+        for i, (psi_a, psi_b, _, _) in yielded:
+            # at dk = 0 the composed B is B's outgoing state and may sit on the barrier
+            on_barrier = propagator.barrier_region_amplitude(psi_b, barrier)
+            assert (on_barrier <= base.barrier_amplitude_max) == (values[i] != 0.0)
 
     def test_unready_stability_packets_are_refused(self):
         # launch states sitting on the barrier, re-measured one step later
@@ -400,10 +440,11 @@ class TestRunScenario:
                                  r"still moving towards the barrier"):
             experiment._measure(config, config.barrier(), 3.0, psi_a, psi_b, 2000, 0.0)
 
-    def test_b_launched_at_the_box_edge_is_measured_after_it_scatters_and_invalid(self):
+    def test_b_launched_at_the_box_edge_is_read_before_it_scatters_and_invalid(self):
         # B starts 6.05 sigma from the left edge: its launch tail already
-        # exceeds EDGE_AMPLITUDE_MAX there, and it reaches the barrier at
-        # t ~ 6.5, long after A (and so the B composed from A) cleared it
+        # exceeds EDGE_AMPLITUDE_MAX there.  It reaches the barrier at
+        # t ~ 6.5, but at dk = 0 its row is read at A's drain: the B
+        # composed from A there is B's outgoing state
         config = small_scenario(packet_sigma=2.0, packet_center=-24.0, separation=27.9,
                                 barrier_amplitude_max=1e-3, max_steps=40_000)
         launch_b = make_gaussian(config.grid(), config.spec_b())
@@ -412,7 +453,7 @@ class TestRunScenario:
         row, _ = run_resolved(config, param_value=config.separation)
         assert row.error is None and not row.valid
         assert row.leakage == pytest.approx(edge_b, rel=1e-6)
-        assert row.t_meas > abs(config.spec_b().center) / config.packet_wavenumber
+        assert row.t_meas < abs(config.spec_b().center) / config.packet_wavenumber
 
     @pytest.mark.parametrize("half_width, fractions", [(34.0, ()), (38.0, (0.1,))])
     def test_b_at_the_box_edge_at_a_wavenumber_offset_is_invalid(self, half_width, fractions):
@@ -455,11 +496,12 @@ class TestRunScenario:
 
 class TestSweep:
     def test_error_rows_recorded_not_raised(self):
-        # d = 3 is measured at 7000 steps, d = 6 would be at 8200
+        # dk = 0.5 is read at 5800 steps, dk = -1 would be at 7200, once its
+        # composed B has left the barrier
         config = SweepConfig(
-            base=small_scenario(sign=FERMION, max_steps=7800),
-            parameter="separation_d",
-            values=(0.0, 3.0, 6.0),
+            base=small_scenario(sign=FERMION, separation=0.0, max_steps=7000),
+            parameter="wavenumber_dk",
+            values=(0.0, 0.5, -1.0),
         )
         rows = sweep(config)
         assert len(rows) == 3
@@ -474,8 +516,8 @@ class TestSweep:
         # of the box edges, so it is B that is late, and so it says how far
         # B got: still on the barrier
         found = re.fullmatch(
-            r"MeasurementTimeoutError: packets did not clear the barrier within 7800 steps "
-            r"\(t = 3\.9\); packet A: barrier amplitude (\S+) at the last chunk, "
+            r"MeasurementTimeoutError: packets did not clear the barrier within 7000 steps "
+            r"\(t = 3\.5\); packet A: barrier amplitude (\S+) at the last chunk, "
             r"peak edge amplitude (\S+); packet B: barrier amplitude (\S+) at the last chunk, "
             r"peak edge amplitude (\S+)", rows[2].error)
         assert found
@@ -617,9 +659,12 @@ class TestOutOfBandOffsets:
 
 
 def direct_reference(config: ScenarioConfig, t_meas: float):
-    """Packets A and B each evolved by plain `evolve` calls, in `check_every`
-    chunks, to `t_meas` and on to each stability time; the stats and the
-    packets at `t_meas`, and the stability a values."""
+    """Packets A and B each evolved for real by plain `evolve` calls, in
+    `check_every` chunks, to the first chunk where both pass
+    `measurement_ready`, and split in position there; then on by each
+    stability fraction of that chunk's steps.  Returns the stats at that
+    chunk, the stability a values, and the packets at the later of that
+    chunk and `t_meas`."""
     grid, barrier = config.grid(), config.barrier()
     packets = [make_gaussian(grid, config.spec_a()), make_gaussian(grid, config.spec_b())]
 
@@ -633,32 +678,46 @@ def direct_reference(config: ScenarioConfig, t_meas: float):
     def measured(packets):
         return joint_probabilities(make_pair(*packets, config.sign), config.barrier_center)
 
-    steps = round(t_meas / config.dt)
-    at_t_meas = packets = advance(packets, steps)
-    stats, stability, done = measured(packets), [], 0
+    steps = 0
+    while not (steps and all(measurement_ready(psi, barrier, config.barrier_amplitude_max)
+                             for psi in packets)):
+        assert steps < config.max_steps, "the real packets never both became ready"
+        packets = advance(packets, config.check_every)
+        steps += config.check_every
+    stats, stability, done, later = measured(packets), [], 0, packets
     for fraction in config.stability_fractions:
         extra = int(round(fraction * steps))
-        packets = advance(packets, extra - done)
+        later = advance(later, extra - done)
         done = extra
-        stability.append(measured(packets).a)
-    return stats, at_t_meas, stability
+        stability.append(measured(later).a)
+    return stats, stability, advance(packets, round(t_meas / config.dt) - steps)
+
+
+def fly_free(psi, t: float):
+    """`psi` carried on to time `t` by the kinetic phase alone."""
+    k = psi.grid.k
+    return np.fft.ifft(np.fft.fft(psi.values) * np.exp(-0.5j * (t - psi.t) * k**2))
 
 
 class TestDirectReference:
-    """Rows, with packet B composed from packet A, against B evolved for real."""
+    """Rows, read out by momentum with packet B composed from packet A,
+    against both packets evolved for real and split in position once
+    both are ready."""
 
     @staticmethod
-    def check(config, row, pair=None, tol=1e-10):
+    def check(config, row, pair=None, tol=1e-10, s_tol=None):
         assert row.valid and row.error is None
-        stats, packets, stability = direct_reference(config, row.t_meas)
+        stats, stability, packets = direct_reference(config, row.t_meas)
         if pair is not None:
-            # amplitudes too, launch phase included; they may differ where
-            # the gate lets amplitude stay, on the barrier
+            # amplitudes too, launch phase included: the pair's packets are
+            # outgoing states, so flown free to the real packets' time they
+            # are those packets, up to what the gate lets stay on the barrier
             for psi, reference in zip((pair.psi_a, pair.psi_b), packets):
-                assert abs(psi.values - reference.values).max() <= config.barrier_amplitude_max
+                gap = abs(fly_free(psi, reference.t) - reference.values).max()
+                assert gap <= config.barrier_amplitude_max
         for name in ("a", "p11", "p20", "p02", "t_b"):
             assert getattr(row, name) == pytest.approx(getattr(stats, name), abs=tol), name
-        assert row.s_abs == pytest.approx(abs(stats.s), abs=tol)
+        assert row.s_abs == pytest.approx(abs(stats.s), abs=s_tol or tol)
         assert row.stability_a == pytest.approx(tuple(stability), abs=tol)
 
     @pytest.mark.parametrize("base, parameter, values", [
@@ -690,6 +749,26 @@ class TestDirectReference:
         config = small_scenario(barrier_width=1.0, barrier_height=28.67, sign=FERMION,
                                 separation=0.5, barrier_amplitude_max=1e-3, max_steps=16_000)
         self.check(config, run_resolved(config, param_value=0.5)[0], tol=1e-8)
+
+    def test_b_yet_to_reach_the_barrier_is_read_at_a_s_drain(self):
+        # at A's drain (t = 2.9) A's transmitted lobe is near x = 13.2, so
+        # moved back by d = 13.2 it sits on the barrier, which B itself
+        # reaches only then: the row does not wait for B, because the B
+        # composed from A is B's outgoing state
+        base = small_scenario()
+        configs = [apply_sweep_parameter(base, "separation_d", d) for d in (2.0, 13.2)]
+        yielded = [(i, state[2]) for i, state in
+                   evolve_pair_to_measurement(configs, base.barrier())]
+        assert yielded == [(0, 5800), (1, 5800)]
+        config = configs[1]
+        real_b = evolve(make_gaussian(config.grid(), config.spec_b()), config.barrier(),
+                        PropagationParams(config.dt, 5800)).psi
+        assert propagator.barrier_region_amplitude(real_b, config.barrier()) > 0.1
+        # s is first order in what A still holds on the barrier, where the
+        # composed B's lobe sits: 3.1e-8 here against a true 3.5e-10; a
+        # meets that error times |I+-|, itself of order s here
+        self.check(config, *run_resolved(config, param_value=13.2),
+                   s_tol=config.barrier_amplitude_max * config.barrier_width)
 
     def test_pair_run_scenario(self):
         # the benchmark's seed-0 pair_run: the quick_run box, fermions at d = 1.5

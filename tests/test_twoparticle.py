@@ -39,6 +39,7 @@ from pairstats.twoparticle import (
     joint_density,
     joint_probabilities,
     make_pair,
+    outgoing_probabilities,
     quadrant_quadrature_oracle,
 )
 
@@ -147,6 +148,49 @@ class TestTwoLobeExactPoints:
         for mass in (stats.t_a, stats.r_a, stats.t_b, stats.r_b):
             assert mass == pytest.approx(0.5, abs=1e-13)
         assert stats.sum_check == pytest.approx(1.0, abs=1e-13)
+
+
+def two_carrier_pair(alpha, sign, centers=(0.0, 0.0)):
+    """The two-lobe family with its lobes in momentum: psi_A and psi_B are
+    built as above from u_R and u_L, Gaussians at carriers +8 and -8 (centred
+    at `centers`), whose spectra overlap by exp(-128)."""
+    g = Grid1D(half_width=32.0, points=1024)
+    u_r, u_l = (make_gaussian(g, WavepacketSpec(c, k0, 1.0)) for c, k0 in zip(centers, (8.0, -8.0)))
+    root2 = math.sqrt(2.0)
+    psi_a = Wavefunction(g, (u_l.values + u_r.values) / root2)
+    psi_b = Wavefunction(
+        g, (u_l.values * np.exp(1j * alpha) + u_r.values * np.exp(-1j * alpha)) / root2)
+    return make_pair(psi_a, psi_b, sign)
+
+
+class TestOutgoingProbabilities:
+    @pytest.mark.parametrize("alpha", [math.pi / 4.0, math.pi / 2.0, 1.1])
+    def test_two_carrier_family(self, alpha):
+        stats = outgoing_probabilities(two_carrier_pair(alpha, BOSON))
+        for got, want in zip((stats.p20, stats.p02, stats.p11), symmetric_reference(alpha)):
+            assert got == pytest.approx(want, abs=1e-12)
+        assert (stats.t_a, stats.r_a) == pytest.approx((0.5, 0.5), abs=1e-12)
+        assert stats.i_plus == pytest.approx(0.5 * np.exp(-1j * alpha), abs=1e-12)
+        assert stats.i_minus == pytest.approx(0.5 * np.exp(1j * alpha), abs=1e-12)
+        fermion = outgoing_probabilities(two_carrier_pair(alpha, FERMION))
+        assert (fermion.p20, fermion.p02, fermion.p11) == pytest.approx((0.0, 0.0, 1.0),
+                                                                        abs=1e-12)
+
+    @pytest.mark.parametrize("sign", [BOSON, FERMION])
+    def test_agrees_with_the_position_split_once_the_lobes_move_apart(self, sign):
+        # the right-mover 10 sigma right of the split, the left-mover 10 left
+        pair = two_carrier_pair(0.9, sign, centers=(10.0, -10.0))
+        fast, split = outgoing_probabilities(pair), joint_probabilities(pair)
+        for name in ("p20", "p02", "p11", "t_a", "r_b"):
+            assert getattr(fast, name) == pytest.approx(getattr(split, name), abs=1e-12)
+
+    def test_a_lobe_heading_back_counts_where_it_ends(self):
+        # centred right of the split but moving left: it ends on the left
+        lone = make_gaussian(Grid1D(half_width=32.0, points=1024), WavepacketSpec(10.0, -8.0, 1.0))
+        pair = make_pair(lone, lone, BOSON)
+        stats = outgoing_probabilities(pair)
+        assert (stats.t_a, stats.r_a) == pytest.approx((0.0, 1.0), abs=1e-12)
+        assert joint_probabilities(pair).t_a == pytest.approx(1.0, abs=1e-12)
 
 
 class TestJointDensity:
