@@ -21,7 +21,6 @@ BASE = ScenarioConfig(
     barrier_height=None,
     dt=5e-4,
     max_steps=12_000,
-    check_every=200,
     barrier_amplitude_max=1e-3,
 )
 

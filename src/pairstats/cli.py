@@ -260,8 +260,8 @@ def cmd_run(args) -> int:
     for line in compare_with_counting(row).lines():
         print(line)
     if args.oracle:
-        fast = joint_probabilities(pair, resolved.barrier_center)
-        quad = quadrant_quadrature_oracle(pair, resolved.barrier_center)
+        fast = joint_probabilities(pair)
+        quad = quadrant_quadrature_oracle(pair)
         delta = max(
             abs(quad.p20 - fast.p20), abs(quad.p02 - fast.p02), abs(quad.p11 - fast.p11)
         )

@@ -45,7 +45,6 @@ from .propagator import (
     evolve,
     evolve_until_measured,
     flight_progress,
-    measurement_ready,
     unready_reason,
 )
 from .twoparticle import BOSON, FERMION, SymmetrizedPair, make_pair, outgoing_probabilities
@@ -64,7 +63,7 @@ _SIGN_VALUES = {"boson": BOSON, "fermion": FERMION}
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Complete recipe for one two-packet barrier run, split at `barrier_center` to measure."""
+    """Complete recipe for one two-packet run over a barrier centred at x = 0."""
 
     # grid
     grid_half_width: float
@@ -80,13 +79,11 @@ class ScenarioConfig:
     # barrier; height None means "calibrate to calibration_target"
     barrier_width: float = 0.5
     barrier_height: Optional[float] = None
-    barrier_center: float = 0.0
     calibration_target: float = 0.5
     calibration_tol: float = 0.005
     # evolution
     dt: float = 5e-4
     max_steps: int = 60_000
-    check_every: int = 200
     # measurement
     barrier_amplitude_max: float = DEFAULT_BARRIER_AMPLITUDE_MAX
     # extra measurement times t_meas * (1 + f), recorded per row as stability_a
@@ -112,11 +109,7 @@ class ScenarioConfig:
     def barrier(self) -> Optional[BarrierPotential]:
         if self.barrier_height is None:
             return None
-        return BarrierPotential(
-            height=self.barrier_height,
-            width=self.barrier_width,
-            center=self.barrier_center,
-        )
+        return BarrierPotential(height=self.barrier_height, width=self.barrier_width)
 
     def identical_packets(self) -> bool:
         return self.separation == 0.0 and self.wavenumber_offset == 0.0
@@ -124,7 +117,7 @@ class ScenarioConfig:
     def loop_settings(self) -> dict:
         """Step size, step budget and measurement gate, as keywords of the propagator's loops."""
         return {name: getattr(self, name)
-                for name in ("dt", "max_steps", "check_every", "barrier_amplitude_max")}
+                for name in ("dt", "max_steps", "barrier_amplitude_max")}
 
     def validate(self) -> None:
         for f in fields(self):
@@ -146,15 +139,13 @@ class ScenarioConfig:
                 f"from A's spectrum where it is at least {COMPOSE_SPECTRUM_CUT} of its peak, "
                 f"which drops {dropped:.3g} of B's launch norm, over the limit {COMPOSE_LOSS_MAX}"
             )
-        probe = self.barrier() or BarrierPotential(0.0, self.barrier_width, self.barrier_center)
+        probe = self.barrier() or BarrierPotential(0.0, self.barrier_width)
         probe.validate_on(grid)
         if not (self.packet_wavenumber > 0 and self.packet_center < probe.support[0]):
             raise ConfigurationError(
                 f"packet A must start left of the barrier at {probe.support[0]} with a positive carrier "
                 f"wavenumber, got center {self.packet_center}, wavenumber {self.packet_wavenumber}")
-        PropagationParams(dt=self.dt, steps=max(self.check_every, 1)).validate_on(grid)
-        if self.check_every < 1:
-            raise ConfigurationError(f"check_every must be >= 1, got {self.check_every}")
+        PropagationParams(dt=self.dt, steps=1).validate_on(grid)
         if self.max_steps < 1:
             raise ConfigurationError(f"max_steps must be >= 1, got {self.max_steps}")
         if not self.barrier_amplitude_max > 0:
@@ -272,8 +263,7 @@ def resolve_barrier(
         return config, None
     calibration = calibrate_barrier(
         config.grid(), config.spec_a(), config.barrier_width,
-        target=config.calibration_target, tol=config.calibration_tol,
-        center=config.barrier_center, **config.loop_settings(),
+        target=config.calibration_target, tol=config.calibration_tol, **config.loop_settings(),
     )
     resolved = replace(config, barrier_height=calibration.barrier.height)
     return resolved, calibration
@@ -362,9 +352,9 @@ def _measure(
     """Read one pair out by momentum sign (`outgoing_probabilities`), then at the stability times.
 
     The pair comes from `evolve_pair_to_measurement`, ready to read.  For
-    a stability time A is evolved on and must still pass
-    `measurement_ready` (the PrematureMeasurementError names the test it
-    fails), and B is composed from it again: `stability_a` moves only
+    a stability time A is evolved on and must still be ready (a
+    PrematureMeasurementError names the `unready_reason` it fails), and
+    B is composed from it again: `stability_a` moves only
     with what A still held on the barrier.
     The extension counts against `max_steps`: a pair whose last
     stability time lies beyond it is refused before any extension step.
@@ -394,8 +384,8 @@ def _measure(
         extra = int(round(fraction * steps_done))
         result = evolve(later_a, barrier, PropagationParams(dt=config.dt, steps=extra - prev_extra))
         later_a, prev_extra = result.psi, extra
-        if not measurement_ready(later_a, barrier, config.barrier_amplitude_max):
-            reason = unready_reason(later_a, barrier, config.barrier_amplitude_max)
+        reason = unready_reason(later_a, barrier, config.barrier_amplitude_max)
+        if reason is not None:
             raise PrematureMeasurementError(
                 f"packet A is not ready at t = {later_a.t:.6g}: {reason}; "
                 f"its momentum read-out would count mass yet to scatter"
@@ -575,12 +565,10 @@ _CONFIG_KEYS = {
     "sign": ("pair", "sign", False),
     "barrier_width": ("barrier", "width", True),
     "barrier_height": ("barrier", "height", False),
-    "barrier_center": ("barrier", "center", False),
     "calibration_target": ("barrier", "target", False),
     "calibration_tol": ("barrier", "tol", False),
     "dt": ("evolution", "dt", False),
     "max_steps": ("evolution", "max_steps", False),
-    "check_every": ("evolution", "check_every", False),
     "barrier_amplitude_max": ("measurement", "barrier_amplitude_max", False),
     "stability_fractions": ("measurement", "stability_fractions", False),
 }

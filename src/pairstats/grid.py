@@ -14,9 +14,9 @@ Packets are minimum-uncertainty Gaussians
 with sigma the standard deviation of |psi|^2, renormalized on the grid
 so the discrete norm is exactly 1.
 
-All half-line integrals use the same rectangle-rule quadrature and the
-same ownership convention: the sample at the boundary belongs to the
-positive side.
+All half-line integrals split the box at x = 0, where the barrier
+sits, with the same rectangle-rule quadrature and the same ownership
+convention: the sample at x = 0 belongs to the positive side.
 """
 
 from __future__ import annotations
@@ -78,13 +78,10 @@ class Grid1D:
         """Largest resolved wavenumber magnitude, pi/dx."""
         return np.pi / self.dx
 
-    def split_index(self, boundary: float) -> int:
-        """First sample index on the positive side of `boundary`.
-
-        The sample sitting exactly on the boundary is owned by the
-        positive side.
-        """
-        return int(np.searchsorted(self.x, boundary, side="left"))
+    @cached_property
+    def split_index(self) -> int:
+        """First sample index on the positive side, at or right of x = 0."""
+        return int(np.searchsorted(self.x, 0.0, side="left"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +174,8 @@ def inner_product(psi: Wavefunction, phi: Wavefunction) -> complex:
     return complex(np.sum(np.conj(psi.values) * phi.values) * psi.grid.dx)
 
 
-def half_line_overlap(
-    psi: Wavefunction, phi: Wavefunction, side: Side, boundary: float = 0.0
-) -> complex:
-    """<psi|phi> restricted to one side of `boundary`.
+def half_line_overlap(psi: Wavefunction, phi: Wavefunction, side: Side) -> complex:
+    """<psi|phi> restricted to one side of x = 0.
 
     Uses the same samples and weights as `inner_product`, so the two
     sides always add back to the full overlap to rounding precision.
@@ -188,16 +183,16 @@ def half_line_overlap(
     _check_comparable(psi, phi)
     _check_side(side)
     weighted = np.conj(psi.values) * phi.values
-    i0 = psi.grid.split_index(boundary)
+    i0 = psi.grid.split_index
     part = weighted[i0:] if side == "positive" else weighted[:i0]
     return complex(np.sum(part) * psi.grid.dx)
 
 
-def probability_on_side(psi: Wavefunction, side: Side, boundary: float = 0.0) -> float:
-    """Integrated |psi|^2 on one side of `boundary`."""
+def probability_on_side(psi: Wavefunction, side: Side) -> float:
+    """Integrated |psi|^2 on one side of x = 0."""
     _check_side(side)
     dens = np.abs(psi.values) ** 2
-    i0 = psi.grid.split_index(boundary)
+    i0 = psi.grid.split_index
     part = dens[i0:] if side == "positive" else dens[:i0]
     return float(np.sum(part) * psi.grid.dx)
 
@@ -220,17 +215,15 @@ def position_std(psi: Wavefunction) -> float:
     return float(np.sqrt(max(var, 0.0)))
 
 
-def side_moments(
-    psi: Wavefunction, side: Side, boundary: float = 0.0
-) -> tuple[float, float, float]:
-    """(mass, mean, std) of |psi|^2 restricted to one side of `boundary`.
+def side_moments(psi: Wavefunction, side: Side) -> tuple[float, float, float]:
+    """(mass, mean, std) of |psi|^2 restricted to one side of x = 0.
 
     Mean and std are conditional on the side; both are nan when the side
     carries no mass.
     """
     _check_side(side)
     dens = np.abs(psi.values) ** 2 * psi.grid.dx
-    i0 = psi.grid.split_index(boundary)
+    i0 = psi.grid.split_index
     sl = slice(i0, None) if side == "positive" else slice(None, i0)
     part = dens[sl]
     xs = psi.grid.x[sl]

@@ -8,9 +8,9 @@ Every factor is a pure phase, so the discrete norm is conserved to
 rounding no matter the step size; dt still has to keep the largest
 kinetic phase under pi per step or the fastest modes alias.
 
-The barrier is sampled sharply, no smoothing: a grid sample x_j carries
-V0 when it falls in [center - width/2, center + width/2), so a barrier
-whose edges sit on grid points covers exactly width/dx samples.
+The barrier sits at the origin and is sampled sharply, no smoothing: a
+grid sample x_j carries V0 when it falls in [-width/2, width/2), so a
+barrier whose edges sit on grid points covers exactly width/dx samples.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .grid import Grid1D, WavepacketSpec, Wavefunction, make_gaussian, momentum_
 EDGE_AMPLITUDE_MAX = 1e-6  # on either box-edge sample, past which the periodic box wraps
 DEFAULT_BARRIER_AMPLITUDE_MAX = 1e-6
 INBOUND_MASS_MAX = 1e-4  # mass moving towards the barrier below which a packet has scattered
+CHECK_EVERY = 200  # steps per chunk of a flight, each ending in a readiness test
 
 # amplitude on the barrier support up to which evolve_until_measured lets a
 # packet that has not yet been stepped fly free: the barrier's phases then act
@@ -43,11 +44,10 @@ FREE_FLIGHT_AMPLITUDE_MAX = 1e-13
 
 @dataclass(frozen=True)
 class BarrierPotential:
-    """Rectangular barrier of height v0 over [center - width/2, center + width/2)."""
+    """Rectangular barrier of height v0 over [-width/2, width/2)."""
 
     height: float
     width: float
-    center: float = 0.0
 
     def __post_init__(self):
         if self.height < 0:
@@ -58,7 +58,7 @@ class BarrierPotential:
     @property
     def support(self) -> tuple[float, float]:
         half = 0.5 * self.width
-        return self.center - half, self.center + half
+        return -half, half
 
     def validate_on(self, grid: Grid1D) -> None:
         lo, hi = self.support
@@ -240,14 +240,14 @@ def unready_reason(
 
     Two tests, the cheaper first: at most `barrier_amplitude_max` on the
     barrier support, and less than INBOUND_MASS_MAX moving towards the
-    barrier (right-moving left of its centre or left-moving right of it,
-    one FFT pair).  Past both, its momentum sign says where it ends.
+    barrier (right-moving left of x = 0 or left-moving right of it, one
+    FFT pair).  Past both, its momentum sign says where it ends.
     """
     amplitude = barrier_region_amplitude(psi, barrier)
     if amplitude > barrier_amplitude_max:
         return f"amplitude {amplitude:.3g} on the barrier, over {barrier_amplitude_max:.3g}"
     right = np.fft.ifft(np.fft.fft(psi.values) * (psi.grid.k > 0))
-    i0 = psi.grid.split_index(barrier.center)
+    i0 = psi.grid.split_index
     inbound = (np.sum(np.abs(right[:i0]) ** 2)
                + np.sum(np.abs(psi.values[i0:] - right[i0:]) ** 2)) * psi.grid.dx
     if not inbound < INBOUND_MASS_MAX:
@@ -395,7 +395,7 @@ def evolve_until_measured(
     *,
     dt: float,
     max_steps: int,
-    check_every: int,
+    check_every: int = CHECK_EVERY,
     barrier_amplitude_max: float,
     edge_amplitude_max: float = EDGE_AMPLITUDE_MAX,
 ) -> Iterator[tuple[Wavefunction, bool, int, float]]:
@@ -470,7 +470,7 @@ def simulated_transmission(
     barrier: BarrierPotential,
     dt: float,
     max_steps: int,
-    check_every: int,
+    check_every: int = CHECK_EVERY,
     boundary: float | None = None,
     edge_amplitude_max: float = EDGE_AMPLITUDE_MAX,
     barrier_amplitude_max: float = DEFAULT_BARRIER_AMPLITUDE_MAX,
@@ -480,14 +480,15 @@ def simulated_transmission(
     T is the packet's probability at k > 0 (`grid.momentum_split`) at
     the first ready chunk of `evolve_until_measured`, its edges held to
     `edge_amplitude_max`.  `boundary` is kept for positional callers:
-    one other than the barrier's centre is a ConfigurationError.  A
-    launch state that already passes `measurement_ready` has nothing to
-    scatter: ConfigurationError before any step.  Otherwise raises the
-    flight's edge error, or a CalibrationError when `max_steps` run
-    out, which says how far the packet got (`flight_progress`).
+    one other than None or 0.0, the barrier's centre, is a
+    ConfigurationError.  A launch state that already passes
+    `measurement_ready` has nothing to scatter: ConfigurationError
+    before any step.  Otherwise raises the flight's edge error, or a
+    CalibrationError when `max_steps` run out, which says how far the
+    packet got (`flight_progress`).
     """
-    if boundary not in (None, barrier.center):
-        raise ConfigurationError(f"the split is the barrier centre {barrier.center}, not {boundary}")
+    if boundary not in (None, 0.0):
+        raise ConfigurationError(f"the split is the barrier centre x = 0, not {boundary}")
     psi = make_gaussian(grid, spec)
     if measurement_ready(psi, barrier, barrier_amplitude_max):
         raise ConfigurationError(f"packet launched at {spec.center} with wavenumber "
@@ -533,7 +534,6 @@ def calibrate_barrier(
     width: float,
     target: float,
     tol: float,
-    center: float = 0.0,
     max_iterations: int = 40,
     **flight,
 ) -> CalibrationResult:
@@ -541,8 +541,8 @@ def calibrate_barrier(
 
     Transmission is measured from a full split-operator run of the packet
     in `spec`, not from the analytic formula: `simulated_transmission`
-    with the flight settings in `flight` (`dt`, `max_steps`,
-    `check_every`, optionally `barrier_amplitude_max`).  The search
+    with the flight settings in `flight` (`dt`, `max_steps`, optionally
+    `check_every` and `barrier_amplitude_max`).  The search
     accepts the first run with |T - target| <= tol.  The first run is at the first
     midpoint within tol of a bisection of [0.75, 1.3] x seed on the
     analytic momentum-averaged curve, seed being that curve's root (or
@@ -572,7 +572,7 @@ def calibrate_barrier(
     spec.validate_on(grid)
 
     def analytic(v0: float) -> float:
-        return expected_packet_transmission(spec, BarrierPotential(v0, width, center))
+        return expected_packet_transmission(spec, BarrierPotential(v0, width))
 
     seed = _analytic_seed(analytic, target, max(spec.wavenumber**2, 1.0))
     lo, hi = max(0.75 * seed, 0.0), (1.3 * seed if seed > 0 else 1.0)
@@ -597,12 +597,12 @@ def calibrate_barrier(
                 history,
             )
         transmission, t_meas = simulated_transmission(
-            grid, spec, BarrierPotential(v0, width, center), **flight
+            grid, spec, BarrierPotential(v0, width), **flight
         )
         history.append((v0, transmission))
         if abs(transmission - target) <= tol:
             return CalibrationResult(
-                barrier=BarrierPotential(v0, width, center),
+                barrier=BarrierPotential(v0, width),
                 transmission=transmission,
                 iterations=len(history),
                 history=tuple(history),

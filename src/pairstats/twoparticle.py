@@ -187,17 +187,17 @@ def _joint_stats(pair: SymmetrizedPair, t_a, r_a, t_b, r_b, i_plus, i_minus) -> 
                       t_a, r_a, t_b, r_b, sum_check)
 
 
-def joint_probabilities(pair: SymmetrizedPair, boundary: float = 0.0) -> JointStats:
-    """Quadrant probabilities split in position at `boundary`, from the factorized 1D integrals.
+def joint_probabilities(pair: SymmetrizedPair) -> JointStats:
+    """Quadrant probabilities split in position at x = 0, from the factorized 1D integrals.
 
     Agrees with `outgoing_probabilities` once both packets' lobes have
-    left `boundary` behind them, which the caller vouches for.
+    left the barrier behind them, which the caller vouches for.
     """
     sides = ("positive", "negative")
     return _joint_stats(
-        pair, *(probability_on_side(psi, side, boundary)
+        pair, *(probability_on_side(psi, side)
                 for psi in (pair.psi_a, pair.psi_b) for side in sides),
-        *(half_line_overlap(pair.psi_a, pair.psi_b, side, boundary) for side in sides))
+        *(half_line_overlap(pair.psi_a, pair.psi_b, side) for side in sides))
 
 
 def outgoing_probabilities(pair: SymmetrizedPair) -> JointStats:
@@ -225,11 +225,9 @@ def check_oracle_budget(points: int, max_points: int = _ORACLE_MAX_POINTS) -> No
 
 
 def quadrant_quadrature_oracle(
-    pair: SymmetrizedPair,
-    boundary: float = 0.0,
-    max_points: int = _ORACLE_MAX_POINTS,
+    pair: SymmetrizedPair, max_points: int = _ORACLE_MAX_POINTS
 ) -> JointStats:
-    """Quadrant probabilities by direct 2D summation of the joint density.
+    """Quadrant probabilities, split at x = 0, by direct 2D summation of the joint density.
 
     Guards the factorized path in `joint_probabilities`, whose side masses
     and overlaps it reports, so it sums |Psi|^2 sample by sample.
@@ -245,10 +243,10 @@ def quadrant_quadrature_oracle(
     """
     grid = pair.psi_a.grid
     check_oracle_budget(grid.points, max_points)
-    i0 = grid.split_index(boundary)
+    i0 = grid.split_index
     w2 = grid.dx * grid.dx
     factors = _density_factors(pair)
-    p_nn = 0.0  # x1 < boundary, x2 < boundary
+    p_nn = 0.0  # x1 < 0, x2 < 0
     p_pp = 0.0
     p_mixed = 0.0
     for start in range(0, grid.points, _ORACLE_BLOCK):
@@ -268,7 +266,7 @@ def quadrant_quadrature_oracle(
         )
         del block, square, beyond  # one block alive at a time
     p20, p02, p11 = p_nn * w2, p_pp * w2, p_mixed * w2
-    return replace(joint_probabilities(pair, boundary), p20=p20, p02=p02, p11=p11,
+    return replace(joint_probabilities(pair), p20=p20, p02=p02, p11=p11,
                    a=0.5 * (p20 + p02), sum_check=(p20 + p02) + p11)
 
 

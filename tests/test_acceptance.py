@@ -59,12 +59,10 @@ CALIBRATION_FIELDS = (
     "packet_wavenumber",
     "packet_sigma",
     "barrier_width",
-    "barrier_center",
     "calibration_target",
     "calibration_tol",
     "dt",
     "max_steps",
-    "check_every",
     "barrier_amplitude_max",
 )
 

@@ -28,7 +28,7 @@ from pairstats.cli import (
     main,
 )
 from pairstats.errors import CalibrationError
-from pairstats.experiment import ScenarioConfig, config_from_dict
+from pairstats.experiment import ScenarioConfig, SweepConfig, config_from_dict
 from pairstats.grid import dump_wavefunction_csv
 from pairstats.propagator import BarrierPotential, CalibrationResult
 
@@ -53,7 +53,6 @@ height = {height}
 [evolution]
 dt = 5e-4
 max_steps = 12000
-check_every = 200
 """
 
 SWEEP_BLOCK = """\
@@ -203,6 +202,19 @@ class TestReadmeScenarioBlock:
         }
 
 
+class TestCommittedConfigs:
+    @pytest.mark.parametrize(
+        "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini")),
+        ids=lambda path: path.name,
+    )
+    def test_loads_and_validates(self, path):
+        # a committed config that still sets a removed key is refused here
+        config, sweep_block = cli._load_config_file(str(path))
+        config.validate()
+        if sweep_block is not None:
+            SweepConfig(base=config, **sweep_block).validate()
+
+
 class TestConfigFileErrors:
     def test_malformed_ini(self, tmp_path, capsys):
         path = tmp_path / "broken.ini"
@@ -244,7 +256,7 @@ class TestConfigFileErrors:
     @pytest.mark.parametrize("old, new, named", [
         ("points = 2048", "points = 4096.0", "[grid] points: cannot parse '4096.0'"),
         ("half_width = 64", "half_width = abc", "[grid] half_width: cannot parse 'abc'"),
-        ("check_every = 200", "check_every = 200\n\n[measurement]\nstability_fractions = 0.1 x",
+        ("max_steps = 12000", "max_steps = 12000\n\n[measurement]\nstability_fractions = 0.1 x",
          "[measurement] stability_fractions: cannot parse '0.1 x'"),
     ])
     def test_unparsable_value_exits_2_naming_the_key(self, tmp_path, capsys, old, new, named):
@@ -324,20 +336,29 @@ class TestConfigFileErrors:
         ("norm_drift_max", "-1"),
         ("lobe_sigmas", "-5"),
         ("boundary", "0"),
+        ("center", "0.0"),
+        ("check_every", "200"),
     ])
     def test_removed_measurement_key_exits_2_before_evolving(
         self, tmp_path, capsys, monkeypatch, field, value
     ):
-        # the split is the barrier's centre and the other three are
-        # module constants: none of them is a key of a file
+        # the barrier and the split sit at x = 0, readiness is tested every
+        # CHECK_EVERY steps, and the other three are module constants: none
+        # of them is a key of a file
         def refuse(*args, **kwargs):
             raise AssertionError("evolve called on a rejected config")
 
         monkeypatch.setattr(propagator, "evolve", refuse)
         monkeypatch.setattr(experiment, "evolve", refuse)
-        path = write_ini(tmp_path, extra=f"\n[measurement]\n{field} = {value}\n")
-        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_USAGE
-        assert (f"unknown keys in section [measurement]: ['{field}']"
+        section = {"center": "barrier", "check_every": "evolution"}.get(field, "measurement")
+        path = Path(write_ini(tmp_path))
+        text = path.read_text(encoding="utf-8")
+        header = f"[{section}]\n"
+        if header not in text:
+            text += "\n" + header
+        path.write_text(text.replace(header, f"{header}{field} = {value}\n"), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert (f"unknown keys in section [{section}]: ['{field}']"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["run", "sweep", "calibrate", "density"])

@@ -47,7 +47,13 @@ from pairstats.experiment import (
 )
 from pairstats.grid import WavepacketSpec, make_gaussian
 from pairstats.occupancy import PAIR_LABELS
-from pairstats.propagator import BarrierPotential, PropagationParams, evolve, measurement_ready
+from pairstats.propagator import (
+    CHECK_EVERY,
+    BarrierPotential,
+    PropagationParams,
+    evolve,
+    measurement_ready,
+)
 from pairstats.twoparticle import (
     BOSON,
     FERMION,
@@ -71,7 +77,6 @@ def small_scenario(**overrides) -> ScenarioConfig:
         barrier_height=26.787825,
         dt=5e-4,
         max_steps=12_000,
-        check_every=200,
     )
     return replace(base, **overrides)
 
@@ -113,8 +118,6 @@ class TestScenarioConfig:
             small_scenario(dt=2.6e-3).validate()
 
     def test_rejects_bad_loop_controls(self):
-        with pytest.raises(ConfigurationError, match="check_every"):
-            small_scenario(check_every=0).validate()
         with pytest.raises(ConfigurationError, match="max_steps"):
             small_scenario(max_steps=0).validate()
 
@@ -356,19 +359,19 @@ class TestRunScenario:
         row, pair = run_resolved(config, param_value=0.0)
         assert pair.psi_b is pair.psi_a
         # one call per chunk up to t_meas, plus one for the extension
-        chunks = round(row.t_meas / (config.dt * config.check_every))
+        chunks = round(row.t_meas / (config.dt * CHECK_EVERY))
         assert len(calls) == chunks + 1
 
     def test_identical_pair_checks_a_once_per_stability_time(self, monkeypatch):
         # B is A: the one state is tested once at each stability time
         checked = []
-        real_ready = experiment.measurement_ready
+        real_reason = experiment.unready_reason
 
         def spy(psi, *args, **kwargs):
             checked.append(psi.t)
-            return real_ready(psi, *args, **kwargs)
+            return real_reason(psi, *args, **kwargs)
 
-        monkeypatch.setattr(experiment, "measurement_ready", spy)
+        monkeypatch.setattr(experiment, "unready_reason", spy)
         config = small_scenario(separation=0.0, stability_fractions=(0.1, 0.2))
         row = run_scenario(config)
         assert len(row.stability_a) == 2
@@ -594,7 +597,7 @@ class TestSweep:
         # one chain of calls: packet A from its launch to the last row's measurement
         assert calls[0][0].t == 0.0
         assert all(psi is out for (psi, _), (_, out) in zip(calls[1:], calls))
-        chunk_t = base.dt * base.check_every
+        chunk_t = base.dt * CHECK_EVERY
         assert len(calls) == round(max(row.t_meas for row in rows) / chunk_t)
 
     def test_holds_one_pair_at_a_time(self):
@@ -660,7 +663,7 @@ class TestOutOfBandOffsets:
 
 def direct_reference(config: ScenarioConfig, t_meas: float):
     """Packets A and B each evolved for real by plain `evolve` calls, in
-    `check_every` chunks, to the first chunk where both pass
+    CHECK_EVERY chunks, to the first chunk where both pass
     `measurement_ready`, and split in position there; then on by each
     stability fraction of that chunk's steps.  Returns the stats at that
     chunk, the stability a values, and the packets at the later of that
@@ -670,20 +673,20 @@ def direct_reference(config: ScenarioConfig, t_meas: float):
 
     def advance(packets, steps):
         while steps > 0:
-            params = PropagationParams(dt=config.dt, steps=min(steps, config.check_every))
+            params = PropagationParams(dt=config.dt, steps=min(steps, CHECK_EVERY))
             packets = [evolve(psi, barrier, params).psi for psi in packets]
             steps -= params.steps
         return packets
 
     def measured(packets):
-        return joint_probabilities(make_pair(*packets, config.sign), config.barrier_center)
+        return joint_probabilities(make_pair(*packets, config.sign))
 
     steps = 0
     while not (steps and all(measurement_ready(psi, barrier, config.barrier_amplitude_max)
                              for psi in packets)):
         assert steps < config.max_steps, "the real packets never both became ready"
-        packets = advance(packets, config.check_every)
-        steps += config.check_every
+        packets = advance(packets, CHECK_EVERY)
+        steps += CHECK_EVERY
     stats, stability, done, later = measured(packets), [], 0, packets
     for fraction in config.stability_fractions:
         extra = int(round(fraction * steps))

@@ -60,15 +60,17 @@ class TestGrid1D:
 
     def test_split_index_gives_boundary_to_positive_side(self):
         g = Grid1D(half_width=8.0, points=16)
-        i0 = g.split_index(0.0)
+        i0 = g.split_index
         assert g.x[i0] == 0.0
         assert i0 == 8
 
-    def test_split_index_between_samples(self):
-        g = Grid1D(half_width=8.0, points=16)
-        assert g.split_index(0.5) == 9
-        assert g.split_index(-8.5) == 0
-        assert g.split_index(100.0) == 16
+    @pytest.mark.parametrize("half_width, points", [(12.3, 64), (0.1, 8), (64.7, 4096)])
+    def test_split_index_for_a_half_width_not_exact_in_binary(self, half_width, points):
+        g = Grid1D(half_width=half_width, points=points)
+        # dx = 2L/G is exact for a power-of-two G, so x = 0 is a sample
+        i0 = g.split_index
+        assert i0 == points // 2
+        assert g.x[i0 - 1] < 0.0 == g.x[i0]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -209,13 +211,6 @@ class TestHalfLineGeometry:
         assert probability_on_side(psi, "negative") == pytest.approx(1.0, abs=1e-12)
         assert probability_on_side(psi, "positive") == pytest.approx(0.0, abs=1e-12)
 
-    def test_boundary_shift_moves_mass(self, grid):
-        psi = make_gaussian(grid, WavepacketSpec(-10.0, 8.0, 1.0))
-        # boundary left of the packet: everything is "positive"
-        assert probability_on_side(psi, "positive", boundary=-20.0) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
     def test_side_name_checked(self, grid):
         psi = make_gaussian(grid, WavepacketSpec(-10.0, 8.0, 1.0))
         with pytest.raises(ValueError):
@@ -238,7 +233,7 @@ class TestSideMoments:
     def test_empty_side_reports_nan_moments(self, grid):
         psi = make_gaussian(grid, WavepacketSpec(-10.0, 8.0, 1.0))
         hollowed = np.array(psi.values)
-        hollowed[grid.split_index(0.0) :] = 0.0
+        hollowed[grid.split_index :] = 0.0
         mass, mean, std = side_moments(Wavefunction(grid, hollowed), "positive")
         assert mass == 0.0
         assert math.isnan(mean)

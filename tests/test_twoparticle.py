@@ -33,6 +33,7 @@ from pairstats.errors import (
 )
 from pairstats.grid import Grid1D, Wavefunction, WavepacketSpec, make_gaussian
 from pairstats.twoparticle import (
+    _ORACLE_BLOCK,
     BOSON,
     FERMION,
     dump_joint_density_csv,
@@ -276,13 +277,13 @@ class TestFactorizedAgainstQuadrature:
             quadrant_quadrature_oracle(pair)
 
 
-def full_square_quadrants(pair, boundary):
-    """(p20, p02, p11) from |Psi|^2 on every sample of the G x G square."""
+def full_square_quadrants(pair):
+    """(p20, p02, p11) from |Psi|^2 on every sample of the G x G square, split at x = 0."""
     g = pair.psi_a.grid
     va, vb = pair.psi_a.values, pair.psi_b.values
     psi = pair.norm_const * (np.outer(va, vb) + pair.sign * np.outer(vb, va))
     dens = np.abs(psi) ** 2 * g.dx**2
-    i0 = g.split_index(boundary)
+    i0 = int(np.sum(g.x < 0.0))
     return (
         dens[:i0, :i0].sum(),
         dens[i0:, i0:].sum(),
@@ -302,26 +303,23 @@ def offset_carrier_pair(points, half_width, sign):
 class TestOracleAgainstTheFullSquare:
     """The triangle's bookkeeping, against a sum over every sample."""
 
+    # the split at x = 0 is row G/2: inside the one block of a grid of at
+    # most _ORACLE_BLOCK points, on a block edge of any larger one
     @pytest.mark.parametrize("sign", [BOSON, FERMION])
-    @pytest.mark.parametrize("points, half_width, i0", [
-        (256, 8.0, 45),    # inside the sixth 8-row block
-        (256, 8.0, 64),    # on a block edge
-        (256, 8.0, 0),     # every sample on the positive side
-        (256, 8.0, 256),   # every sample on the negative side
-        (16, 8.0, 7),      # two blocks, the boundary inside the first
-        (256, 8.0, 43),    # inside a block, three rows past its edge
-        (256, 8.0, 48),    # on a block edge between two 32-row edges
-        (4, 2.0, 2),       # the whole grid smaller than one block
-        (8, 2.0, 3),       # the whole grid one block
+    @pytest.mark.parametrize("points, half_width, on_edge", [
+        (4, 2.0, False),     # the whole grid smaller than one block
+        (8, 2.0, False),     # the whole grid one block
+        (16, 8.0, True),     # two blocks, the split on their edge
+        (256, 8.0, True),    # 32 blocks, the split on the edge of the 17th
     ])
-    def test_quadrants_match(self, sign, points, half_width, i0):
+    def test_quadrants_match(self, sign, points, half_width, on_edge):
         pair = offset_carrier_pair(points, half_width, sign)
         g = pair.psi_a.grid
         assert abs(pair.s.imag) > 1e-3
-        boundary = g.x[i0] if i0 < points else half_width
-        assert g.split_index(boundary) == i0
-        oracle = quadrant_quadrature_oracle(pair, boundary)
-        p20, p02, p11 = full_square_quadrants(pair, boundary)
+        assert 0 < g.split_index < points
+        assert (g.split_index % _ORACLE_BLOCK == 0) == on_edge
+        oracle = quadrant_quadrature_oracle(pair)
+        p20, p02, p11 = full_square_quadrants(pair)
         assert abs(oracle.p20 - p20) <= 1e-14
         assert abs(oracle.p02 - p02) <= 1e-14
         assert abs(oracle.p11 - p11) <= 1e-14
