@@ -47,7 +47,6 @@ from .grid import (
     inner_product,
     make_gaussian,
     position_std,
-    probability_on_side,
     side_moments,
 )
 from .propagator import (
@@ -134,7 +133,6 @@ __all__ = [
     "outgoing_probabilities",
     "pair_family",
     "position_std",
-    "probability_on_side",
     "quadrant_quadrature_oracle",
     "resolve_barrier",
     "run_scenario",

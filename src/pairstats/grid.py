@@ -14,9 +14,9 @@ Packets are minimum-uncertainty Gaussians
 with sigma the standard deviation of |psi|^2, renormalized on the grid
 so the discrete norm is exactly 1.
 
-All half-line integrals split the box at x = 0, where the barrier
-sits, with the same rectangle-rule quadrature and the same ownership
-convention: the sample at x = 0 belongs to the positive side.
+A position split is at x = 0, where the barrier sits: sample G/2,
+since x_{G/2} = -L + (G/2)(2L/G) = 0 exactly for a power-of-two G.
+The sample at x = 0 belongs to the positive side.
 """
 
 from __future__ import annotations
@@ -78,10 +78,10 @@ class Grid1D:
         """Largest resolved wavenumber magnitude, pi/dx."""
         return np.pi / self.dx
 
-    @cached_property
+    @property
     def split_index(self) -> int:
-        """First sample index on the positive side, at or right of x = 0."""
-        return int(np.searchsorted(self.x, 0.0, side="left"))
+        """First sample index on the positive side: x = 0 is sample G/2."""
+        return self.points // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,29 +172,6 @@ def inner_product(psi: Wavefunction, phi: Wavefunction) -> complex:
     """<psi|phi> by the grid rectangle rule."""
     _check_comparable(psi, phi)
     return complex(np.sum(np.conj(psi.values) * phi.values) * psi.grid.dx)
-
-
-def half_line_overlap(psi: Wavefunction, phi: Wavefunction, side: Side) -> complex:
-    """<psi|phi> restricted to one side of x = 0.
-
-    Uses the same samples and weights as `inner_product`, so the two
-    sides always add back to the full overlap to rounding precision.
-    """
-    _check_comparable(psi, phi)
-    _check_side(side)
-    weighted = np.conj(psi.values) * phi.values
-    i0 = psi.grid.split_index
-    part = weighted[i0:] if side == "positive" else weighted[:i0]
-    return complex(np.sum(part) * psi.grid.dx)
-
-
-def probability_on_side(psi: Wavefunction, side: Side) -> float:
-    """Integrated |psi|^2 on one side of x = 0."""
-    _check_side(side)
-    dens = np.abs(psi.values) ** 2
-    i0 = psi.grid.split_index
-    part = dens[i0:] if side == "positive" else dens[:i0]
-    return float(np.sum(part) * psi.grid.dx)
 
 
 def momentum_split(psi_hat: np.ndarray, phi_hat: np.ndarray, grid: Grid1D) -> tuple[complex, complex]:

@@ -415,7 +415,8 @@ def evolve_until_measured(
     checked at the first `next`, before anything flies.
 
     The packet is ready when it passes `measurement_ready` at
-    `barrier_amplitude_max`, a test of the chunk's state alone.  After each
+    `barrier_amplitude_max`, a test of the chunk's state alone; a free
+    chunk takes the answer its launch state gave, tested once.  After each
     chunk it yields `(psi, ready, steps_done, leakage)`: the packet's
     state, its ready flag, the steps taken since launch and its peak edge
     amplitude so far (at the chunk ends of the free flight, at every
@@ -429,8 +430,12 @@ def evolve_until_measured(
     PropagationParams(dt=dt, steps=check_every).validate_on(grid)
     barrier.validate_on(grid)
     leakage = 0.0
-    # the launch spectrum while the packet flies free, None once it is stepped
-    free = np.fft.fft(psi.values) if _flies_free(psi, barrier, edge_amplitude_max) else None
+    # the launch spectrum while the packet flies free, None once it is stepped;
+    # free flight moves no mass across the barrier or the box edges and turns
+    # none around, so every free chunk keeps the launch's readiness
+    free = None
+    if _flies_free(psi, barrier, edge_amplitude_max):
+        free, ready = np.fft.fft(psi.values), measurement_ready(psi, barrier, barrier_amplitude_max)
     steps_done = 0
     while steps_done < max_steps:
         params = PropagationParams(dt=dt, steps=min(check_every, max_steps - steps_done))
@@ -448,7 +453,7 @@ def evolve_until_measured(
             result = evolve(psi, barrier, params, edge_amplitude_max)
             psi = result.psi
             leakage = max(leakage, result.max_edge_amplitude)
-        ready = measurement_ready(psi, barrier, barrier_amplitude_max)
+            ready = measurement_ready(psi, barrier, barrier_amplitude_max)
         yield psi, ready, steps_done, leakage
 
 

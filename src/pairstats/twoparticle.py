@@ -19,8 +19,9 @@ one-sided overlaps of conj(psi_A) psi_B,
     p11 = C^2 (2 T_A R_B + 2 R_A T_B + sign 4 Re(I_+ conj(I_-)))
 
 and I_+ + I_- = s by the shared split: the momentum sign in
-`outgoing_probabilities`, a half-line in `joint_probabilities`.  The
-direct 2D integration is kept as an oracle to guard the factorized path.
+`outgoing_probabilities`, x = 0 (sample G/2) in `joint_probabilities`,
+whose T, R and I_+/- halve the factors the direct 2D integration sums.
+That integration is kept as an oracle to guard the factorized path.
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ from .errors import (
     ConsistencyError,
     PauliDegeneracyError,
 )
-from .grid import (
-    Wavefunction,
-    half_line_overlap,
-    inner_product,
-    momentum_split,
-    probability_on_side,
-)
+from .grid import Wavefunction, inner_product, momentum_split
 
 BOSON = 1
 FERMION = -1
@@ -190,14 +185,17 @@ def _joint_stats(pair: SymmetrizedPair, t_a, r_a, t_b, r_b, i_plus, i_minus) -> 
 def joint_probabilities(pair: SymmetrizedPair) -> JointStats:
     """Quadrant probabilities split in position at x = 0, from the factorized 1D integrals.
 
-    Agrees with `outgoing_probabilities` once both packets' lobes have
-    left the barrier behind them, which the caller vouches for.
+    T, R and I+/- are the halves, x >= 0 and x < 0, of the factors
+    `quadrant_quadrature_oracle` sums.  Agrees with
+    `outgoing_probabilities` once both packets' lobes have left the
+    barrier behind them, which the caller vouches for.
     """
-    sides = ("positive", "negative")
-    return _joint_stats(
-        pair, *(probability_on_side(psi, side)
-                for psi in (pair.psi_a, pair.psi_b) for side in sides),
-        *(half_line_overlap(pair.psi_a, pair.psi_b, side) for side in sides))
+    grid = pair.psi_a.grid
+    i0 = grid.split_index
+    da, db, cross = _density_factors(pair)
+    halves = (np.s_[i0:], np.s_[:i0])
+    return _joint_stats(pair, *(float(np.sum(f[h]) * grid.dx) for f in (da, db) for h in halves),
+                        *(complex(np.sum(cross[h]) * grid.dx) for h in halves))
 
 
 def outgoing_probabilities(pair: SymmetrizedPair) -> JointStats:
@@ -233,38 +231,34 @@ def quadrant_quadrature_oracle(
     and overlaps it reports, so it sums |Psi|^2 sample by sample.
     |Psi(x1, x2)|^2 = |Psi(x2, x1)|^2 for either sign, and a swap keeps
     each quadrant class (both negative, both positive, mixed), so only
-    the upper triangle is evaluated: rows in blocks of `_ORACLE_BLOCK`,
-    columns from the block's first row on.  The block's diagonal square
-    counts once and the columns beyond it twice.  That is O(G^2 / 2)
-    work and at most `_ORACLE_BLOCK` x G density values at a time, 24
-    bytes each while a block is built: at G = 4096 a 1.0 MB traced
-    peak and 0.08-0.10 s (2-core x86-64 host).  Refuses grids beyond
-    `max_points`.
+    the upper triangle is evaluated: rows in blocks of
+    min(`_ORACLE_BLOCK`, G/2), so no block straddles x = 0, and columns
+    from the block's first row on.  The block's diagonal square counts
+    once and the columns beyond it twice.  That is O(G^2 / 2) work and
+    at most `_ORACLE_BLOCK` x G density values at a time, 24 bytes each
+    while a block is built: at G = 4096 a 1.0 MB traced peak and
+    0.08-0.10 s (2-core x86-64 host).  Refuses grids beyond `max_points`.
     """
     grid = pair.psi_a.grid
     check_oracle_budget(grid.points, max_points)
     i0 = grid.split_index
+    height = min(_ORACLE_BLOCK, i0)
     w2 = grid.dx * grid.dx
     factors = _density_factors(pair)
     p_nn = 0.0  # x1 < 0, x2 < 0
     p_pp = 0.0
     p_mixed = 0.0
-    for start in range(0, grid.points, _ORACLE_BLOCK):
-        stop = min(start + _ORACLE_BLOCK, grid.points)
+    for start in range(0, grid.points, height):
+        stop = start + height
         # rows start..stop-1 against columns start..G-1
         block = _density(pair, factors, np.s_[start:stop, None], np.s_[start:])
-        square, beyond = block[:, : stop - start], block[:, stop - start :]
-        # rows (and square columns) below i0; beyond the square, columns
-        # below i0 exist only when every row of the block is below it
-        k = max(i0 - start, 0)
-        c = max(i0 - stop, 0)
-        p_nn += float(np.sum(square[:k, :k])) + 2.0 * float(np.sum(beyond[:k, :c]))
-        p_pp += float(np.sum(square[k:, k:])) + 2.0 * float(np.sum(beyond[k:]))
-        p_mixed += (
-            float(np.sum(square[:k, k:])) + float(np.sum(square[k:, :k]))
-            + 2.0 * float(np.sum(beyond[:k, c:]))
-        )
-        del block, square, beyond  # one block alive at a time
+        square, beyond = float(np.sum(block[:, :height])), block[:, height:]
+        if stop <= i0:
+            p_nn += square + 2.0 * float(np.sum(beyond[:, : i0 - stop]))
+            p_mixed += 2.0 * float(np.sum(beyond[:, i0 - stop :]))
+        else:
+            p_pp += square + 2.0 * float(np.sum(beyond))
+        del block, beyond  # one block alive at a time
     p20, p02, p11 = p_nn * w2, p_pp * w2, p_mixed * w2
     return replace(joint_probabilities(pair), p20=p20, p02=p02, p11=p11,
                    a=0.5 * (p20 + p02), sum_check=(p20 + p02) + p11)

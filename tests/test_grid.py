@@ -1,4 +1,4 @@
-"""Grid, packets and half-line geometry.
+"""Grid, packets and the position split at x = 0.
 
 The anchor here is the closed-form overlap of two equal-width Gaussian
 packets,
@@ -22,13 +22,12 @@ from pairstats.grid import (
     Wavefunction,
     WavepacketSpec,
     dump_wavefunction_csv,
-    half_line_overlap,
     inner_product,
     make_gaussian,
     position_std,
-    probability_on_side,
     side_moments,
 )
+from pairstats.twoparticle import BOSON, joint_probabilities, make_pair
 
 
 def gaussian_overlap_magnitude(d, dk, sigma):
@@ -58,19 +57,14 @@ class TestGrid1D:
         with pytest.raises(ValueError):
             grid.k[0] = 1.0
 
-    def test_split_index_gives_boundary_to_positive_side(self):
-        g = Grid1D(half_width=8.0, points=16)
-        i0 = g.split_index
-        assert g.x[i0] == 0.0
-        assert i0 == 8
-
-    @pytest.mark.parametrize("half_width, points", [(12.3, 64), (0.1, 8), (64.7, 4096)])
-    def test_split_index_for_a_half_width_not_exact_in_binary(self, half_width, points):
+    @pytest.mark.parametrize("half_width", [0.1, 3.0, 64.7, 1e3])
+    @pytest.mark.parametrize("points", [2, 16, 4096, 2**20])
+    def test_split_index_is_the_sample_at_zero(self, half_width, points):
+        # dx = 2L/G is exact for a power-of-two G, so x_{G/2} = 0 exactly
         g = Grid1D(half_width=half_width, points=points)
-        # dx = 2L/G is exact for a power-of-two G, so x = 0 is a sample
-        i0 = g.split_index
-        assert i0 == points // 2
-        assert g.x[i0 - 1] < 0.0 == g.x[i0]
+        assert g.split_index == points // 2
+        assert g.x[points // 2] == 0.0
+        assert np.searchsorted(g.x, 0.0) == g.split_index
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -189,34 +183,29 @@ class TestInnerProduct:
             inner_product(a, late)
 
 
-class TestHalfLineGeometry:
+class TestPositionSplit:
+    """The halves at x = 0 that `joint_probabilities` feeds the quadrant formula."""
+
     def test_sides_partition_full_overlap(self, grid):
         a = make_gaussian(grid, WavepacketSpec(-4.0, 8.0, 1.0))
         b = make_gaussian(grid, WavepacketSpec(-6.0, 8.0, 1.0))
-        total = inner_product(a, b)
-        split = half_line_overlap(a, b, "negative") + half_line_overlap(
-            a, b, "positive"
-        )
-        assert split == pytest.approx(total, abs=1e-15)
+        stats = joint_probabilities(make_pair(a, b, BOSON))
+        assert stats.i_minus + stats.i_plus == pytest.approx(inner_product(a, b), abs=1e-15)
 
     def test_probability_sides_partition_norm(self, grid):
         psi = make_gaussian(grid, WavepacketSpec(-1.0, 8.0, 1.0))
-        neg = probability_on_side(psi, "negative")
-        pos = probability_on_side(psi, "positive")
-        assert neg + pos == pytest.approx(psi.norm_sq(), abs=1e-14)
-        assert neg > pos
+        stats = joint_probabilities(make_pair(psi, psi, BOSON))
+        assert stats.r_a + stats.t_a == pytest.approx(psi.norm_sq(), abs=1e-14)
+        assert stats.r_a > stats.t_a
 
     def test_far_packet_sits_on_one_side(self, grid):
         psi = make_gaussian(grid, WavepacketSpec(-10.0, 8.0, 1.0))
-        assert probability_on_side(psi, "negative") == pytest.approx(1.0, abs=1e-12)
-        assert probability_on_side(psi, "positive") == pytest.approx(0.0, abs=1e-12)
+        stats = joint_probabilities(make_pair(psi, psi, BOSON))
+        assert stats.r_a == pytest.approx(1.0, abs=1e-12)
+        assert stats.t_a == pytest.approx(0.0, abs=1e-12)
 
     def test_side_name_checked(self, grid):
         psi = make_gaussian(grid, WavepacketSpec(-10.0, 8.0, 1.0))
-        with pytest.raises(ValueError):
-            probability_on_side(psi, "left")
-        with pytest.raises(ValueError):
-            half_line_overlap(psi, psi, "up")
         with pytest.raises(ValueError):
             side_moments(psi, "down")
 

@@ -32,7 +32,6 @@ from pairstats.grid import (
     Wavefunction,
     make_gaussian,
     position_std,
-    probability_on_side,
 )
 from pairstats.propagator import (
     _analytic_seed,
@@ -486,7 +485,8 @@ def stepped_flight(grid, spec, barrier, dt, max_steps, check_every):
         psi = evolve(psi, barrier, PropagationParams(dt, check_every)).psi
         visited = visited or barrier_region_amplitude(psi, barrier) >= 1e-3
         if visited and measurement_ready(psi, barrier):
-            return probability_on_side(psi, "positive"), psi.t
+            positive = psi.values[grid.split_index:]  # x >= 0
+            return float(np.sum(np.abs(positive) ** 2) * grid.dx), psi.t
     raise AssertionError("the stepped flight was never measured")
 
 
@@ -520,6 +520,26 @@ class TestFreeFlightBeforeTheBarrier:
         chunk_t = FAR_RUN["dt"] * FAR_RUN["check_every"]
         assert starts[0] == pytest.approx(first_stepped, abs=1e-12)
         assert len(starts) == round((t_meas - first_stepped) / chunk_t)
+
+    def test_free_chunks_take_the_launch_readiness(self, monkeypatch):
+        # the launch is tested once, before the first chunk; then only stepped chunks are
+        spec = WavepacketSpec(center=-20.0, wavenumber=8.0, sigma=1.0)
+        tested, starts = [], []
+        real_test, real_evolve = propagator.unready_reason, propagator.evolve
+        monkeypatch.setattr(propagator, "unready_reason",
+                            lambda psi, *args: tested.append(psi.t) or real_test(psi, *args))
+        monkeypatch.setattr(propagator, "evolve",
+                            lambda psi, *args: starts.append(psi.t) or real_evolve(psi, *args))
+        chunks = []
+        for psi, ready, _, _ in evolve_until_measured(
+            make_gaussian(FAR_BOX, spec), FAR_BARRIER, **FAR_RUN, barrier_amplitude_max=1e-6,
+        ):
+            chunks.append(psi.t)
+            if ready:
+                break
+        free = [t for t in chunks if t <= starts[0]]
+        assert len(free) == 9  # t = 0.1 to 0.9, as above
+        assert tested == [0.0] + chunks[len(free):]
 
     def test_edge_error_after_a_free_flight_reads_as_a_stepped_flight(self):
         # launched left, away from the barrier, the packet flies free until

@@ -303,21 +303,20 @@ def offset_carrier_pair(points, half_width, sign):
 class TestOracleAgainstTheFullSquare:
     """The triangle's bookkeeping, against a sum over every sample."""
 
-    # the split at x = 0 is row G/2: inside the one block of a grid of at
-    # most _ORACLE_BLOCK points, on a block edge of any larger one
+    # rows go in blocks of min(_ORACLE_BLOCK, G/2), so the split at x = 0,
+    # row G/2, is always a block edge
     @pytest.mark.parametrize("sign", [BOSON, FERMION])
-    @pytest.mark.parametrize("points, half_width, on_edge", [
-        (4, 2.0, False),     # the whole grid smaller than one block
-        (8, 2.0, False),     # the whole grid one block
-        (16, 8.0, True),     # two blocks, the split on their edge
-        (256, 8.0, True),    # 32 blocks, the split on the edge of the 17th
+    @pytest.mark.parametrize("points, half_width, height", [
+        (2, 2.0, 1),     # two one-row blocks, one a side
+        (4, 2.0, 2),
+        (8, 2.0, 4),
+        (16, 8.0, 8),    # two full blocks
+        (256, 8.0, 8),   # 32 blocks, the split on the edge of the 17th
     ])
-    def test_quadrants_match(self, sign, points, half_width, on_edge):
+    def test_quadrants_match(self, sign, points, half_width, height):
         pair = offset_carrier_pair(points, half_width, sign)
-        g = pair.psi_a.grid
         assert abs(pair.s.imag) > 1e-3
-        assert 0 < g.split_index < points
-        assert (g.split_index % _ORACLE_BLOCK == 0) == on_edge
+        assert min(_ORACLE_BLOCK, pair.psi_a.grid.split_index) == height
         oracle = quadrant_quadrature_oracle(pair)
         p20, p02, p11 = full_square_quadrants(pair)
         assert abs(oracle.p20 - p20) <= 1e-14
