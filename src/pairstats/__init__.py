@@ -16,6 +16,20 @@ The bridge quantity is a = (p20 + p02) / 2: 0 for the exclusion limit,
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# pairstats makes no BLAS call (FFTs and elementwise arithmetic only), so an
+# OpenBLAS worker thread would only spin: numpy loads with one thread unless
+# the user chose a count or loaded numpy already, and the variable goes again
+# so no child process inherits it
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import (
     BoundaryContaminationError,
     BudgetExceededError,

@@ -29,17 +29,19 @@ from .errors import (
 from .grid import Grid1D, WavepacketSpec, Wavefunction, make_gaussian
 from .occupancy import be_probability, classify_pair, fd_probability, mb_probability
 from .propagator import (
-    COMPOSE_BARRIER_AMPLITUDE_MAX,
+    COMPOSED_B_AMPLITUDE_MAX,
     COMPOSE_LOSS_MAX,
     COMPOSE_SPECTRUM_CUT,
     DEFAULT_BARRIER_AMPLITUDE_MAX,
     EDGE_AMPLITUDE_MAX,
+    FREE_FLIGHT_AMPLITUDE_MAX,
     BarrierPotential,
     CalibrationResult,
     PropagationParams,
     barrier_region_amplitude,
     calibrate_barrier,
     compose_b,
+    compose_gain,
     composition_loss,
     edge_amplitude,
     evolve,
@@ -277,9 +279,12 @@ def evolve_pair_to_measurement(
     The configs differ only in packet B, and only A is evolved: config
     i's B is composed from A by `compose_b`, as B's outgoing state.  It
     is taken at the first chunk where A is ready and, unless B is A,
-    holds at most COMPOSE_BARRIER_AMPLITUDE_MAX on the barrier; at
+    holds at most DEFAULT_BARRIER_AMPLITUDE_MAX on the barrier; at
     dk != 0, which amplifies A's residual there, also its composed B
-    must hold at most its `barrier_amplitude_max` there.  The outcome is
+    must hold at most COMPOSED_B_AMPLITUDE_MAX there (or the config's
+    tighter `barrier_amplitude_max`).  The ratio amplifies A's free-flight
+    error as well, so A flies free only up to FREE_FLIGHT_AMPLITUDE_MAX
+    over the largest `compose_gain` of the configs.  The outcome is
     `(psi_a, psi_b, steps_done, leakage)` at that chunk, yielded there,
     the leakage being A's peak edge amplitude so far and B's at launch.
     A PairStatsError is the outcome of the configs it concerns, yielded
@@ -307,19 +312,21 @@ def evolve_pair_to_measurement(
 
     if not running:
         return
+    gain = max(compose_gain(spec_a, configs[i].wavenumber_offset) for i in running)
     try:
         for psi_a, ready, steps_done, leakage in evolve_until_measured(
-                psi_a, barrier, **config.loop_settings()):
+                psi_a, barrier, free_flight_amplitude_max=FREE_FLIGHT_AMPLITUDE_MAX / gain,
+                **config.loop_settings()):
             if not ready:
                 continue
-            drained = barrier_region_amplitude(psi_a, barrier) <= COMPOSE_BARRIER_AMPLITUDE_MAX
+            drained = barrier_region_amplitude(psi_a, barrier) <= DEFAULT_BARRIER_AMPLITUDE_MAX
             for i, launch_edge in list(running.items()):
                 cfg = configs[i]
                 if not (drained or cfg.identical_packets()):
                     continue
                 psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
-                if (cfg.wavenumber_offset
-                        and barrier_region_amplitude(psi_b, barrier) > cfg.barrier_amplitude_max):
+                if cfg.wavenumber_offset and barrier_region_amplitude(psi_b, barrier) > min(
+                        cfg.barrier_amplitude_max, COMPOSED_B_AMPLITUDE_MAX):
                     continue
                 del running[i]
                 yield i, (psi_a, psi_b, steps_done, max(leakage, launch_edge))
@@ -330,7 +337,7 @@ def evolve_pair_to_measurement(
             yield i, err
         return
     # the timeout
-    drained = barrier_region_amplitude(psi_a, barrier) <= COMPOSE_BARRIER_AMPLITUDE_MAX
+    drained = barrier_region_amplitude(psi_a, barrier) <= DEFAULT_BARRIER_AMPLITUDE_MAX
     progress_a = f"packet A: {flight_progress(psi_a, barrier, leakage)}"
     for i, launch_edge in running.items():
         cfg = configs[i]

@@ -31,15 +31,25 @@ from .errors import (
 from .grid import Grid1D, WavepacketSpec, Wavefunction, make_gaussian, momentum_split
 
 EDGE_AMPLITUDE_MAX = 1e-6  # on either box-edge sample, past which the periodic box wraps
-DEFAULT_BARRIER_AMPLITUDE_MAX = 1e-6
 INBOUND_MASS_MAX = 1e-4  # mass moving towards the barrier below which a packet has scattered
 CHECK_EVERY = 200  # steps per chunk of a flight, each ending in a readiness test
 
-# amplitude on the barrier support up to which evolve_until_measured lets a
-# packet that has not yet been stepped fly free: the barrier's phases then act
-# on rounding noise only, so the exact kinetic phase gives the Strang state
-# to rounding
-FREE_FLIGHT_AMPLITUDE_MAX = 1e-13
+# error budget in a = (p20 + p02)/2 that sets both ends of a flight's stepped
+# stretch, far below the grid's own error in a (1.2e-5 at width 0.5, 5.9e-4
+# at width 1.0)
+TOL_A = 5e-9
+
+# amplitude on the barrier support up to which evolve_until_measured flies a
+# packet free, the barrier's phases left out: that moves T and a by up to
+# ~0.01 x amplitude (a width-1.0 barrier's resonance; 1e-4 x at width 0.5),
+# so TOL_A / 0.01 = 5e-7
+FREE_FLIGHT_AMPLITUDE_MAX = TOL_A / 0.01
+
+# the default measurement gate on the barrier amplitude: a packet read out
+# with amplitude alpha still on the barrier, and a B composed from it, move
+# a by up to ~2.5 alpha^2 (close packets on a width-1.0 barrier's draining
+# resonance), so sqrt(TOL_A / 2.5) ~ 4.5e-5
+DEFAULT_BARRIER_AMPLITUDE_MAX = math.sqrt(TOL_A / 2.5)
 
 
 @dataclass(frozen=True)
@@ -277,12 +287,10 @@ def edge_amplitude(psi: Wavefunction) -> float:
     return float(max(abs(psi.values[0]), abs(psi.values[-1])))
 
 
-# largest amplitude A may keep on the barrier when B is composed from it:
-# the composition carries that amplitude as if it flew free, which moves a
-# by up to ~2.5 x amplitude^2 (close packets on a width-1.0 barrier's
-# draining resonance).  A lower floor waits longer for the resonance to
-# drain, and so pushes the measurement and its stability times later.
-COMPOSE_BARRIER_AMPLITUDE_MAX = 5e-5
+# at a wavenumber offset, the amplitude a composed B may still hold on the
+# barrier when its row is read: the ratio amplifies A's residual there, and
+# a gate of 5e-5 lets that residual reach the box edges (invalid rows)
+COMPOSED_B_AMPLITUDE_MAX = 1e-6
 
 # at a wavenumber offset, B is composed only where A's launch spectrum is at
 # least this fraction of its peak: further out the ratio of launch spectra
@@ -323,7 +331,7 @@ def compose_b(
     peak; `composition_loss` is the share of B's launch norm that drops.
     Exact once A has left the barrier: amplitude still on it is carried
     as if it flew free (at dk != 0 amplified by the ratio), so compose
-    B only from an A below COMPOSE_BARRIER_AMPLITUDE_MAX there.  With
+    B only from an A below DEFAULT_BARRIER_AMPLITUDE_MAX there.  With
     d = dk = 0, B is A.
     """
     if separation == 0.0 and wavenumber_offset == 0.0:
@@ -336,6 +344,18 @@ def compose_b(
     if wavenumber_offset != 0.0:
         ratio[_below_cut(k, spec_a)] = 0.0
     return Wavefunction(psi_a.grid, np.fft.ifft(np.fft.fft(psi_a.values) * ratio), psi_a.t)
+
+
+def compose_gain(spec_a: WavepacketSpec, wavenumber_offset: float) -> float:
+    """Largest factor by which `compose_b` multiplies A's spectrum into B's.
+
+    |ratio| = exp(sigma^2 [2 (|k| - k_A) dk - dk^2]) peaks where the
+    cut sets in, sigma ||k| - k_A| = sqrt(ln(1 / COMPOSE_SPECTRUM_CUT)):
+    1 at dk = 0, 1.9e5 at sigma dk = 1.5.
+    """
+    reach = math.sqrt(-math.log(COMPOSE_SPECTRUM_CUT))
+    offset = spec_a.sigma * abs(wavenumber_offset)
+    return math.exp(2.0 * reach * offset - offset * offset)
 
 
 def composition_loss(grid: Grid1D, spec_a: WavepacketSpec, wavenumber_offset: float) -> float:
@@ -383,9 +403,10 @@ def calibration_bracket(
     return max(above, default=None), min(below, default=None)
 
 
-def _flies_free(psi: Wavefunction, barrier: BarrierPotential, edge_amplitude_max: float) -> bool:
-    """True while the packet holds only rounding noise on its barrier and stays off the edges."""
-    return (barrier_region_amplitude(psi, barrier) <= FREE_FLIGHT_AMPLITUDE_MAX
+def _flies_free(psi: Wavefunction, barrier: BarrierPotential,
+                free_flight_amplitude_max: float, edge_amplitude_max: float) -> bool:
+    """True while the packet stays within both amplitude limits, on its barrier and on the edges."""
+    return (barrier_region_amplitude(psi, barrier) <= free_flight_amplitude_max
             and edge_amplitude(psi) <= edge_amplitude_max)
 
 
@@ -398,25 +419,30 @@ def evolve_until_measured(
     check_every: int = CHECK_EVERY,
     barrier_amplitude_max: float,
     edge_amplitude_max: float = EDGE_AMPLITUDE_MAX,
+    free_flight_amplitude_max: float = FREE_FLIGHT_AMPLITUDE_MAX,
 ) -> Iterator[tuple[Wavefunction, bool, int, float]]:
     """Evolve one packet over `barrier`, yielding it after every chunk.
 
     The packet flies in chunks of `check_every` steps.  Launched with at
-    most FREE_FLIGHT_AMPLITUDE_MAX on the barrier support and at most
+    most `free_flight_amplitude_max` on the barrier support and at most
     `edge_amplitude_max` on the box edges, it first flies free: each
     chunk it is the launch state under the exact kinetic phase
-    exp(-i k^2 t/2) (one inverse FFT), which the Strang steps reproduce
-    while the barrier holds nothing of it, for as long as the chunk's
-    end passes both tests.  The first chunk that fails one is stepped
-    from its start by `evolve`, and so is every chunk after it: an edge
-    crossing is raised by the steps, with their step count.
+    exp(-i k^2 t/2) (one inverse FFT), for as long as the chunk's end
+    passes both tests.  That leaves out the barrier's phases on what
+    reaches the barrier before then, which at the default entry moves
+    T and a by up to TOL_A, not by rounding only.  The first chunk that
+    fails a test is stepped from its start by `evolve`, and so is every
+    chunk after it: an edge crossing is raised by the steps, with their
+    step count.
     `check_every` and `max_steps` must be at least 1 (chunks of 0 steps
     would never end the loop); they, the step size and the barrier are
-    checked at the first `next`, before anything flies.
+    checked at the first `next`, before anything flies.  So is the
+    launch: a packet that already passes `measurement_ready` has nothing
+    to scatter, a ConfigurationError.
 
     The packet is ready when it passes `measurement_ready` at
     `barrier_amplitude_max`, a test of the chunk's state alone; a free
-    chunk takes the answer its launch state gave, tested once.  After each
+    chunk is as unready as the launch, tested once.  After each
     chunk it yields `(psi, ready, steps_done, leakage)`: the packet's
     state, its ready flag, the steps taken since launch and its peak edge
     amplitude so far (at the chunk ends of the free flight, at every
@@ -429,13 +455,20 @@ def evolve_until_measured(
     grid = psi.grid
     PropagationParams(dt=dt, steps=check_every).validate_on(grid)
     barrier.validate_on(grid)
+    if measurement_ready(psi, barrier, barrier_amplitude_max):
+        density = np.abs(psi.values) ** 2
+        spectrum = np.abs(np.fft.fft(psi.values)) ** 2
+        raise ConfigurationError(
+            f"packet launched at {np.sum(grid.x * density) / np.sum(density):.6g} with wavenumber "
+            f"{np.sum(grid.k * spectrum) / np.sum(spectrum):.6g} is ready before it flies: "
+            f"nothing to scatter")
     leakage = 0.0
     # the launch spectrum while the packet flies free, None once it is stepped;
-    # free flight moves no mass across the barrier or the box edges and turns
-    # none around, so every free chunk keeps the launch's readiness
-    free = None
-    if _flies_free(psi, barrier, edge_amplitude_max):
-        free, ready = np.fft.fft(psi.values), measurement_ready(psi, barrier, barrier_amplitude_max)
+    # free flight turns no mass around, so every free chunk keeps the launch's
+    # answer: not ready
+    free = (np.fft.fft(psi.values)
+            if _flies_free(psi, barrier, free_flight_amplitude_max, edge_amplitude_max) else None)
+    ready = False
     steps_done = 0
     while steps_done < max_steps:
         params = PropagationParams(dt=dt, steps=min(check_every, max_steps - steps_done))
@@ -444,7 +477,7 @@ def evolve_until_measured(
             flown = Wavefunction(grid, np.fft.ifft(
                 free * np.exp(-0.5j * dt * steps_done * grid.k**2)
             ), t=psi.t + params.steps * params.dt)
-            if _flies_free(flown, barrier, edge_amplitude_max):
+            if _flies_free(flown, barrier, free_flight_amplitude_max, edge_amplitude_max):
                 psi = flown
                 leakage = max(leakage, edge_amplitude(flown))
             else:
@@ -486,18 +519,14 @@ def simulated_transmission(
     the first ready chunk of `evolve_until_measured`, its edges held to
     `edge_amplitude_max`.  `boundary` is kept for positional callers:
     one other than None or 0.0, the barrier's centre, is a
-    ConfigurationError.  A launch state that already passes
-    `measurement_ready` has nothing to scatter: ConfigurationError
-    before any step.  Otherwise raises the flight's edge error, or a
+    ConfigurationError.  Raises the flight's errors: its refusal of a
+    launch that is ready before any step, its edge error, or a
     CalibrationError when `max_steps` run out, which says how far the
     packet got (`flight_progress`).
     """
     if boundary not in (None, 0.0):
         raise ConfigurationError(f"the split is the barrier centre x = 0, not {boundary}")
     psi = make_gaussian(grid, spec)
-    if measurement_ready(psi, barrier, barrier_amplitude_max):
-        raise ConfigurationError(f"packet launched at {spec.center} with wavenumber "
-                                 f"{spec.wavenumber} is ready before it flies: nothing to scatter")
     for psi, ready, _, leakage in evolve_until_measured(
         psi, barrier, dt=dt, max_steps=max_steps, check_every=check_every,
         barrier_amplitude_max=barrier_amplitude_max, edge_amplitude_max=edge_amplitude_max,

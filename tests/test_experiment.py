@@ -8,6 +8,7 @@ seconds range; the production-size runs live in the acceptance tests.
 import io
 import json
 import math
+import random
 import re
 import tracemalloc
 from dataclasses import fields, replace
@@ -314,9 +315,9 @@ class TestRunScenario:
         # the split is frozen after measurement; later reads must agree
         assert row.stability_a[0] == pytest.approx(row.a, abs=5e-3)
 
-    @pytest.mark.parametrize("max_steps", [8700, 8699])
+    @pytest.mark.parametrize("max_steps", [7500, 7499])
     def test_stability_extension_counts_against_max_steps(self, monkeypatch, max_steps):
-        # read out at 5800 steps, the fraction 0.5 takes the pair on to 8700
+        # read out at 5000 steps, the fraction 0.5 takes the pair on to 7500
         extension = []
         real_evolve = experiment.evolve
 
@@ -326,14 +327,14 @@ class TestRunScenario:
 
         monkeypatch.setattr(experiment, "evolve", spy)
         config = small_scenario(stability_fractions=(0.25, 0.5), max_steps=max_steps)
-        if max_steps >= 8700:
+        if max_steps >= 7500:
             row = run_scenario(config)
-            assert row.t_meas == pytest.approx(5800 * config.dt)
-            assert extension == [1450, 1450]
+            assert row.t_meas == pytest.approx(5000 * config.dt)
+            assert extension == [1250, 1250]
         else:
             with pytest.raises(MeasurementTimeoutError,
-                               match=r"end at 8700 steps, beyond max_steps 8699 "
-                                     r"\(measured at 5800 steps\)"):
+                               match=r"end at 7500 steps, beyond max_steps 7499 "
+                                     r"\(measured at 5000 steps\)"):
                 run_scenario(config)
             assert extension == []
 
@@ -358,8 +359,9 @@ class TestRunScenario:
         config = small_scenario(separation=0.0, stability_fractions=(0.1,))
         row, pair = run_resolved(config, param_value=0.0)
         assert pair.psi_b is pair.psi_a
-        # one call per chunk up to t_meas, plus one for the extension
-        chunks = round(row.t_meas / (config.dt * CHECK_EVERY))
+        # one call per stepped chunk up to t_meas (the free flight before
+        # them makes none), plus one for the extension
+        chunks = round((row.t_meas - calls[0]) / (config.dt * CHECK_EVERY))
         assert len(calls) == chunks + 1
 
     def test_identical_pair_checks_a_once_per_stability_time(self, monkeypatch):
@@ -378,8 +380,8 @@ class TestRunScenario:
         assert checked == [pytest.approx(row.t_meas * (1.0 + f)) for f in (0.1, 0.2)]
 
     def test_measure_sees_only_packets_ready_under_the_config(self):
-        # a barrier threshold stricter than the propagator default 1e-6: A
-        # is read where it passes the config's gate, later than at 1e-6
+        # a barrier threshold stricter than 1e-6: A is read where it passes
+        # the config's gate, later than at 1e-6
         base = small_scenario(barrier_amplitude_max=1e-8)
         configs = [apply_sweep_parameter(base, "separation_d", d) for d in (0.0, 2.0, 4.0)]
         barrier = base.barrier()
@@ -401,24 +403,25 @@ class TestRunScenario:
         configs = [apply_sweep_parameter(base, "separation_d", d) for d in values]
         yielded = [(i, state[2]) for i, state in
                    evolve_pair_to_measurement(configs, base.barrier())]
-        assert yielded == [(0, 5800), (1, 5800), (2, 5800), (3, 5800)]
+        assert yielded == [(0, 5000), (1, 5000), (2, 5000), (3, 5000)]
         rows = sweep(SweepConfig(base, "separation_d", values))
         assert [row.param for row in rows] == list(values)
-        assert [row.t_meas for row in rows] == [pytest.approx(5800 * base.dt)] * 4
+        assert [row.t_meas for row in rows] == [pytest.approx(5000 * base.dt)] * 4
 
     def test_a_row_at_a_wavenumber_offset_waits_for_its_b_to_leave_the_barrier(self):
         # B composed from A amplifies A's residual on the barrier at dk != 0,
-        # so its row is read once the composed B holds at most the gate there
+        # so its row is read once the composed B holds at most
+        # COMPOSED_B_AMPLITUDE_MAX there: as late as before the error budget
         base = small_scenario(separation=3.0)
         values = (0.0, -1.0, 1.0)
         configs = [apply_sweep_parameter(base, "wavenumber_dk", dk) for dk in values]
         barrier = base.barrier()
         yielded = list(evolve_pair_to_measurement(configs, barrier))
-        assert [(i, state[2]) for i, state in yielded] == [(0, 5800), (2, 6200), (1, 8600)]
+        assert [(i, state[2]) for i, state in yielded] == [(0, 5000), (2, 6200), (1, 8600)]
         for i, (psi_a, psi_b, _, _) in yielded:
             # at dk = 0 the composed B is B's outgoing state and may sit on the barrier
             on_barrier = propagator.barrier_region_amplitude(psi_b, barrier)
-            assert (on_barrier <= base.barrier_amplitude_max) == (values[i] != 0.0)
+            assert (on_barrier <= propagator.COMPOSED_B_AMPLITUDE_MAX) == (values[i] != 0.0)
 
     def test_unready_stability_packets_are_refused(self):
         # launch states sitting on the barrier, re-measured one step later
@@ -479,12 +482,12 @@ class TestRunScenario:
             run_scenario(small_scenario(max_steps=400))
 
     def test_identical_pair_timeout_names_packet_a_once(self):
-        # at 5600 steps A holds 1.1e-6 on the barrier: drained enough to
-        # compose B from, not yet ready, and B is A
+        # at 4800 steps, one chunk before its read-out, A is not yet ready,
+        # and B is A
         with pytest.raises(MeasurementTimeoutError) as caught:
-            run_scenario(small_scenario(separation=0.0, max_steps=5600))
+            run_scenario(small_scenario(separation=0.0, max_steps=4800))
         assert re.fullmatch(
-            r"packets did not clear the barrier within 5600 steps \(t = 2\.8\); "
+            r"packets did not clear the barrier within 4800 steps \(t = 2\.4\); "
             r"packet A: barrier amplitude \S+ at the last chunk, peak edge amplitude \S+",
             str(caught.value))
 
@@ -525,9 +528,9 @@ class TestSweep:
             r"peak edge amplitude (\S+)", rows[2].error)
         assert found
         on_barrier, edge, b_on_barrier, b_edge = map(float, found.groups())
-        assert on_barrier <= propagator.COMPOSE_BARRIER_AMPLITUDE_MAX
+        assert on_barrier <= propagator.DEFAULT_BARRIER_AMPLITUDE_MAX
         assert 0.0 < edge <= propagator.EDGE_AMPLITUDE_MAX
-        assert b_on_barrier > config.base.barrier_amplitude_max
+        assert b_on_barrier > propagator.COMPOSED_B_AMPLITUDE_MAX
         assert 0.0 < b_edge <= propagator.EDGE_AMPLITUDE_MAX
 
     def test_rows_keep_requested_order(self):
@@ -558,7 +561,6 @@ class TestSweep:
         (small_scenario(sign=FERMION), "separation_d", (3.0, 0.0, 50.0, 1.5)),
         # identical packets at d = 0 share A, also through the stability extension
         (small_scenario(stability_fractions=(0.1, 0.2)), "separation_d", (2.0, 0.0, 4.0)),
-        (small_scenario(separation=0.0), "wavenumber_dk", (0.25, 0.0, 0.5)),
     ])
     def test_rows_match_single_runs(self, base, parameter, values):
         expected = self.single_runs(base, parameter, values)
@@ -568,6 +570,22 @@ class TestSweep:
         assert [json.dumps(r.to_dict(), sort_keys=True) for r in rows] == [
             json.dumps(r.to_dict(), sort_keys=True) for r in expected
         ]
+
+    def test_offset_rows_match_single_runs_within_the_budget(self):
+        # the sweep's A flies free only as far as its largest offset allows
+        # (`compose_gain`), further than a single run at a smaller offset:
+        # those rows move within TOL_A (here by 1e-14), read at the same chunk
+        base = small_scenario(separation=0.0)
+        values = (0.25, 0.0, 0.5)
+        expected = self.single_runs(base, "wavenumber_dk", values)
+        rows = sweep(SweepConfig(base, "wavenumber_dk", values))
+        for row, alone in zip(rows, expected):
+            assert (row.param, row.t_meas, row.valid) == (alone.param, alone.t_meas, alone.valid)
+            for name in ("p20", "p02", "p11", "a", "t_a", "t_b"):
+                assert getattr(row, name) == pytest.approx(getattr(alone, name),
+                                                           abs=propagator.TOL_A), name
+        # the row at the largest offset flies as its single run does
+        assert json.dumps(rows[2].to_dict()) == json.dumps(expected[2].to_dict())
 
     @pytest.mark.parametrize("parameter, values", [
         ("separation_d", (0.0, 1.37, 3.0, 4.5)),
@@ -594,11 +612,12 @@ class TestSweep:
         rows = sweep(SweepConfig(base, parameter, values))
         assert all(row.valid for row in rows)
         assert built == [base.spec_a()]
-        # one chain of calls: packet A from its launch to the last row's measurement
-        assert calls[0][0].t == 0.0
-        assert all(psi is out for (psi, _), (_, out) in zip(calls[1:], calls))
+        # one chain of calls: packet A from the end of its free flight to
+        # the last row's measurement
         chunk_t = base.dt * CHECK_EVERY
-        assert len(calls) == round(max(row.t_meas for row in rows) / chunk_t)
+        assert round(calls[0][0].t / chunk_t) * chunk_t == pytest.approx(calls[0][0].t)
+        assert all(psi is out for (psi, _), (_, out) in zip(calls[1:], calls))
+        assert len(calls) == round((max(row.t_meas for row in rows) - calls[0][0].t) / chunk_t)
 
     def test_holds_one_pair_at_a_time(self):
         # each pair is measured and dropped before A flies on, so six
@@ -702,10 +721,51 @@ def fly_free(psi, t: float):
     return np.fft.ifft(np.fft.fft(psi.values) * np.exp(-0.5j * (t - psi.t) * k**2))
 
 
+def quick_box(center: float = -20.0, **overrides) -> ScenarioConfig:
+    """The quick_run box (G = 4096, L = 64) the benchmark's pair runs and sweeps fly on."""
+    return replace(small_scenario(), grid_points=4096, packet_center=center,
+                   max_steps=60_000, **overrides)
+
+
+class TestErrorBudget:
+    """The default gate DEFAULT_BARRIER_AMPLITUDE_MAX reads every row out
+    within TOL_A of the read-out at the gate 1e-6."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_default_gate_reads_within_tol_a_of_the_fine_gate(self, seed):
+        # seed 0 launches at -20, the others jitter the launch in [-21, -19]
+        rng = random.Random(seed)
+        center = -20.0 if seed == 0 else round(-20.0 + rng.uniform(-1.0, 1.0), 3)
+        cases = [(quick_box(center), (0.0, 1.0, 3.0, 4.5, 6.0)),
+                 (quick_box(center, sign=FERMION), (1.5,))]
+        for base, values in cases:
+            default = sweep(SweepConfig(base, "separation_d", values))
+            fine = sweep(SweepConfig(replace(base, barrier_amplitude_max=1e-6),
+                                     "separation_d", values))
+            for row, reference in zip(default, fine):
+                assert row.valid and reference.valid
+                assert row.t_meas < reference.t_meas
+                assert abs(row.a - reference.a) <= propagator.TOL_A
+                assert abs(row.p11 - reference.p11) <= 2.0 * propagator.TOL_A
+
+    def test_rows_at_a_wavenumber_offset_keep_their_read_out(self):
+        # quick_dk_sweep's offsets on its box: a free flight that ignored the
+        # offsets' compose_gain, or a B gate of 5e-5, turned dk = +1 and +1.5 invalid
+        rows = sweep(SweepConfig(quick_box(separation=1.0), "wavenumber_dk", (-1.0, 1.0, 1.5)))
+        assert [row.valid for row in rows] == [True, True, True]
+        assert [row.t_meas for row in rows] == [pytest.approx(t) for t in (6.5, 5.4, 5.9)]
+
+
+def fine_gate_scenario(**overrides) -> ScenarioConfig:
+    """small_scenario read out at the gate 1e-6, where the composition's own error shows."""
+    return small_scenario(barrier_amplitude_max=1e-6, **overrides)
+
+
 class TestDirectReference:
     """Rows, read out by momentum with packet B composed from packet A,
     against both packets evolved for real and split in position once
-    both are ready."""
+    both are ready.  At the default gate both sides move by up to TOL_A
+    (`TestErrorBudget`), so the rows are read at the gate 1e-6."""
 
     @staticmethod
     def check(config, row, pair=None, tol=1e-10, s_tol=None):
@@ -724,15 +784,16 @@ class TestDirectReference:
         assert row.stability_a == pytest.approx(tuple(stability), abs=tol)
 
     @pytest.mark.parametrize("base, parameter, values", [
-        (small_scenario(), "separation_d", (0.0, 1.37, 3.0)),
+        (fine_gate_scenario(), "separation_d", (0.0, 1.37, 3.0)),
         # B composed from A at a wavenumber offset, here and at a stability time
-        (small_scenario(separation=2.0, stability_fractions=(0.1,)), "wavenumber_dk", (-0.3, 0.5)),
-        *[(small_scenario(separation=d, sign=sign, stability_fractions=(0.1,)), "wavenumber_dk",
-           (dk,))
+        (fine_gate_scenario(separation=2.0, stability_fractions=(0.1,)), "wavenumber_dk",
+         (-0.3, 0.5)),
+        *[(fine_gate_scenario(separation=d, sign=sign, stability_fractions=(0.1,)),
+           "wavenumber_dk", (dk,))
           for d, dk in ((0.0, 0.75), (2.0, -0.75), (3.0, -1.0)) for sign in (BOSON, FERMION)],
         # at the band's edge on this box: the cut drops 2.4e-11 and 2.5e-11 of B
-        *[(small_scenario(separation=1.0, sign=sign, stability_fractions=(0.1,)), "wavenumber_dk",
-           (1.5, -1.5)) for sign in (BOSON, FERMION)],
+        *[(fine_gate_scenario(separation=1.0, sign=sign, stability_fractions=(0.1,)),
+           "wavenumber_dk", (1.5, -1.5)) for sign in (BOSON, FERMION)],
     ])
     def test_sweep_rows(self, base, parameter, values):
         rows = sweep(SweepConfig(base, parameter, values))
@@ -741,8 +802,8 @@ class TestDirectReference:
 
     @pytest.mark.parametrize("separation", [1.5, 2.718])
     def test_fermion_rows_with_stability_times(self, separation):
-        config = small_scenario(sign=FERMION, separation=separation,
-                                stability_fractions=(0.1, 0.2))
+        config = fine_gate_scenario(sign=FERMION, separation=separation,
+                                    stability_fractions=(0.1, 0.2))
         self.check(config, *run_resolved(config, param_value=separation))
 
     def test_b_is_composed_only_from_an_a_drained_from_the_barrier(self):
@@ -758,7 +819,7 @@ class TestDirectReference:
         # moved back by d = 13.2 it sits on the barrier, which B itself
         # reaches only then: the row does not wait for B, because the B
         # composed from A is B's outgoing state
-        base = small_scenario()
+        base = fine_gate_scenario()
         configs = [apply_sweep_parameter(base, "separation_d", d) for d in (2.0, 13.2)]
         yielded = [(i, state[2]) for i, state in
                    evolve_pair_to_measurement(configs, base.barrier())]
@@ -775,7 +836,7 @@ class TestDirectReference:
 
     def test_pair_run_scenario(self):
         # the benchmark's seed-0 pair_run: the quick_run box, fermions at d = 1.5
-        config = replace(small_scenario(), grid_points=4096, packet_center=-20.0,
+        config = replace(fine_gate_scenario(), grid_points=4096, packet_center=-20.0,
                          separation=1.5, sign=FERMION, max_steps=60_000,
                          stability_fractions=(0.1, 0.2))
         self.check(config, *run_resolved(config, param_value=1.5))
