@@ -16,19 +16,33 @@ The bridge quantity is a = (p20 + p02) / 2: 0 for the exclusion limit,
 
 __version__ = "0.1.0"
 
-import os
-import sys
 
-# pairstats makes no BLAS call (FFTs and elementwise arithmetic only), so an
-# OpenBLAS worker thread would only spin: numpy loads with one thread unless
-# the user chose a count or loaded numpy already, and the variable goes again
-# so no child process inherits it
-if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+def _load_numpy_with_one_blas_thread() -> None:
+    """Import numpy with OpenBLAS capped at one thread, unless the user chose.
+
+    pairstats makes no BLAS call (FFTs and elementwise arithmetic only), so
+    an OpenBLAS worker thread would only spin.  OpenBLAS reads its thread
+    count once, at numpy's import, from the first of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS that is set: when none is and
+    numpy is not loaded yet, numpy loads with OPENBLAS_NUM_THREADS=1, for
+    the whole process, and the variable goes again so no child process
+    inherits it.
+    """
+    import os
+    import sys
+
+    chosen = any(name in os.environ
+                 for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    if "numpy" in sys.modules or chosen:
+        return
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         import numpy  # noqa: F401
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_load_numpy_with_one_blas_thread()
 
 from .errors import (
     BoundaryContaminationError,

@@ -35,13 +35,13 @@ from .propagator import (
     DEFAULT_BARRIER_AMPLITUDE_MAX,
     EDGE_AMPLITUDE_MAX,
     FREE_FLIGHT_AMPLITUDE_MAX,
+    OFFSET_FREE_FLIGHT_AMPLITUDE_MAX,
     BarrierPotential,
     CalibrationResult,
     PropagationParams,
     barrier_region_amplitude,
     calibrate_barrier,
     compose_b,
-    compose_gain,
     composition_loss,
     edge_amplitude,
     evolve,
@@ -281,10 +281,11 @@ def evolve_pair_to_measurement(
     is taken at the first chunk where A is ready and, unless B is A,
     holds at most DEFAULT_BARRIER_AMPLITUDE_MAX on the barrier; at
     dk != 0, which amplifies A's residual there, also its composed B
-    must hold at most COMPOSED_B_AMPLITUDE_MAX there (or the config's
-    tighter `barrier_amplitude_max`).  The ratio amplifies A's free-flight
-    error as well, so A flies free only up to FREE_FLIGHT_AMPLITUDE_MAX
-    over the largest `compose_gain` of the configs.  The outcome is
+    must hold at most the config's `barrier_amplitude_max` there, or
+    COMPOSED_B_AMPLITUDE_MAX at the default gate.  The ratio amplifies
+    A's free-flight error as well, so A flies free only up to
+    OFFSET_FREE_FLIGHT_AMPLITUDE_MAX when any config has dk != 0, and
+    up to FREE_FLIGHT_AMPLITUDE_MAX otherwise.  The outcome is
     `(psi_a, psi_b, steps_done, leakage)` at that chunk, yielded there,
     the leakage being A's peak edge amplitude so far and B's at launch.
     A PairStatsError is the outcome of the configs it concerns, yielded
@@ -312,11 +313,11 @@ def evolve_pair_to_measurement(
 
     if not running:
         return
-    gain = max(compose_gain(spec_a, configs[i].wavenumber_offset) for i in running)
+    entry = (OFFSET_FREE_FLIGHT_AMPLITUDE_MAX if any(cfg.wavenumber_offset for cfg in configs)
+             else FREE_FLIGHT_AMPLITUDE_MAX)
     try:
         for psi_a, ready, steps_done, leakage in evolve_until_measured(
-                psi_a, barrier, free_flight_amplitude_max=FREE_FLIGHT_AMPLITUDE_MAX / gain,
-                **config.loop_settings()):
+                psi_a, barrier, free_flight_amplitude_max=entry, **config.loop_settings()):
             if not ready:
                 continue
             drained = barrier_region_amplitude(psi_a, barrier) <= DEFAULT_BARRIER_AMPLITUDE_MAX
@@ -325,8 +326,10 @@ def evolve_pair_to_measurement(
                 if not (drained or cfg.identical_packets()):
                     continue
                 psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
-                if cfg.wavenumber_offset and barrier_region_amplitude(psi_b, barrier) > min(
-                        cfg.barrier_amplitude_max, COMPOSED_B_AMPLITUDE_MAX):
+                b_gate = (COMPOSED_B_AMPLITUDE_MAX
+                          if cfg.barrier_amplitude_max == DEFAULT_BARRIER_AMPLITUDE_MAX
+                          else cfg.barrier_amplitude_max)
+                if cfg.wavenumber_offset and barrier_region_amplitude(psi_b, barrier) > b_gate:
                     continue
                 del running[i]
                 yield i, (psi_a, psi_b, steps_done, max(leakage, launch_edge))
@@ -465,11 +468,13 @@ def sweep(config: SweepConfig) -> list[ResultRow]:
 
     Rows come back in the order of `config.values`.  A failing value
     produces an invalid row carrying the error text; the sweep goes on.
-    All values are flown in one `evolve_pair_to_measurement` call,
-    which flies packet A alone and composes each value's B from it;
-    each pair is measured as it is yielded, and dropped, so the sweep
-    holds one pair at a time.  An error of that measurement is its
-    row's error.
+    The values at dk = 0 are flown in one `evolve_pair_to_measurement`
+    call and those at dk != 0 in another, since A flies free less far
+    at an offset: each call flies packet A alone and composes each
+    value's B from it, so every row is read from the flight its single
+    run takes.  Each pair is measured as it is yielded, and dropped, so
+    the sweep holds one pair at a time.  An error of that measurement
+    is its row's error.
     """
     config.validate()
     base, _ = resolve_barrier(config.base)
@@ -477,15 +482,19 @@ def sweep(config: SweepConfig) -> list[ResultRow]:
     values = [float(v) for v in config.values]
     configs = [apply_sweep_parameter(base, config.parameter, v) for v in values]
     rows = [None] * len(values)
-    for i, outcome in evolve_pair_to_measurement(configs, barrier):
-        try:
-            if isinstance(outcome, PairStatsError):
-                raise outcome
-            rows[i] = _measure(configs[i], barrier, values[i], *outcome)[0]
-        except PairStatsError as err:
-            rows[i] = ResultRow(param=values[i], error=f"{type(err).__name__}: {err}",
-                                barrier_height=base.barrier_height)
-        del outcome  # drop the pair before A flies on to the next one
+    flights = ([i for i, cfg in enumerate(configs) if not cfg.wavenumber_offset],
+               [i for i, cfg in enumerate(configs) if cfg.wavenumber_offset])
+    for flight in filter(None, flights):
+        for j, outcome in evolve_pair_to_measurement([configs[i] for i in flight], barrier):
+            i = flight[j]
+            try:
+                if isinstance(outcome, PairStatsError):
+                    raise outcome
+                rows[i] = _measure(configs[i], barrier, values[i], *outcome)[0]
+            except PairStatsError as err:
+                rows[i] = ResultRow(param=values[i], error=f"{type(err).__name__}: {err}",
+                                    barrier_height=base.barrier_height)
+            del outcome  # drop the pair before A flies on to the next one
     return rows
 
 

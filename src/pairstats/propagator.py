@@ -287,9 +287,10 @@ def edge_amplitude(psi: Wavefunction) -> float:
     return float(max(abs(psi.values[0]), abs(psi.values[-1])))
 
 
-# at a wavenumber offset, the amplitude a composed B may still hold on the
-# barrier when its row is read: the ratio amplifies A's residual there, and
-# a gate of 5e-5 lets that residual reach the box edges (invalid rows)
+# at a wavenumber offset and the default gate, the amplitude a composed B
+# may still hold on the barrier when its row is read (an explicit gate is
+# B's gate too): the ratio amplifies A's residual there, and a gate of 5e-5
+# lets that residual reach the box edges (invalid rows)
 COMPOSED_B_AMPLITUDE_MAX = 1e-6
 
 # at a wavenumber offset, B is composed only where A's launch spectrum is at
@@ -304,6 +305,14 @@ COMPOSE_SPECTRUM_CUT = 1e-10
 # (3.4e-10 at |dk| = 1.7), and a slow B waits on A's amplified low-|k|
 # remnant at the barrier.
 COMPOSE_LOSS_MAX = 3e-11
+
+# free-flight entry of a packet A that B is composed from at dk != 0: the
+# ratio multiplies A's free-flight error by up to its peak
+# exp(2 r s - s^2), r = sqrt(ln(1 / COMPOSE_SPECTRUM_CUT)), s = sigma |dk|,
+# which is below 2.5e5 at every offset COMPOSE_LOSS_MAX admits (s < 1.53).
+# One flat entry for all offsets, so a row's flight never depends on the
+# other rows of its sweep.
+OFFSET_FREE_FLIGHT_AMPLITUDE_MAX = FREE_FLIGHT_AMPLITUDE_MAX / 2.5e5
 
 
 def _below_cut(k: np.ndarray, spec_a: WavepacketSpec) -> np.ndarray:
@@ -344,18 +353,6 @@ def compose_b(
     if wavenumber_offset != 0.0:
         ratio[_below_cut(k, spec_a)] = 0.0
     return Wavefunction(psi_a.grid, np.fft.ifft(np.fft.fft(psi_a.values) * ratio), psi_a.t)
-
-
-def compose_gain(spec_a: WavepacketSpec, wavenumber_offset: float) -> float:
-    """Largest factor by which `compose_b` multiplies A's spectrum into B's.
-
-    |ratio| = exp(sigma^2 [2 (|k| - k_A) dk - dk^2]) peaks where the
-    cut sets in, sigma ||k| - k_A| = sqrt(ln(1 / COMPOSE_SPECTRUM_CUT)):
-    1 at dk = 0, 1.9e5 at sigma dk = 1.5.
-    """
-    reach = math.sqrt(-math.log(COMPOSE_SPECTRUM_CUT))
-    offset = spec_a.sigma * abs(wavenumber_offset)
-    return math.exp(2.0 * reach * offset - offset * offset)
 
 
 def composition_loss(grid: Grid1D, spec_a: WavepacketSpec, wavenumber_offset: float) -> float:

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# OpenBLAS takes its thread count from the first of these that is set
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 # records every write to the variable, then reports the writes, the value
 # after the import and, where the platform lists them, the process's threads
@@ -42,11 +44,10 @@ print(json.dumps({
 """
 
 
-def probe(order: str, threads_setting=None) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+def probe(order: str, **settings: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
     env["PYTHONPATH"] = SRC
-    if threads_setting is not None:
-        env["OPENBLAS_NUM_THREADS"] = threads_setting
+    env.update(settings)
     done = subprocess.run([sys.executable, "-c", _PROBE, order], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
@@ -62,9 +63,17 @@ def test_unset_variable_gives_one_thread_and_is_unset_after():
 
 @pytest.mark.parametrize("order", ["pairstats-first", "numpy-first"])
 def test_a_value_the_user_set_is_kept(order):
-    got = probe(order, threads_setting="2")
+    got = probe(order, OPENBLAS_NUM_THREADS="2")
     assert got["writes"] == []
     assert got["after"] == "2"
+
+
+@pytest.mark.parametrize("variable", ["GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_count_chosen_through_another_variable_is_kept(variable):
+    # OpenBLAS would read OPENBLAS_NUM_THREADS=1 before the user's count
+    got = probe("pairstats-first", **{variable: "2"})
+    assert got["writes"] == []
+    assert got["after"] is None
 
 
 def test_numpy_imported_first_leaves_the_environment_untouched():

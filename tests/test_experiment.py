@@ -423,6 +423,23 @@ class TestRunScenario:
             on_barrier = propagator.barrier_region_amplitude(psi_b, barrier)
             assert (on_barrier <= propagator.COMPOSED_B_AMPLITUDE_MAX) == (values[i] != 0.0)
 
+    def test_an_explicit_gate_is_the_composed_b_gate_too(self):
+        # only the default gate holds a composed B to COMPOSED_B_AMPLITUDE_MAX:
+        # on a width-1.0 barrier at the gate 1e-3 the offset rows are read as
+        # soon as A has drained, B still above 1e-6 on the barrier, and are
+        # valid; held to 1e-6 they would wait until A crossed the box edge
+        base = small_scenario(barrier_width=1.0, barrier_height=28.67,
+                              barrier_amplitude_max=1e-3, max_steps=16_000)
+        values = (0.25, 0.5)
+        configs = [apply_sweep_parameter(base, "wavenumber_dk", dk) for dk in values]
+        barrier = base.barrier()
+        yielded = list(evolve_pair_to_measurement(configs, barrier))
+        assert [(i, state[2]) for i, state in yielded] == [(0, 12_000), (1, 12_000)]
+        for _, (_, psi_b, _, _) in yielded:
+            assert 1e-6 < propagator.barrier_region_amplitude(psi_b, barrier) <= 1e-3
+        rows = sweep(SweepConfig(base, "wavenumber_dk", values))
+        assert [(row.valid, row.t_meas) for row in rows] == [(True, pytest.approx(6.0))] * 2
+
     def test_unready_stability_packets_are_refused(self):
         # launch states sitting on the barrier, re-measured one step later
         config = small_scenario(stability_fractions=(0.1,))
@@ -561,6 +578,7 @@ class TestSweep:
         (small_scenario(sign=FERMION), "separation_d", (3.0, 0.0, 50.0, 1.5)),
         # identical packets at d = 0 share A, also through the stability extension
         (small_scenario(stability_fractions=(0.1, 0.2)), "separation_d", (2.0, 0.0, 4.0)),
+        (small_scenario(separation=0.0), "wavenumber_dk", (0.25, 0.0, 0.5)),
     ])
     def test_rows_match_single_runs(self, base, parameter, values):
         expected = self.single_runs(base, parameter, values)
@@ -571,28 +589,13 @@ class TestSweep:
             json.dumps(r.to_dict(), sort_keys=True) for r in expected
         ]
 
-    def test_offset_rows_match_single_runs_within_the_budget(self):
-        # the sweep's A flies free only as far as its largest offset allows
-        # (`compose_gain`), further than a single run at a smaller offset:
-        # those rows move within TOL_A (here by 1e-14), read at the same chunk
-        base = small_scenario(separation=0.0)
-        values = (0.25, 0.0, 0.5)
-        expected = self.single_runs(base, "wavenumber_dk", values)
-        rows = sweep(SweepConfig(base, "wavenumber_dk", values))
-        for row, alone in zip(rows, expected):
-            assert (row.param, row.t_meas, row.valid) == (alone.param, alone.t_meas, alone.valid)
-            for name in ("p20", "p02", "p11", "a", "t_a", "t_b"):
-                assert getattr(row, name) == pytest.approx(getattr(alone, name),
-                                                           abs=propagator.TOL_A), name
-        # the row at the largest offset flies as its single run does
-        assert json.dumps(rows[2].to_dict()) == json.dumps(expected[2].to_dict())
-
-    @pytest.mark.parametrize("parameter, values", [
-        ("separation_d", (0.0, 1.37, 3.0, 4.5)),
-        # B at every offset is composed from A: no source packet flies
-        ("wavenumber_dk", (0.0, 0.25, -0.5, 0.75)),
+    @pytest.mark.parametrize("parameter, values, flights", [
+        ("separation_d", (0.0, 1.37, 3.0, 4.5), [(0, 1, 2, 3)]),
+        # B at every offset is composed from A: no source packet flies; the
+        # value at dk = 0 flies apart from those at an offset
+        ("wavenumber_dk", (0.0, 0.25, -0.5, 0.75), [(0,), (1, 2, 3)]),
     ])
-    def test_sweep_builds_and_evolves_only_packet_a(self, monkeypatch, parameter, values):
+    def test_sweep_builds_and_evolves_only_packet_a(self, monkeypatch, parameter, values, flights):
         base = small_scenario()
         built, calls = [], []
         real_make, real_evolve = experiment.make_gaussian, experiment.evolve
@@ -611,13 +614,20 @@ class TestSweep:
         monkeypatch.setattr(propagator, "evolve", evolve)
         rows = sweep(SweepConfig(base, parameter, values))
         assert all(row.valid for row in rows)
-        assert built == [base.spec_a()]
-        # one chain of calls: packet A from the end of its free flight to
-        # the last row's measurement
+        assert built == [base.spec_a()] * len(flights)
+        # one chain of calls per flight: packet A from the end of its free
+        # flight to the last measurement of the flight's rows
+        chains = []  # [first state in, last state out, calls]
+        for psi, out in calls:
+            if chains and psi is chains[-1][1]:
+                chains[-1][1:] = [out, chains[-1][2] + 1]
+            else:
+                chains.append([psi, out, 1])
+        assert len(chains) == len(flights)
         chunk_t = base.dt * CHECK_EVERY
-        assert round(calls[0][0].t / chunk_t) * chunk_t == pytest.approx(calls[0][0].t)
-        assert all(psi is out for (psi, _), (_, out) in zip(calls[1:], calls))
-        assert len(calls) == round((max(row.t_meas for row in rows) - calls[0][0].t) / chunk_t)
+        for (start, _, count), flight in zip(chains, flights):
+            assert round(start.t / chunk_t) * chunk_t == pytest.approx(start.t)
+            assert count == round((max(rows[i].t_meas for i in flight) - start.t) / chunk_t)
 
     def test_holds_one_pair_at_a_time(self):
         # each pair is measured and dropped before A flies on, so six
@@ -749,8 +759,9 @@ class TestErrorBudget:
                 assert abs(row.p11 - reference.p11) <= 2.0 * propagator.TOL_A
 
     def test_rows_at_a_wavenumber_offset_keep_their_read_out(self):
-        # quick_dk_sweep's offsets on its box: a free flight that ignored the
-        # offsets' compose_gain, or a B gate of 5e-5, turned dk = +1 and +1.5 invalid
+        # quick_dk_sweep's offsets on its box: a free flight entered at
+        # FREE_FLIGHT_AMPLITUDE_MAX, or a B gate of 5e-5, turned dk = +1 and
+        # +1.5 invalid
         rows = sweep(SweepConfig(quick_box(separation=1.0), "wavenumber_dk", (-1.0, 1.0, 1.5)))
         assert [row.valid for row in rows] == [True, True, True]
         assert [row.t_meas for row in rows] == [pytest.approx(t) for t in (6.5, 5.4, 5.9)]

@@ -532,6 +532,23 @@ class TestFreeFlightBeforeTheBarrier:
         assert starts[0] == pytest.approx(first_stepped, abs=1e-12)
         assert len(starts) == round((t_meas - first_stepped) / chunk_t)
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_offset_entry_covers_every_admitted_offset(self, sigma):
+        # compose_b multiplies A's spectrum, and so A's free-flight error, by
+        # at most FREE_FLIGHT_AMPLITUDE_MAX / OFFSET_FREE_FLIGHT_AMPLITUDE_MAX
+        # at every offset COMPOSE_LOSS_MAX admits, out to the band's edge
+        spec = WavepacketSpec(center=-20.0, wavenumber=8.0, sigma=sigma)
+        flat = Wavefunction(FAR_BOX, np.fft.ifft(np.ones(FAR_BOX.points)))
+        bound = propagator.FREE_FLIGHT_AMPLITUDE_MAX / propagator.OFFSET_FREE_FLIGHT_AMPLITUDE_MAX
+        admitted = []
+        for offset in np.linspace(-1.6, 1.6, 321):
+            dk = offset / sigma
+            if propagator.composition_loss(FAR_BOX, spec, dk) <= propagator.COMPOSE_LOSS_MAX:
+                gain = np.abs(np.fft.fft(propagator.compose_b(flat, spec, 0.0, dk).values)).max()
+                assert gain <= bound, offset
+                admitted.append(abs(offset))
+        assert 1.45 < max(admitted) < 1.6
+
     def test_free_chunks_take_the_launch_readiness(self, monkeypatch):
         # the launch is tested once, before the first chunk; then only stepped chunks are
         spec = WavepacketSpec(center=-20.0, wavenumber=8.0, sigma=1.0)
