@@ -25,9 +25,6 @@ BASE = ScenarioConfig(
     barrier_height=None,
     dt=5e-4,
     max_steps=12_000,
-    # a unit-width barrier at this height traps amplitude for a while,
-    # so the readiness gate needs the looser barrier-region threshold
-    barrier_amplitude_max=1e-3,
 )
 
 NAMES = {BOSON: "boson", FERMION: "fermion"}

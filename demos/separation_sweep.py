@@ -21,7 +21,6 @@ BASE = ScenarioConfig(
     barrier_height=None,
     dt=5e-4,
     max_steps=12_000,
-    barrier_amplitude_max=1e-3,
 )
 
 SEPARATIONS = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 10.0)

@@ -49,7 +49,8 @@ from .propagator import (
     flight_progress,
     unready_reason,
 )
-from .twoparticle import BOSON, FERMION, SymmetrizedPair, make_pair, outgoing_probabilities
+from .twoparticle import (BOSON, FERMION, SUM_RULE_TOL, SymmetrizedPair, make_pair,
+                          outgoing_probabilities)
 
 # classification tolerance for report labels; looser than the exact-point
 # default so a calibrated MB-limit row still reads "MB"
@@ -86,7 +87,7 @@ class ScenarioConfig:
     # evolution
     dt: float = 5e-4
     max_steps: int = 60_000
-    # measurement
+    # the calibration run's readiness gate on the barrier; pairs are read at the default
     barrier_amplitude_max: float = DEFAULT_BARRIER_AMPLITUDE_MAX
     # extra measurement times t_meas * (1 + f), recorded per row as stability_a
     stability_fractions: tuple[float, ...] = ()
@@ -117,7 +118,7 @@ class ScenarioConfig:
         return self.separation == 0.0 and self.wavenumber_offset == 0.0
 
     def loop_settings(self) -> dict:
-        """Step size, step budget and measurement gate, as keywords of the propagator's loops."""
+        """Step size, step budget and gate of the calibration run (`simulated_transmission`)."""
         return {name: getattr(self, name)
                 for name in ("dt", "max_steps", "barrier_amplitude_max")}
 
@@ -278,11 +279,11 @@ def evolve_pair_to_measurement(
 
     The configs differ only in packet B, and only A is evolved: config
     i's B is composed from A by `compose_b`, as B's outgoing state.  It
-    is taken at the first chunk where A is ready and, unless B is A,
-    holds at most DEFAULT_BARRIER_AMPLITUDE_MAX on the barrier; at
-    dk != 0, which amplifies A's residual there, also its composed B
-    must hold at most the config's `barrier_amplitude_max` there, or
-    COMPOSED_B_AMPLITUDE_MAX at the default gate.  The ratio amplifies
+    is taken at the first chunk where A is ready at
+    DEFAULT_BARRIER_AMPLITUDE_MAX, whatever the config's
+    `barrier_amplitude_max` (the calibration's gate); at dk != 0, which
+    amplifies A's residual on the barrier, also its composed B must
+    hold at most COMPOSED_B_AMPLITUDE_MAX there.  The ratio amplifies
     A's free-flight error as well, so A flies free only up to
     OFFSET_FREE_FLIGHT_AMPLITUDE_MAX when any config has dk != 0, and
     up to FREE_FLIGHT_AMPLITUDE_MAX otherwise.  The outcome is
@@ -292,10 +293,9 @@ def evolve_pair_to_measurement(
     when it arises: a launch check (`validate`, `make_pair`) ends one
     before the flight, an edge error of A or the timeout all still
     running.  Each timeout says how far A got (`flight_progress`) and,
-    at dk != 0 once A has drained off the barrier, how far B got,
-    composed at that last chunk.  The flight stops at the chunk that
-    takes the last config, and does not start when every config failed
-    at launch.
+    at dk != 0 once A is ready, how far B got, composed at that last
+    chunk.  The flight stops at the chunk that takes the last config,
+    and does not start when every config failed at launch.
     """
     config = configs[0]
     spec_a = config.spec_a()
@@ -317,19 +317,16 @@ def evolve_pair_to_measurement(
              else FREE_FLIGHT_AMPLITUDE_MAX)
     try:
         for psi_a, ready, steps_done, leakage in evolve_until_measured(
-                psi_a, barrier, free_flight_amplitude_max=entry, **config.loop_settings()):
+                psi_a, barrier, dt=config.dt, max_steps=config.max_steps,
+                barrier_amplitude_max=DEFAULT_BARRIER_AMPLITUDE_MAX,
+                free_flight_amplitude_max=entry):
             if not ready:
                 continue
-            drained = barrier_region_amplitude(psi_a, barrier) <= DEFAULT_BARRIER_AMPLITUDE_MAX
             for i, launch_edge in list(running.items()):
                 cfg = configs[i]
-                if not (drained or cfg.identical_packets()):
-                    continue
                 psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
-                b_gate = (COMPOSED_B_AMPLITUDE_MAX
-                          if cfg.barrier_amplitude_max == DEFAULT_BARRIER_AMPLITUDE_MAX
-                          else cfg.barrier_amplitude_max)
-                if cfg.wavenumber_offset and barrier_region_amplitude(psi_b, barrier) > b_gate:
+                if (cfg.wavenumber_offset
+                        and barrier_region_amplitude(psi_b, barrier) > COMPOSED_B_AMPLITUDE_MAX):
                     continue
                 del running[i]
                 yield i, (psi_a, psi_b, steps_done, max(leakage, launch_edge))
@@ -340,12 +337,11 @@ def evolve_pair_to_measurement(
             yield i, err
         return
     # the timeout
-    drained = barrier_region_amplitude(psi_a, barrier) <= DEFAULT_BARRIER_AMPLITUDE_MAX
     progress_a = f"packet A: {flight_progress(psi_a, barrier, leakage)}"
     for i, launch_edge in running.items():
         cfg = configs[i]
         progress = progress_a
-        if drained and cfg.wavenumber_offset:
+        if ready and cfg.wavenumber_offset:
             psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
             b_leakage = max(launch_edge, edge_amplitude(psi_b))
             progress += f"; packet B: {flight_progress(psi_b, barrier, b_leakage)}"
@@ -362,10 +358,10 @@ def _measure(
     """Read one pair out by momentum sign (`outgoing_probabilities`), then at the stability times.
 
     The pair comes from `evolve_pair_to_measurement`, ready to read.  For
-    a stability time A is evolved on and must still be ready (a
-    PrematureMeasurementError names the `unready_reason` it fails), and
-    B is composed from it again: `stability_a` moves only
-    with what A still held on the barrier.
+    a stability time A is evolved on and must still be ready at
+    DEFAULT_BARRIER_AMPLITUDE_MAX (a PrematureMeasurementError names the
+    `unready_reason` it fails), and B is composed from it again:
+    `stability_a` moves only with what A still held on the barrier.
     The extension counts against `max_steps`: a pair whose last
     stability time lies beyond it is refused before any extension step.
     At a wavenumber offset B does not keep pace with A, so B's own edge
@@ -394,7 +390,7 @@ def _measure(
         extra = int(round(fraction * steps_done))
         result = evolve(later_a, barrier, PropagationParams(dt=config.dt, steps=extra - prev_extra))
         later_a, prev_extra = result.psi, extra
-        reason = unready_reason(later_a, barrier, config.barrier_amplitude_max)
+        reason = unready_reason(later_a, barrier, DEFAULT_BARRIER_AMPLITUDE_MAX)
         if reason is not None:
             raise PrematureMeasurementError(
                 f"packet A is not ready at t = {later_a.t:.6g}: {reason}; "
@@ -411,7 +407,7 @@ def _measure(
     valid = bool(
         norm_drift <= NORM_DRIFT_MAX
         and leakage <= EDGE_AMPLITUDE_MAX
-        and abs(stats.sum_check - 1.0) <= 1e-6
+        and abs(stats.sum_check - 1.0) <= SUM_RULE_TOL
     )
     row = ResultRow(
         param=float(param_value),

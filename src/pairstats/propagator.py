@@ -287,10 +287,9 @@ def edge_amplitude(psi: Wavefunction) -> float:
     return float(max(abs(psi.values[0]), abs(psi.values[-1])))
 
 
-# at a wavenumber offset and the default gate, the amplitude a composed B
-# may still hold on the barrier when its row is read (an explicit gate is
-# B's gate too): the ratio amplifies A's residual there, and a gate of 5e-5
-# lets that residual reach the box edges (invalid rows)
+# at a wavenumber offset, the amplitude a composed B may still hold on the
+# barrier when its row is read: the ratio amplifies A's residual there, and
+# a gate of 5e-5 lets that residual reach the box edges (invalid rows)
 COMPOSED_B_AMPLITUDE_MAX = 1e-6
 
 # at a wavenumber offset, B is composed only where A's launch spectrum is at

@@ -84,14 +84,15 @@ class JointStats:
 def make_pair(psi_a: Wavefunction, psi_b: Wavefunction, sign: int) -> SymmetrizedPair:
     """Symmetrize two unit-normalized packets on the same grid and time.
 
-    Raises PauliDegeneracyError for the antisymmetric sign when
+    Raises ConsistencyError unless each norm squared is within 1e-6 of 1
+    (NaN is not), and PauliDegeneracyError for the antisymmetric sign when
     1 - |s|^2 <= 1e-9: the pair state vanishes and no statistics exist.
     """
     if sign not in (BOSON, FERMION):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     for name, psi in (("A", psi_a), ("B", psi_b)):
         drift = abs(psi.norm_sq() - 1.0)
-        if drift > _NORM_TOL:
+        if not drift <= _NORM_TOL:
             raise ConsistencyError(
                 f"packet {name} is not unit-normalized (|norm^2 - 1| = {drift:.3g})"
             )
@@ -158,8 +159,8 @@ def joint_density(pair: SymmetrizedPair, x1, x2):
 
 
 def _joint_stats(pair: SymmetrizedPair, t_a, r_a, t_b, r_b, i_plus, i_minus) -> JointStats:
-    """The quadrant formula from one split's sides; checks the partition and the sum rule."""
-    if abs((i_plus + i_minus) - pair.s) > PARTITION_TOL:
+    """The quadrant formula from one split's sides; checks partition and sum rule (NaN fails)."""
+    if not abs((i_plus + i_minus) - pair.s) <= PARTITION_TOL:
         raise ConsistencyError(
             f"one-sided overlaps do not partition the full overlap: "
             f"|I+ + I- - s| = {abs(i_plus + i_minus - pair.s):.3g}"
@@ -174,7 +175,7 @@ def _joint_stats(pair: SymmetrizedPair, t_a, r_a, t_b, r_b, i_plus, i_minus) -> 
         + sign * 4.0 * (i_plus * np.conj(i_minus)).real
     )
     sum_check = (p20 + p02) + p11
-    if abs(sum_check - 1.0) > SUM_RULE_TOL:
+    if not abs(sum_check - 1.0) <= SUM_RULE_TOL:
         raise ConsistencyError(
             f"quadrant sum rule violated: p20 + p02 + p11 = {sum_check!r}"
         )

@@ -379,22 +379,22 @@ class TestRunScenario:
         assert len(row.stability_a) == 2
         assert checked == [pytest.approx(row.t_meas * (1.0 + f)) for f in (0.1, 0.2)]
 
-    def test_measure_sees_only_packets_ready_under_the_config(self):
-        # a barrier threshold stricter than 1e-6: A is read where it passes
-        # the config's gate, later than at 1e-6
-        base = small_scenario(barrier_amplitude_max=1e-8)
+    def test_measure_sees_only_packets_ready_under_the_pair_gate(self, monkeypatch):
+        # a pair gate stricter than 1e-6: A is read where it passes that
+        # gate, later than at 1e-6
+        base = small_scenario()
         configs = [apply_sweep_parameter(base, "separation_d", d) for d in (0.0, 2.0, 4.0)]
         barrier = base.barrier()
+        monkeypatch.setattr(experiment, "DEFAULT_BARRIER_AMPLITUDE_MAX", 1e-6)
+        fine_steps = {state[2] for _, state in evolve_pair_to_measurement(configs, barrier)}
+        monkeypatch.setattr(experiment, "DEFAULT_BARRIER_AMPLITUDE_MAX", 1e-8)
         yielded = list(evolve_pair_to_measurement(configs, barrier))
         assert sorted(i for i, _ in yielded) == [0, 1, 2]
         assert not any(isinstance(state, PairStatsError) for _, state in yielded)
-        at_default = evolve_pair_to_measurement(
-            [replace(cfg, barrier_amplitude_max=1e-6) for cfg in configs], barrier)
-        default_steps = {state[2] for _, state in at_default}
         for _, (psi_a, psi_b, steps_done, leakage) in yielded:
             assert psi_a.t == psi_b.t == pytest.approx(steps_done * base.dt, abs=1e-9)
-            assert measurement_ready(psi_a, barrier, base.barrier_amplitude_max)
-            assert steps_done > max(default_steps)
+            assert measurement_ready(psi_a, barrier, 1e-8)
+            assert steps_done > max(fine_steps)
 
     def test_each_pair_is_yielded_at_the_chunk_it_becomes_ready(self):
         # at dk = 0 every pair is ready where A is: at A's drain, far B or not
@@ -423,22 +423,25 @@ class TestRunScenario:
             on_barrier = propagator.barrier_region_amplitude(psi_b, barrier)
             assert (on_barrier <= propagator.COMPOSED_B_AMPLITUDE_MAX) == (values[i] != 0.0)
 
-    def test_an_explicit_gate_is_the_composed_b_gate_too(self):
-        # only the default gate holds a composed B to COMPOSED_B_AMPLITUDE_MAX:
-        # on a width-1.0 barrier at the gate 1e-3 the offset rows are read as
-        # soon as A has drained, B still above 1e-6 on the barrier, and are
-        # valid; held to 1e-6 they would wait until A crossed the box edge
-        base = small_scenario(barrier_width=1.0, barrier_height=28.67,
-                              barrier_amplitude_max=1e-3, max_steps=16_000)
-        values = (0.25, 0.5)
-        configs = [apply_sweep_parameter(base, "wavenumber_dk", dk) for dk in values]
-        barrier = base.barrier()
-        yielded = list(evolve_pair_to_measurement(configs, barrier))
-        assert [(i, state[2]) for i, state in yielded] == [(0, 12_000), (1, 12_000)]
-        for _, (_, psi_b, _, _) in yielded:
-            assert 1e-6 < propagator.barrier_region_amplitude(psi_b, barrier) <= 1e-3
-        rows = sweep(SweepConfig(base, "wavenumber_dk", values))
-        assert [(row.valid, row.t_meas) for row in rows] == [(True, pytest.approx(6.0))] * 2
+    def test_a_scenario_gate_is_the_calibration_s_alone(self):
+        # on a width-1.0 barrier the gate 1e-3 reads the calibration run
+        # earlier, and so moves its T, but every pair is read at the
+        # default gate: the rows, and the errors of those that reach the
+        # box edge while their composed B drains, are the default's
+        base = small_scenario(barrier_width=1.0, barrier_height=28.67, max_steps=16_000)
+        loose = replace(base, barrier_amplitude_max=1e-3)
+        transmissions = {
+            propagator.simulated_transmission(cfg.grid(), cfg.spec_a(), cfg.barrier(),
+                                              **cfg.loop_settings())
+            for cfg in (base, loose)}
+        assert len(transmissions) == 2
+        values = (0.0, 0.25, 0.5)
+        rows, loose_rows = (sweep(SweepConfig(cfg, "wavenumber_dk", values))
+                            for cfg in (base, loose))
+        assert [json.dumps(r.to_dict(), sort_keys=True) for r in loose_rows] == [
+            json.dumps(r.to_dict(), sort_keys=True) for r in rows]
+        assert rows[0].valid
+        assert all(r.error.startswith("BoundaryContaminationError") for r in rows[1:])
 
     def test_unready_stability_packets_are_refused(self):
         # launch states sitting on the barrier, re-measured one step later
@@ -469,7 +472,7 @@ class TestRunScenario:
         # t ~ 6.5, but at dk = 0 its row is read at A's drain: the B
         # composed from A there is B's outgoing state
         config = small_scenario(packet_sigma=2.0, packet_center=-24.0, separation=27.9,
-                                barrier_amplitude_max=1e-3, max_steps=40_000)
+                                max_steps=40_000)
         launch_b = make_gaussian(config.grid(), config.spec_b())
         edge_b = max(abs(launch_b.values[0]), abs(launch_b.values[-1]))
         assert edge_b > propagator.EDGE_AMPLITUDE_MAX
@@ -498,13 +501,20 @@ class TestRunScenario:
         with pytest.raises(MeasurementTimeoutError):
             run_scenario(small_scenario(max_steps=400))
 
-    def test_identical_pair_timeout_names_packet_a_once(self):
+    @pytest.mark.parametrize("pair, max_steps", [
         # at 4800 steps, one chunk before its read-out, A is not yet ready,
         # and B is A
+        ({"separation": 0.0}, 4800),
+        # at 400 steps A has yet to reach the barrier: the B composed from
+        # it is not B
+        ({"wavenumber_offset": 0.5}, 400),
+    ])
+    def test_timeout_before_a_is_ready_names_packet_a_alone(self, pair, max_steps):
         with pytest.raises(MeasurementTimeoutError) as caught:
-            run_scenario(small_scenario(separation=0.0, max_steps=4800))
+            run_scenario(small_scenario(max_steps=max_steps, **pair))
         assert re.fullmatch(
-            r"packets did not clear the barrier within 4800 steps \(t = 2\.4\); "
+            rf"packets did not clear the barrier within {max_steps} steps "
+            rf"\(t = {re.escape(f'{max_steps * 5e-4:g}')}\); "
             r"packet A: barrier amplitude \S+ at the last chunk, peak edge amplitude \S+",
             str(caught.value))
 
@@ -693,8 +703,8 @@ class TestOutOfBandOffsets:
 def direct_reference(config: ScenarioConfig, t_meas: float):
     """Packets A and B each evolved for real by plain `evolve` calls, in
     CHECK_EVERY chunks, to the first chunk where both pass
-    `measurement_ready`, and split in position there; then on by each
-    stability fraction of that chunk's steps.  Returns the stats at that
+    `measurement_ready` at the pair gate, and split in position there;
+    then on by each stability fraction of that chunk's steps.  Returns the stats at that
     chunk, the stability a values, and the packets at the later of that
     chunk and `t_meas`."""
     grid, barrier = config.grid(), config.barrier()
@@ -710,9 +720,8 @@ def direct_reference(config: ScenarioConfig, t_meas: float):
     def measured(packets):
         return joint_probabilities(make_pair(*packets, config.sign))
 
-    steps = 0
-    while not (steps and all(measurement_ready(psi, barrier, config.barrier_amplitude_max)
-                             for psi in packets)):
+    gate, steps = experiment.DEFAULT_BARRIER_AMPLITUDE_MAX, 0
+    while not (steps and all(measurement_ready(psi, barrier, gate) for psi in packets)):
         assert steps < config.max_steps, "the real packets never both became ready"
         packets = advance(packets, CHECK_EVERY)
         steps += CHECK_EVERY
@@ -737,12 +746,17 @@ def quick_box(center: float = -20.0, **overrides) -> ScenarioConfig:
                    max_steps=60_000, **overrides)
 
 
+# a pair gate whose error in a (~2.5 x FINE_GATE^2) is far below the
+# composition's own, so that one shows
+FINE_GATE = 1e-6
+
+
 class TestErrorBudget:
     """The default gate DEFAULT_BARRIER_AMPLITUDE_MAX reads every row out
-    within TOL_A of the read-out at the gate 1e-6."""
+    within TOL_A of the read-out at FINE_GATE."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_default_gate_reads_within_tol_a_of_the_fine_gate(self, seed):
+    def test_default_gate_reads_within_tol_a_of_the_fine_gate(self, monkeypatch, seed):
         # seed 0 launches at -20, the others jitter the launch in [-21, -19]
         rng = random.Random(seed)
         center = -20.0 if seed == 0 else round(-20.0 + rng.uniform(-1.0, 1.0), 3)
@@ -750,8 +764,9 @@ class TestErrorBudget:
                  (quick_box(center, sign=FERMION), (1.5,))]
         for base, values in cases:
             default = sweep(SweepConfig(base, "separation_d", values))
-            fine = sweep(SweepConfig(replace(base, barrier_amplitude_max=1e-6),
-                                     "separation_d", values))
+            with monkeypatch.context() as patch:
+                patch.setattr(experiment, "DEFAULT_BARRIER_AMPLITUDE_MAX", FINE_GATE)
+                fine = sweep(SweepConfig(base, "separation_d", values))
             for row, reference in zip(default, fine):
                 assert row.valid and reference.valid
                 assert row.t_meas < reference.t_meas
@@ -767,16 +782,17 @@ class TestErrorBudget:
         assert [row.t_meas for row in rows] == [pytest.approx(t) for t in (6.5, 5.4, 5.9)]
 
 
-def fine_gate_scenario(**overrides) -> ScenarioConfig:
-    """small_scenario read out at the gate 1e-6, where the composition's own error shows."""
-    return small_scenario(barrier_amplitude_max=1e-6, **overrides)
+@pytest.fixture
+def fine_gate(monkeypatch):
+    """Pairs read out at the gate FINE_GATE, where the composition's own error shows."""
+    monkeypatch.setattr(experiment, "DEFAULT_BARRIER_AMPLITUDE_MAX", FINE_GATE)
 
 
 class TestDirectReference:
     """Rows, read out by momentum with packet B composed from packet A,
     against both packets evolved for real and split in position once
     both are ready.  At the default gate both sides move by up to TOL_A
-    (`TestErrorBudget`), so the rows are read at the gate 1e-6."""
+    (`TestErrorBudget`), so the rows are read at FINE_GATE (`fine_gate`)."""
 
     @staticmethod
     def check(config, row, pair=None, tol=1e-10, s_tol=None):
@@ -788,22 +804,23 @@ class TestDirectReference:
             # are those packets, up to what the gate lets stay on the barrier
             for psi, reference in zip((pair.psi_a, pair.psi_b), packets):
                 gap = abs(fly_free(psi, reference.t) - reference.values).max()
-                assert gap <= config.barrier_amplitude_max
+                assert gap <= experiment.DEFAULT_BARRIER_AMPLITUDE_MAX
         for name in ("a", "p11", "p20", "p02", "t_b"):
             assert getattr(row, name) == pytest.approx(getattr(stats, name), abs=tol), name
         assert row.s_abs == pytest.approx(abs(stats.s), abs=s_tol or tol)
         assert row.stability_a == pytest.approx(tuple(stability), abs=tol)
 
+    @pytest.mark.usefixtures("fine_gate")
     @pytest.mark.parametrize("base, parameter, values", [
-        (fine_gate_scenario(), "separation_d", (0.0, 1.37, 3.0)),
+        (small_scenario(), "separation_d", (0.0, 1.37, 3.0)),
         # B composed from A at a wavenumber offset, here and at a stability time
-        (fine_gate_scenario(separation=2.0, stability_fractions=(0.1,)), "wavenumber_dk",
+        (small_scenario(separation=2.0, stability_fractions=(0.1,)), "wavenumber_dk",
          (-0.3, 0.5)),
-        *[(fine_gate_scenario(separation=d, sign=sign, stability_fractions=(0.1,)),
+        *[(small_scenario(separation=d, sign=sign, stability_fractions=(0.1,)),
            "wavenumber_dk", (dk,))
           for d, dk in ((0.0, 0.75), (2.0, -0.75), (3.0, -1.0)) for sign in (BOSON, FERMION)],
         # at the band's edge on this box: the cut drops 2.4e-11 and 2.5e-11 of B
-        *[(fine_gate_scenario(separation=1.0, sign=sign, stability_fractions=(0.1,)),
+        *[(small_scenario(separation=1.0, sign=sign, stability_fractions=(0.1,)),
            "wavenumber_dk", (1.5, -1.5)) for sign in (BOSON, FERMION)],
     ])
     def test_sweep_rows(self, base, parameter, values):
@@ -811,26 +828,30 @@ class TestDirectReference:
         for value, row in zip(values, rows):
             self.check(apply_sweep_parameter(base, parameter, value), row)
 
+    @pytest.mark.usefixtures("fine_gate")
     @pytest.mark.parametrize("separation", [1.5, 2.718])
     def test_fermion_rows_with_stability_times(self, separation):
-        config = fine_gate_scenario(sign=FERMION, separation=separation,
-                                    stability_fractions=(0.1, 0.2))
+        config = small_scenario(sign=FERMION, separation=separation,
+                                stability_fractions=(0.1, 0.2))
         self.check(config, *run_resolved(config, param_value=separation))
 
     def test_b_is_composed_only_from_an_a_drained_from_the_barrier(self):
         # a width-1.0 barrier holds a slowly draining resonance: at the
-        # relaxed gate 1e-3 A still has amplitude on it, which the
-        # composition would carry as if it flew free (a off by 1.2e-6 here)
+        # scenario's gate 1e-3 A would still have amplitude on it, which the
+        # composition would carry as if it flew free (a off by 1.2e-6 here),
+        # but the pair is read at the default gate.  Not at FINE_GATE: A
+        # would cross the box edge first
         config = small_scenario(barrier_width=1.0, barrier_height=28.67, sign=FERMION,
                                 separation=0.5, barrier_amplitude_max=1e-3, max_steps=16_000)
         self.check(config, run_resolved(config, param_value=0.5)[0], tol=1e-8)
 
+    @pytest.mark.usefixtures("fine_gate")
     def test_b_yet_to_reach_the_barrier_is_read_at_a_s_drain(self):
         # at A's drain (t = 2.9) A's transmitted lobe is near x = 13.2, so
         # moved back by d = 13.2 it sits on the barrier, which B itself
         # reaches only then: the row does not wait for B, because the B
         # composed from A is B's outgoing state
-        base = fine_gate_scenario()
+        base = small_scenario()
         configs = [apply_sweep_parameter(base, "separation_d", d) for d in (2.0, 13.2)]
         yielded = [(i, state[2]) for i, state in
                    evolve_pair_to_measurement(configs, base.barrier())]
@@ -843,11 +864,12 @@ class TestDirectReference:
         # composed B's lobe sits: 3.1e-8 here against a true 3.5e-10; a
         # meets that error times |I+-|, itself of order s here
         self.check(config, *run_resolved(config, param_value=13.2),
-                   s_tol=config.barrier_amplitude_max * config.barrier_width)
+                   s_tol=FINE_GATE * config.barrier_width)
 
+    @pytest.mark.usefixtures("fine_gate")
     def test_pair_run_scenario(self):
         # the benchmark's seed-0 pair_run: the quick_run box, fermions at d = 1.5
-        config = replace(fine_gate_scenario(), grid_points=4096, packet_center=-20.0,
+        config = replace(small_scenario(), grid_points=4096, packet_center=-20.0,
                          separation=1.5, sign=FERMION, max_steps=60_000,
                          stability_fractions=(0.1, 0.2))
         self.check(config, *run_resolved(config, param_value=1.5))

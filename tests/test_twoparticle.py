@@ -34,6 +34,7 @@ from pairstats.errors import (
 from pairstats.grid import Grid1D, Wavefunction, WavepacketSpec, make_gaussian
 from pairstats.twoparticle import (
     _ORACLE_BLOCK,
+    _joint_stats,
     BOSON,
     FERMION,
     dump_joint_density_csv,
@@ -92,6 +93,16 @@ class TestMakePair:
         loud = Wavefunction(grid, 1.1 * psi.values)
         with pytest.raises(ConsistencyError, match="not unit-normalized"):
             make_pair(psi, loud, BOSON)
+
+    @pytest.mark.parametrize("sign", [BOSON, FERMION])
+    def test_rejects_a_packet_with_a_nan_sample(self, grid, sign):
+        # NaN fails the norm check: a boson pair is not read as a = nan,
+        # and a fermion pair is not taken for a degenerate one
+        psi = bump(grid, -3.0, 4.0)
+        spoiled = np.array(bump(grid, 3.0, 4.0).values)
+        spoiled[grid.points // 2] = np.nan
+        with pytest.raises(ConsistencyError, match="packet B is not unit-normalized"):
+            make_pair(psi, Wavefunction(grid, spoiled), sign)
 
     def test_fermion_pauli_guard(self, grid):
         psi = bump(grid, -3.0, 4.0)
@@ -184,6 +195,18 @@ class TestOutgoingProbabilities:
         fast, split = outgoing_probabilities(pair), joint_probabilities(pair)
         for name in ("p20", "p02", "p11", "t_a", "r_b"):
             assert getattr(fast, name) == pytest.approx(getattr(split, name), abs=1e-12)
+
+    @pytest.mark.parametrize("sign", [BOSON, FERMION])
+    @pytest.mark.parametrize("name, check", [("i_plus", "do not partition"),
+                                             ("t_a", "sum rule violated")])
+    def test_a_nan_side_fails_its_check(self, sign, name, check):
+        pair = two_carrier_pair(1.1, sign)
+        stats = outgoing_probabilities(pair)
+        sides = {side: getattr(stats, side)
+                 for side in ("t_a", "r_a", "t_b", "r_b", "i_plus", "i_minus")}
+        sides[name] = np.nan
+        with pytest.raises(ConsistencyError, match=check):
+            _joint_stats(pair, **sides)
 
     def test_a_lobe_heading_back_counts_where_it_ends(self):
         # centred right of the split but moving left: it ends on the left
