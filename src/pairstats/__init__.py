@@ -93,7 +93,6 @@ from .twoparticle import (
     FERMION,
     JointStats,
     SymmetrizedPair,
-    joint_density,
     joint_probabilities,
     make_pair,
     outgoing_probabilities,
@@ -151,7 +150,6 @@ __all__ = [
     "expected_packet_transmission",
     "fd_probability",
     "inner_product",
-    "joint_density",
     "joint_probabilities",
     "make_gaussian",
     "make_pair",

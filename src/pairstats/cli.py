@@ -329,11 +329,7 @@ def cmd_density(args) -> int:
     else:
         grid = config.grid()
         psi_a = make_gaussian(grid, config.spec_a())
-        psi_b = (
-            psi_a
-            if config.identical_packets()
-            else make_gaussian(grid, config.spec_b())
-        )
+        psi_b = make_gaussian(grid, config.spec_b())
     if args.which == "single_a":
         with open(path, "w", encoding="utf-8", newline="") as handle:
             dump_wavefunction_csv(psi_a, handle)

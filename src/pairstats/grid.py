@@ -105,12 +105,6 @@ class Wavefunction:
         """Discrete norm squared, sum |psi_j|^2 dx."""
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.dx)
 
-    def normalized(self) -> "Wavefunction":
-        n2 = self.norm_sq()
-        if n2 <= 0:
-            raise ValueError("cannot normalize a zero wavefunction")
-        return Wavefunction(self.grid, self.values / np.sqrt(n2), self.t)
-
 
 @dataclass(frozen=True)
 class WavepacketSpec:

@@ -33,15 +33,6 @@ INTERMEDIATE_BOSE_LABEL = "intermediate-bose"
 BE_LABEL = "BE"
 SUPER_BUNCHED_LABEL = "super-bunched"
 
-PAIR_LABELS = (
-    FD_LABEL,
-    INTERMEDIATE_FERMI_LABEL,
-    MB_LABEL,
-    INTERMEDIATE_BOSE_LABEL,
-    BE_LABEL,
-    SUPER_BUNCHED_LABEL,
-)
-
 
 @dataclass(frozen=True)
 class OccupancyVector:
@@ -63,9 +54,6 @@ class OccupancyVector:
     @property
     def num_particles(self) -> int:
         return sum(self.counts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.counts)
 
 
 def _as_occupancy(occ) -> OccupancyVector:

@@ -76,10 +76,6 @@ class JointStats:
     r_b: float
     sum_check: float
 
-    @property
-    def s_abs(self) -> float:
-        return abs(self.s)
-
 
 def make_pair(psi_a: Wavefunction, psi_b: Wavefunction, sign: int) -> SymmetrizedPair:
     """Symmetrize two unit-normalized packets on the same grid and time.
@@ -107,17 +103,6 @@ def make_pair(psi_a: Wavefunction, psi_b: Wavefunction, sign: int) -> Symmetrize
     return SymmetrizedPair(psi_a=psi_a, psi_b=psi_b, sign=sign, s=s, norm_const=float(norm_const))
 
 
-def _grid_indices(pair: SymmetrizedPair, x) -> np.ndarray:
-    grid = pair.psi_a.grid
-    arr = np.asarray(x, dtype=float)
-    idx = np.rint((arr + grid.half_width) / grid.dx).astype(np.intp)
-    if np.any(idx < 0) or np.any(idx >= grid.points):
-        raise ValueError("position outside the grid box")
-    if np.any(np.abs(grid.x[idx] - arr) > 0.25 * grid.dx):
-        raise ValueError("positions must coincide with grid samples")
-    return idx
-
-
 def _density_factors(pair: SymmetrizedPair):
     """The one-particle factors |psi_A|^2, |psi_B|^2 and conj(psi_A) psi_B."""
     va, vb = pair.psi_a.values, pair.psi_b.values
@@ -125,11 +110,16 @@ def _density_factors(pair: SymmetrizedPair):
 
 
 def _density(pair: SymmetrizedPair, factors, i1, i2):
-    """|Psi|^2 at sample indices i1, i2: index arrays, or slices, broadcast.
+    """|Psi(x1, x2)|^2 at sample indices i1, i2: indices, index arrays or slices, broadcast.
 
-    Built in place, so a block of n values holds at most 24 n bytes at
-    once; the arithmetic and its order are those of the formula in
-    `joint_density`.
+    The cross term couples the two coordinates through
+    c(x) = conj(psi_A(x)) psi_B(x):
+
+        |Psi|^2 = C^2 [ dA(x1) dB(x2) + dB(x1) dA(x2)
+                        + sign 2 Re(c(x1) conj(c(x2))) ]
+
+    evaluated in that order, in place, so a block of n values holds at
+    most 24 n bytes at once.
     """
     da, db, cross = factors
     dens = da[i1] * db[i2]
@@ -138,23 +128,6 @@ def _density(pair: SymmetrizedPair, factors, i1, i2):
     interference *= pair.sign * 2.0
     dens += interference
     dens *= pair.norm_const**2
-    return dens
-
-
-def joint_density(pair: SymmetrizedPair, x1, x2):
-    """|Psi(x1, x2)|^2 at grid samples; x1 and x2 broadcast like arrays.
-
-    The cross term couples the two coordinates through
-    c(x) = conj(psi_A(x)) psi_B(x):
-
-        |Psi|^2 = C^2 [ dA(x1) dB(x2) + dB(x1) dA(x2)
-                        + sign 2 Re(c(x1) conj(c(x2))) ]
-    """
-    i1 = _grid_indices(pair, x1)
-    i2 = _grid_indices(pair, x2)
-    dens = _density(pair, _density_factors(pair), i1, i2)
-    if np.isscalar(x1) and np.isscalar(x2):
-        return float(dens)
     return dens
 
 
@@ -266,13 +239,17 @@ def quadrant_quadrature_oracle(
 
 
 def dump_joint_density_csv(pair: SymmetrizedPair, out, max_points: int = 256) -> None:
-    """Write x1, x2, density rows, downsampled to at most max_points per axis."""
+    """Write x1, x2, density rows, downsampled to at most max_points per axis.
+
+    Streams one row of the downsampled square at a time, so the dump
+    holds O(max_points) density values whatever max_points is.
+    """
     grid = pair.psi_a.grid
     stride = max(1, -(-grid.points // max_points))
-    xs = grid.x[::stride]
-    dens = joint_density(pair, xs[:, None], xs[None, :])
+    idx = np.arange(0, grid.points, stride)
+    xs = grid.x[idx]
+    factors = _density_factors(pair)
     out.write("x1,x2,density\n")
-    for i, x1 in enumerate(xs):
-        row = dens[i]
-        for j, x2 in enumerate(xs):
-            out.write(f"{x1:.12g},{x2:.12g},{row[j]:.12g}\n")
+    for i, x1 in zip(idx, xs):
+        for x2, dens in zip(xs, _density(pair, factors, i, idx)):
+            out.write(f"{x1:.12g},{x2:.12g},{dens:.12g}\n")

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import pairstats
-from pairstats import experiment, propagator
+from pairstats import experiment, propagator, twoparticle
 from pairstats.errors import (
     ConfigurationError,
     MeasurementTimeoutError,
@@ -26,6 +26,7 @@ from pairstats.errors import (
     PrematureMeasurementError,
 )
 from pairstats.experiment import (
+    CLASSIFY_TOL,
     CSV_COLUMNS,
     SWEEP_PARAMETERS,
     CountingReport,
@@ -47,7 +48,7 @@ from pairstats.experiment import (
     write_summary_json,
 )
 from pairstats.grid import WavepacketSpec, make_gaussian
-from pairstats.occupancy import PAIR_LABELS
+from pairstats.occupancy import classify_pair
 from pairstats.propagator import (
     CHECK_EVERY,
     BarrierPotential,
@@ -94,8 +95,6 @@ class TestScenarioConfig:
         spec_b = config.spec_b()
         assert spec_b.center == -13.0
         assert spec_b.wavenumber == 8.25
-        assert not config.identical_packets()
-        assert small_scenario(separation=0.0).identical_packets()
 
     def test_rejects_bad_sign(self):
         with pytest.raises(ConfigurationError, match="sign"):
@@ -288,7 +287,7 @@ class TestRunScenario:
         assert row.barrier_height == pytest.approx(26.787825)
         assert row.p20 + row.p02 + row.p11 == pytest.approx(1.0, abs=1e-9)
         assert row.a == pytest.approx(0.5 * (row.p20 + row.p02), abs=1e-15)
-        assert row.label in PAIR_LABELS
+        assert row.label == classify_pair(row.a, CLASSIFY_TOL)
         assert row.t_meas > 1.25  # at least the barrier flight time
         assert row.norm_drift < 1e-10
         assert row.leakage < 1e-6
@@ -559,6 +558,14 @@ class TestSweep:
         assert 0.0 < edge <= propagator.EDGE_AMPLITUDE_MAX
         assert b_on_barrier > propagator.COMPOSED_B_AMPLITUDE_MAX
         assert 0.0 < b_edge <= propagator.EDGE_AMPLITUDE_MAX
+
+    def test_a_broken_sum_rule_is_a_row_error(self, monkeypatch):
+        # the read-out raises before `_measure` judges the row's validity
+        monkeypatch.setattr(twoparticle, "SUM_RULE_TOL", -1.0)
+        (row,) = sweep(SweepConfig(base=small_scenario(), parameter="separation_d",
+                                   values=(3.0,)))
+        assert row.error.startswith("ConsistencyError: quadrant sum rule violated")
+        assert not row.valid and math.isnan(row.a)
 
     def test_rows_keep_requested_order(self):
         config = SweepConfig(

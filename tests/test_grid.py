@@ -91,16 +91,6 @@ class TestWavefunction:
         with pytest.raises(GridMismatchError):
             Wavefunction(grid, np.zeros(100))
 
-    def test_normalized(self, grid):
-        psi = make_gaussian(grid, WavepacketSpec(0.0, 2.0, 1.0))
-        scaled = Wavefunction(grid, 3.0 * psi.values, psi.t)
-        assert scaled.normalized().norm_sq() == pytest.approx(1.0, abs=1e-14)
-
-    def test_zero_cannot_be_normalized(self, grid):
-        zero = Wavefunction(grid, np.zeros(grid.points))
-        with pytest.raises(ValueError):
-            zero.normalized()
-
 
 class TestWavepacketSpec:
     def test_margins_accept_contained_packet(self, grid):

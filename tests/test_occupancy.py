@@ -57,9 +57,6 @@ class TestOccupancyVector:
         with pytest.raises(ValueError):
             OccupancyVector(())
 
-    def test_iterates_counts(self):
-        assert list(OccupancyVector((2, 1, 0))) == [2, 1, 0]
-
 
 class TestFrozenValues:
     """Hand-computed reference points for the three weightings."""

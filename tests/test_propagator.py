@@ -578,7 +578,7 @@ class TestFreeFlightBeforeTheBarrier:
         barrier = BarrierPotential(26.787825, 0.5)
         values = sum(make_gaussian(grid, WavepacketSpec(center, k0, 1.0)).values
                      for center, k0 in ((-30.0, 4.0), (-20.0, -32.0)))
-        launch = Wavefunction(grid, values).normalized()
+        launch = Wavefunction(grid, values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx))
         run = dict(dt=5e-4, max_steps=12_000, check_every=200)
         readies = []
         with pytest.raises(BoundaryContaminationError) as driven:

@@ -38,7 +38,6 @@ from pairstats.twoparticle import (
     BOSON,
     FERMION,
     dump_joint_density_csv,
-    joint_density,
     joint_probabilities,
     make_pair,
     outgoing_probabilities,
@@ -54,8 +53,8 @@ def grid():
 def bump(grid, center, width):
     x = grid.x
     inside = np.abs(x - center) < width / 2.0
-    values = np.where(inside, np.cos(np.pi * (x - center) / width) ** 2, 0.0)
-    return Wavefunction(grid, values.astype(complex)).normalized()
+    values = np.where(inside, np.cos(np.pi * (x - center) / width) ** 2, 0.0).astype(complex)
+    return Wavefunction(grid, values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx))
 
 
 def two_lobe_pair(grid, alpha, sign):
@@ -127,7 +126,7 @@ class TestTwoLobeExactPoints:
         assert stats.p20 == pytest.approx(0.5, abs=1e-13)
         assert stats.p02 == pytest.approx(0.5, abs=1e-13)
         assert stats.p11 == pytest.approx(0.0, abs=1e-13)
-        assert stats.s_abs < 1e-13
+        assert abs(stats.s) < 1e-13
 
     @pytest.mark.parametrize("alpha", [math.pi / 4.0, math.pi / 3.0, math.pi / 2.0])
     def test_antisymmetric_pair_always_splits(self, grid, alpha):
@@ -217,39 +216,56 @@ class TestOutgoingProbabilities:
         assert joint_probabilities(pair).t_a == pytest.approx(1.0, abs=1e-12)
 
 
+def dumped_density(pair):
+    """The G x G joint density as `dump_joint_density_csv` writes it at full resolution."""
+    g = pair.psi_a.grid
+    buf = io.StringIO()
+    dump_joint_density_csv(pair, buf, max_points=g.points)
+    buf.seek(0)
+    cells = np.loadtxt(buf, delimiter=",", skiprows=1)
+    cells = cells.reshape(g.points, g.points, 3)
+    np.testing.assert_array_equal(cells[:, 0, 0], g.x)
+    np.testing.assert_array_equal(cells[0, :, 1], g.x)
+    return cells[:, :, 2]
+
+
 class TestJointDensity:
     def test_exchange_symmetry(self, grid):
         for sign in (BOSON, FERMION):
-            pair = two_lobe_pair(grid, 1.0, sign)
-            xs = grid.x[::16]
-            dens = joint_density(pair, xs[:, None], xs[None, :])
+            dens = dumped_density(two_lobe_pair(grid, 1.0, sign))
             np.testing.assert_allclose(dens, dens.T, atol=1e-15)
             assert np.all(dens >= -1e-15)
 
     def test_fermion_diagonal_vanishes(self, grid):
-        pair = two_lobe_pair(grid, 1.0, FERMION)
-        diag = joint_density(pair, grid.x, grid.x)
-        assert np.max(np.abs(diag)) < 1e-13
+        dens = dumped_density(two_lobe_pair(grid, 1.0, FERMION))
+        assert np.max(np.abs(np.diag(dens))) < 1e-13
 
     def test_normalization_by_direct_sum(self, grid):
         for sign in (BOSON, FERMION):
-            pair = two_lobe_pair(grid, 0.9, sign)
-            dens = joint_density(pair, grid.x[:, None], grid.x[None, :])
+            dens = dumped_density(two_lobe_pair(grid, 0.9, sign))
             total = float(np.sum(dens)) * grid.dx**2
             assert total == pytest.approx(1.0, abs=1e-10)
 
-    def test_scalar_call_returns_float(self, grid):
-        pair = two_lobe_pair(grid, 1.0, BOSON)
-        value = joint_density(pair, -3.0, 3.0)
-        assert isinstance(value, float)
-        assert value > 0.0
+    def test_matches_the_symmetrized_product(self, grid):
+        # |C (psi_A(x1) psi_B(x2) + sign psi_B(x1) psi_A(x2))|^2, not the factorized sum
+        for sign in (BOSON, FERMION):
+            pair = offset_carrier_pair(grid.points, grid.half_width, sign)
+            va, vb = pair.psi_a.values, pair.psi_b.values
+            amp = pair.norm_const * (np.outer(va, vb) + sign * np.outer(vb, va))
+            np.testing.assert_allclose(dumped_density(pair), np.abs(amp) ** 2,
+                                       rtol=1e-11, atol=1e-15)
 
-    def test_rejects_positions_off_grid(self, grid):
-        pair = two_lobe_pair(grid, 1.0, BOSON)
-        with pytest.raises(ValueError, match="outside the grid box"):
-            joint_density(pair, 100.0, 0.0)
-        with pytest.raises(ValueError, match="coincide with grid samples"):
-            joint_density(pair, 0.02, 0.0)  # dx/4 = 0.0156 off-sample window
+    def test_quadrant_sums_match_joint_probabilities(self, grid):
+        for sign in (BOSON, FERMION):
+            pair = offset_carrier_pair(grid.points, grid.half_width, sign)
+            dens = dumped_density(pair)
+            i0 = grid.split_index
+            stats = joint_probabilities(pair)
+            dx2 = grid.dx**2
+            assert float(np.sum(dens[:i0, :i0])) * dx2 == pytest.approx(stats.p20, abs=1e-10)
+            assert float(np.sum(dens[i0:, i0:])) * dx2 == pytest.approx(stats.p02, abs=1e-10)
+            mixed = float(np.sum(dens[:i0, i0:]) + np.sum(dens[i0:, :i0])) * dx2
+            assert mixed == pytest.approx(stats.p11, abs=1e-10)
 
 
 class TestFactorizedAgainstQuadrature:
@@ -318,8 +334,9 @@ def offset_carrier_pair(points, half_width, sign):
     """Two Gaussians with different carriers, sampled without resolution checks."""
     g = Grid1D(half_width=half_width, points=points)
     x = g.x
-    psi_a = Wavefunction(g, np.exp(-0.5 * (x + 1.0) ** 2 + 2.0j * x)).normalized()
-    psi_b = Wavefunction(g, np.exp(-0.5 * ((x - 0.5) / 1.2) ** 2 + 2.5j * x)).normalized()
+    a = np.exp(-0.5 * (x + 1.0) ** 2 + 2.0j * x)
+    b = np.exp(-0.5 * ((x - 0.5) / 1.2) ** 2 + 2.5j * x)
+    psi_a, psi_b = (Wavefunction(g, v / np.sqrt(np.sum(np.abs(v) ** 2) * g.dx)) for v in (a, b))
     return make_pair(psi_a, psi_b, sign)
 
 
@@ -374,3 +391,33 @@ class TestDensityDump:
             assert float(dens) >= 0.0
         # downsampled matrix keeps the exchange symmetry
         assert cells[("-3", "3")] == cells[("3", "-3")]
+
+    def test_strided_dump_samples_the_full_one(self, grid):
+        # 100 points per axis on 256 samples: stride ceil(256 / 100) = 3, so 86 per axis
+        pair = two_lobe_pair(grid, 1.0, FERMION)
+        full, strided = io.StringIO(), io.StringIO()
+        dump_joint_density_csv(pair, full, max_points=grid.points)
+        dump_joint_density_csv(pair, strided, max_points=100)
+        full_rows = full.getvalue().splitlines()[1:]
+        kept = [row for n, row in enumerate(full_rows)
+                if (n // grid.points) % 3 == 0 and (n % grid.points) % 3 == 0]
+        lines = strided.getvalue().splitlines()
+        assert lines[0] == "x1,x2,density"
+        assert len(kept) == 86 * 86
+        assert lines[1:] == kept
+
+    def test_memory_stays_one_row_at_full_resolution(self, grid):
+        # the whole 256 x 256 square, built at once, would hold 0.5 MB of
+        # density and three times that while it is built; one row is 2 kB
+        class Discard:
+            def write(self, text):
+                pass
+
+        pair = two_lobe_pair(grid, 1.0, BOSON)
+        tracemalloc.start()
+        try:
+            dump_joint_density_csv(pair, Discard(), max_points=grid.points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
