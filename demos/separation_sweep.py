@@ -4,6 +4,12 @@ Sweeps the separation for both exchange signs over one calibrated
 barrier.  Bosons never drop below the distinguishable point a = 1/4
 and fermions never rise above it; both tails approach 1/4 as the
 packets decohere.  About six seconds on one core.
+
+Every read-out, the calibration run's too, comes at t = 6.0; the step
+budget of 16,000 steps (t = 8.0) leaves room past it.  Packet A still
+reaches the edge of this L = 64 box at t = 6.316, so a read-out later
+than that fails on the edge; a box that lets the scattered lobes leave
+the grid (ROADMAP item 10) removes that limit.
 """
 
 import dataclasses
@@ -20,7 +26,7 @@ BASE = ScenarioConfig(
     barrier_width=1.0,
     barrier_height=None,
     dt=5e-4,
-    max_steps=12_000,
+    max_steps=16_000,
 )
 
 SEPARATIONS = (0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 10.0)

@@ -10,7 +10,7 @@ unknown sections or keys are rejected.
 
 Exit codes: 0 success, 1 any other runtime failure, 2 bad usage or
 config, 3 calibration failure, 4 degenerate antisymmetric state, 5 sweep
-with no valid rows.
+with no valid rows.  `_EXIT_CODES` maps each toolkit error to its code.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -47,6 +48,7 @@ from .experiment import (
     run_resolved,
     summary_dict,
     sweep,
+    sweep_from_dict,
     write_summary_json,
 )
 from .grid import dump_wavefunction_csv, make_gaussian
@@ -73,6 +75,13 @@ EXIT_CALIBRATION = 3
 EXIT_DEGENERATE = 4
 EXIT_ALL_INVALID = 5
 
+# the exit code of a toolkit error: the first class it is an instance of, else 1
+_EXIT_CODES = (
+    (PauliDegeneracyError, EXIT_DEGENERATE),
+    (CalibrationError, EXIT_CALIBRATION),
+    ((ConfigurationError, BudgetExceededError), EXIT_USAGE),
+)
+
 _STATS_CHOICES = ("mb", "be", "fd", "all")
 _DENSITY_CHOICES = ("single_a", "single_b", "joint")
 
@@ -94,23 +103,7 @@ def _load_config_file(path: str) -> tuple[ScenarioConfig, Optional[dict]]:
     data = {name: dict(parser.items(name)) for name in parser.sections()}
     sweep_section = data.pop("sweep", None)
     config = config_from_dict(data)
-    if sweep_section is None:
-        return config, None
-    if "parameter" not in sweep_section or "values" not in sweep_section:
-        raise ConfigurationError("[sweep] needs both 'parameter' and 'values'")
-    parameter = sweep_section.pop("parameter").strip()
-    raw_values = sweep_section.pop("values")
-    if sweep_section:
-        raise ConfigurationError(
-            f"unknown keys in section [sweep]: {sorted(sweep_section)}"
-        )
-    try:
-        values = tuple(
-            float(tok) for tok in raw_values.replace(",", " ").split() if tok
-        )
-    except ValueError as err:
-        raise ConfigurationError(f"bad sweep values: {err}") from err
-    return config, {"parameter": parameter, "values": values}
+    return config, None if sweep_section is None else sweep_from_dict(sweep_section)
 
 
 def _scenario_from_args(args) -> tuple[ScenarioConfig, Optional[dict]]:
@@ -151,7 +144,19 @@ def _resolve_barrier(args, config: ScenarioConfig):
         raise
     if calibration is not None:
         _say_calibration_runs(args, calibration.history, config.calibration_target)
+        _say(args, f"calibrated barrier height {resolved.barrier_height:.10g} "
+                   f"(T = {calibration.transmission:.6f})")
     return resolved, calibration
+
+
+def _write_results(out: Path, rows: list[ResultRow], summary: dict) -> str:
+    """Write the rows to `<kind>.csv` and the summary to `<kind>.json`; name both files."""
+    csv_path, json_path = (out / f"{summary['kind']}.{ext}" for ext in ("csv", "json"))
+    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
+        rows_to_csv(rows, handle)
+    with open(json_path, "w", encoding="utf-8") as handle:
+        write_summary_json(summary, handle)
+    return f"wrote {csv_path} and {json_path}"
 
 
 def _row_headline(row: ResultRow) -> str:
@@ -247,15 +252,8 @@ def cmd_run(args) -> int:
     config.validate()
     out = _out_dir(args)
     resolved, calibration = _resolve_barrier(args, config)
-    if calibration is not None:
-        _say(args, f"calibrated barrier height {resolved.barrier_height:.10g} "
-                   f"(T = {calibration.transmission:.6f})")
     row, pair = run_resolved(resolved, param_value=resolved.separation)
-    with open(out / "run.csv", "w", encoding="utf-8", newline="") as handle:
-        rows_to_csv([row], handle)
-    summary = summary_dict("run", resolved, [row], calibration=calibration)
-    with open(out / "run.json", "w", encoding="utf-8") as handle:
-        write_summary_json(summary, handle)
+    wrote = _write_results(out, [row], summary_dict("run", resolved, [row], calibration=calibration))
     print(_row_headline(row))
     for line in compare_with_counting(row).lines():
         print(line)
@@ -266,7 +264,7 @@ def cmd_run(args) -> int:
             abs(quad.p20 - fast.p20), abs(quad.p02 - fast.p02), abs(quad.p11 - fast.p11)
         )
         print(f"oracle: 2d quadrature max|diff| = {delta:.3e}")
-    print(f"wrote {out / 'run.csv'} and {out / 'run.json'}")
+    print(wrote)
     return EXIT_OK
 
 
@@ -282,31 +280,14 @@ def cmd_sweep(args) -> int:
     sweep_config.validate()
     out = _out_dir(args)
     resolved_base, calibration = _resolve_barrier(args, base)
-    if calibration is not None:
-        _say(args, f"calibrated barrier height {resolved_base.barrier_height:.10g} "
-                   f"(T = {calibration.transmission:.6f})")
     rows = sweep(replace(sweep_config, base=resolved_base))
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="") as handle:
-        rows_to_csv(rows, handle)
-    summary = summary_dict(
-        "sweep",
-        resolved_base,
-        rows,
-        calibration=calibration,
-        sweep_info={
-            "parameter": sweep_config.parameter,
-            "values": list(sweep_config.values),
-        },
-    )
-    with open(out / "sweep.json", "w", encoding="utf-8") as handle:
-        write_summary_json(summary, handle)
+    sweep_info = {"parameter": sweep_config.parameter, "values": list(sweep_config.values)}
+    wrote = _write_results(out, rows, summary_dict(
+        "sweep", resolved_base, rows, calibration=calibration, sweep_info=sweep_info))
     for row in rows:
         _say(args, _row_headline(row))
     n_valid = sum(1 for row in rows if row.valid)
-    print(
-        f"{len(rows)} rows ({n_valid} valid) over {sweep_config.parameter}; "
-        f"wrote {out / 'sweep.csv'} and {out / 'sweep.json'}"
-    )
+    print(f"{len(rows)} rows ({n_valid} valid) over {sweep_config.parameter}; {wrote}")
     if n_valid == 0:
         print("no valid rows in sweep", file=sys.stderr)
         return EXIT_ALL_INVALID
@@ -322,7 +303,7 @@ def cmd_density(args) -> int:
     path = out / f"density_{args.which}.csv"
     if args.evolved:
         resolved, _ = _resolve_barrier(args, config)
-        ((_, outcome),) = evolve_pair_to_measurement([resolved], resolved.barrier())
+        ((_, outcome),) = evolve_pair_to_measurement([resolved])
         if isinstance(outcome, PairStatsError):
             raise outcome
         psi_a, psi_b, *_ = outcome
@@ -330,16 +311,13 @@ def cmd_density(args) -> int:
         grid = config.grid()
         psi_a = make_gaussian(grid, config.spec_a())
         psi_b = make_gaussian(grid, config.spec_b())
-    if args.which == "single_a":
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            dump_wavefunction_csv(psi_a, handle)
-    elif args.which == "single_b":
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            dump_wavefunction_csv(psi_b, handle)
+    if args.which == "joint":  # a degenerate pair is refused before the file is opened
+        dump = partial(dump_joint_density_csv, make_pair(psi_a, psi_b, config.sign),
+                       max_points=args.max_points)
     else:
-        pair = make_pair(psi_a, psi_b, config.sign)
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            dump_joint_density_csv(pair, handle, max_points=args.max_points)
+        dump = partial(dump_wavefunction_csv, psi_a if args.which == "single_a" else psi_b)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        dump(handle)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -352,10 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pairstats {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", metavar="PATH", default=None,
-                           help="INI scenario file (defaults to the stock scenario)")
+    def add_common(p):
+        p.add_argument("--config", metavar="PATH", default=None,
+                       help="INI scenario file (defaults to the stock scenario)")
         p.add_argument("--out", metavar="DIR", default=".",
                        help="output directory (created if missing)")
         p.add_argument("--verbose", action="store_true",
@@ -402,18 +379,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PauliDegeneracyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except CalibrationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CALIBRATION
-    except (ConfigurationError, BudgetExceededError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except PairStatsError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return next((code for kinds, code in _EXIT_CODES if isinstance(err, kinds)), 1)
 
 
 if __name__ == "__main__":

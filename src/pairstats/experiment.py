@@ -57,7 +57,8 @@ CLASSIFY_TOL = 0.005
 
 NORM_DRIFT_MAX = 1e-8  # largest drift of either packet's norm from 1 in a valid row
 
-SWEEP_PARAMETERS = ("separation_d", "wavenumber_dk")
+# sweep parameter -> the ScenarioConfig field it sets
+SWEEP_PARAMETERS = {"separation_d": "separation", "wavenumber_dk": "wavenumber_offset"}
 
 _SIGN_NAMES = {BOSON: "boson", FERMION: "fermion"}
 _SIGN_VALUES = {"boson": BOSON, "fermion": FERMION}
@@ -175,7 +176,7 @@ class SweepConfig:
         self.base.validate()
         if self.parameter not in SWEEP_PARAMETERS:
             raise ConfigurationError(
-                f"unknown sweep parameter {self.parameter!r}; pick one of {SWEEP_PARAMETERS}"
+                f"unknown sweep parameter {self.parameter!r}; pick one of {tuple(SWEEP_PARAMETERS)}"
             )
         if not self.values:
             raise ConfigurationError("sweep needs at least one value")
@@ -187,11 +188,9 @@ class SweepConfig:
 
 def apply_sweep_parameter(base: ScenarioConfig, parameter: str, value: float) -> ScenarioConfig:
     """Return the scenario for one sweep point."""
-    if parameter == "separation_d":
-        return replace(base, separation=float(value))
-    if parameter == "wavenumber_dk":
-        return replace(base, wavenumber_offset=float(value))
-    raise ConfigurationError(f"unknown sweep parameter {parameter!r}")
+    if parameter not in SWEEP_PARAMETERS:
+        raise ConfigurationError(f"unknown sweep parameter {parameter!r}")
+    return replace(base, **{SWEEP_PARAMETERS[parameter]: float(value)})
 
 
 @dataclass(frozen=True)
@@ -268,21 +267,20 @@ def resolve_barrier(
     return resolved, calibration
 
 
-def evolve_pair_to_measurement(
-    configs: list[ScenarioConfig], barrier: BarrierPotential
-) -> Iterator[tuple]:
+def evolve_pair_to_measurement(configs: list[ScenarioConfig]) -> Iterator[tuple]:
     """Follow packet A to each config's read-out; yield `(i, outcome)` per config.
 
-    The configs differ only in packet B, and only A is evolved: config
+    The configs differ only in packet B and fly the resolved barrier of
+    `configs[0]`.  Those at dk = 0 fly first and those at dk != 0 apart,
+    as each flies alone: an offset amplifies A's free-flight error, so A
+    flies free only up to OFFSET_FREE_FLIGHT_AMPLITUDE_MAX there, and up
+    to FREE_FLIGHT_AMPLITUDE_MAX at dk = 0.  Only A is evolved: config
     i's B is composed from A by `compose_b`, as B's outgoing state.  It
     is taken at the first chunk where A is ready at
     DEFAULT_BARRIER_AMPLITUDE_MAX, whatever the config's
     `barrier_amplitude_max` (the calibration's gate); at dk != 0, which
     amplifies A's residual on the barrier, also its composed B must
-    hold at most COMPOSED_B_AMPLITUDE_MAX there.  The ratio amplifies
-    A's free-flight error as well, so A flies free only up to
-    OFFSET_FREE_FLIGHT_AMPLITUDE_MAX when any config has dk != 0, and
-    up to FREE_FLIGHT_AMPLITUDE_MAX otherwise.  The outcome is
+    hold at most COMPOSED_B_AMPLITUDE_MAX there.  The outcome is
     `(psi_a, psi_b, steps_done, leakage)` at that chunk, yielded there,
     the leakage being A's peak edge amplitude so far and B's at launch.
     A PairStatsError is the outcome of the configs it concerns, yielded
@@ -290,14 +288,26 @@ def evolve_pair_to_measurement(
     before the flight, an edge error of A or the timeout all still
     running.  Each timeout says how far A got (`flight_progress`) and,
     at dk != 0 once A is ready, how far B got, composed at that last
-    chunk.  The flight stops at the chunk that takes the last config,
+    chunk.  A flight stops at the chunk that takes its last config,
     and does not start when every config failed at launch.
     """
-    config = configs[0]
+    barrier = configs[0].barrier()
+    if barrier is None:
+        raise ConfigurationError("scenario has no barrier height; resolve_barrier first")
+    for offset in (False, True):
+        flight = [i for i, cfg in enumerate(configs) if bool(cfg.wavenumber_offset) == offset]
+        if flight:
+            yield from _fly(configs, flight, barrier)
+
+
+def _fly(configs: list[ScenarioConfig], flight: list[int], barrier: BarrierPotential) -> Iterator[tuple]:
+    """One flight of `evolve_pair_to_measurement`: the configs it names, all at dk = 0 or all not."""
+    config = configs[flight[0]]
     spec_a = config.spec_a()
     psi_a = make_gaussian(config.grid(), spec_a)
     running: dict[int, float] = {}  # config -> B's launch edge amplitude
-    for i, cfg in enumerate(configs):
+    for i in flight:
+        cfg = configs[i]
         try:
             cfg.validate()
             psi_b = compose_b(psi_a, spec_a, cfg.separation, cfg.wavenumber_offset)
@@ -309,8 +319,7 @@ def evolve_pair_to_measurement(
 
     if not running:
         return
-    entry = (OFFSET_FREE_FLIGHT_AMPLITUDE_MAX if any(cfg.wavenumber_offset for cfg in configs)
-             else FREE_FLIGHT_AMPLITUDE_MAX)
+    entry = OFFSET_FREE_FLIGHT_AMPLITUDE_MAX if config.wavenumber_offset else FREE_FLIGHT_AMPLITUDE_MAX
     try:
         for psi_a, ready, steps_done, leakage in evolve_until_measured(
                 psi_a, barrier, dt=config.dt, max_steps=config.max_steps,
@@ -348,7 +357,7 @@ def evolve_pair_to_measurement(
 
 
 def _measure(
-    config: ScenarioConfig, barrier: BarrierPotential, param_value: float,
+    config: ScenarioConfig, param_value: float,
     psi_a: Wavefunction, psi_b: Wavefunction, steps_done: int, leakage: float,
 ) -> tuple[ResultRow, SymmetrizedPair]:
     """Read one pair out by momentum sign (`outgoing_probabilities`), then at the stability times.
@@ -373,6 +382,7 @@ def _measure(
             f"stability extension would end at {total} steps, beyond max_steps "
             f"{config.max_steps} (measured at {steps_done} steps)"
         )
+    barrier = config.barrier()
 
     def b_edge(psi: Wavefunction) -> float:
         return edge_amplitude(psi) if config.wavenumber_offset else 0.0
@@ -433,13 +443,10 @@ def run_resolved(config: ScenarioConfig, param_value: float) -> tuple[ResultRow,
     either is raised.  Returns the row and the pair it read, at the
     read-out time (before any stability extension).
     """
-    barrier = config.barrier()
-    if barrier is None:
-        raise ConfigurationError("scenario has no barrier height; resolve_barrier first")
-    ((_, outcome),) = evolve_pair_to_measurement([config], barrier)
+    ((_, outcome),) = evolve_pair_to_measurement([config])
     if isinstance(outcome, PairStatsError):
         raise outcome
-    return _measure(config, barrier, param_value, *outcome)
+    return _measure(config, param_value, *outcome)
 
 
 def run_scenario(config: ScenarioConfig) -> ResultRow:
@@ -457,33 +464,25 @@ def sweep(config: SweepConfig) -> list[ResultRow]:
 
     Rows come back in the order of `config.values`.  A failing value
     produces an invalid row carrying the error text; the sweep goes on.
-    The values at dk = 0 are flown in one `evolve_pair_to_measurement`
-    call and those at dk != 0 in another, since A flies free less far
-    at an offset: each call flies packet A alone and composes each
-    value's B from it, so every row is read from the flight its single
-    run takes.  Each pair is measured as it is yielded, and dropped, so
-    the sweep holds one pair at a time.  An error of that measurement
-    is its row's error.
+    Every row is read from the flight its single run takes
+    (`evolve_pair_to_measurement`), measured as it is yielded, and
+    dropped, so the sweep holds one pair at a time.  An error of that
+    measurement is its row's error.
     """
     config.validate()
     base, _ = resolve_barrier(config.base)
-    barrier = base.barrier()
     values = [float(v) for v in config.values]
     configs = [apply_sweep_parameter(base, config.parameter, v) for v in values]
     rows = [None] * len(values)
-    flights = ([i for i, cfg in enumerate(configs) if not cfg.wavenumber_offset],
-               [i for i, cfg in enumerate(configs) if cfg.wavenumber_offset])
-    for flight in filter(None, flights):
-        for j, outcome in evolve_pair_to_measurement([configs[i] for i in flight], barrier):
-            i = flight[j]
-            try:
-                if isinstance(outcome, PairStatsError):
-                    raise outcome
-                rows[i] = _measure(configs[i], barrier, values[i], *outcome)[0]
-            except PairStatsError as err:
-                rows[i] = ResultRow(param=values[i], error=f"{type(err).__name__}: {err}",
-                                    barrier_height=base.barrier_height)
-            del outcome  # drop the pair before A flies on to the next one
+    for i, outcome in evolve_pair_to_measurement(configs):
+        try:
+            if isinstance(outcome, PairStatsError):
+                raise outcome
+            rows[i] = _measure(configs[i], values[i], *outcome)[0]
+        except PairStatsError as err:
+            rows[i] = ResultRow(param=values[i], error=f"{type(err).__name__}: {err}",
+                                barrier_height=base.barrier_height)
+        del outcome  # drop the pair before A flies on to the next one
     return rows
 
 
@@ -604,6 +603,20 @@ _FROM_FILE = {"sign": _parse_sign, "barrier_height": _parse_height,
               "stability_fractions": _parse_fractions}
 _TO_FILE = {"sign": _SIGN_NAMES.__getitem__, "stability_fractions": list,
             "barrier_height": lambda height: "calibrate" if height is None else height}
+
+
+def sweep_from_dict(section: dict) -> dict:
+    """The `[sweep]` section of a config file as SweepConfig's `parameter` and `values`."""
+    section = dict(section)
+    if "parameter" not in section or "values" not in section:
+        raise ConfigurationError("[sweep] needs both 'parameter' and 'values'")
+    parameter, raw_values = section.pop("parameter").strip(), section.pop("values")
+    if section:
+        raise ConfigurationError(f"unknown keys in section [sweep]: {sorted(section)}")
+    try:
+        return {"parameter": parameter, "values": _parse_fractions(raw_values)}
+    except ValueError as err:
+        raise ConfigurationError(f"bad sweep values: {err}") from err
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:

@@ -188,17 +188,15 @@ def outgoing_probabilities(pair: SymmetrizedPair) -> JointStats:
                         *momentum_split(hat_a, hat_b, grid))
 
 
-def check_oracle_budget(points: int, max_points: int = _ORACLE_MAX_POINTS) -> None:
-    """Refuse a 2D quadrature over more than `max_points` grid points per axis."""
-    if points > max_points:
+def check_oracle_budget(points: int) -> None:
+    """Refuse a 2D quadrature over more than `_ORACLE_MAX_POINTS` grid points per axis."""
+    if points > _ORACLE_MAX_POINTS:
         raise BudgetExceededError(
-            f"2D quadrature oracle limited to {max_points} grid points, got {points}"
+            f"2D quadrature oracle limited to {_ORACLE_MAX_POINTS} grid points, got {points}"
         )
 
 
-def quadrant_quadrature_oracle(
-    pair: SymmetrizedPair, max_points: int = _ORACLE_MAX_POINTS
-) -> JointStats:
+def quadrant_quadrature_oracle(pair: SymmetrizedPair) -> JointStats:
     """Quadrant probabilities, split at x = 0, by direct 2D summation of the joint density.
 
     Guards the factorized path in `joint_probabilities`, whose side masses
@@ -211,10 +209,10 @@ def quadrant_quadrature_oracle(
     once and the columns beyond it twice.  That is O(G^2 / 2) work and
     at most `_ORACLE_BLOCK` x G density values at a time, 24 bytes each
     while a block is built: at G = 4096 a 1.0 MB traced peak and
-    0.08-0.10 s (2-core x86-64 host).  Refuses grids beyond `max_points`.
+    0.08-0.10 s (2-core x86-64 host).  Refuses grids beyond `_ORACLE_MAX_POINTS`.
     """
     grid = pair.psi_a.grid
-    check_oracle_budget(grid.points, max_points)
+    check_oracle_budget(grid.points)
     i0 = grid.split_index
     height = min(_ORACLE_BLOCK, i0)
     w2 = grid.dx * grid.dx

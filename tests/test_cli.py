@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import pairstats
-from pairstats import cli, experiment, propagator
+from pairstats import cli, experiment, propagator, twoparticle
 from pairstats.cli import (
     EXIT_ALL_INVALID,
     EXIT_CALIBRATION,
@@ -247,6 +247,10 @@ class TestConfigFileErrors:
         path = write_ini(tmp_path, sweep_values="2.0 nope")
         assert main(["sweep", "--config", path]) == EXIT_USAGE
         assert "bad sweep values" in capsys.readouterr().err
+
+    def test_sweep_values_split_on_commas_and_spaces(self, tmp_path):
+        _, sweep_block = cli._load_config_file(write_ini(tmp_path, sweep_values="0, 1.5,3"))
+        assert sweep_block == {"parameter": "separation_d", "values": (0.0, 1.5, 3.0)}
 
     def test_incomplete_sweep_block_rejected(self, tmp_path, capsys):
         path = write_ini(tmp_path, extra="\n[sweep]\nparameter = separation_d\n")
@@ -494,6 +498,15 @@ class TestRunCommand:
         path = write_ini(tmp_path, sign="fermion", separation="0")
         assert main(["run", "--config", path]) == EXIT_DEGENERATE
         assert "degenerate" in capsys.readouterr().err
+
+    def test_error_outside_the_exit_code_table_exits_1(self, tmp_path, capsys, monkeypatch):
+        # no tolerance holds the quadrant sum rule: the read-out raises ConsistencyError
+        monkeypatch.setattr(twoparticle, "SUM_RULE_TOL", -1.0)
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_ini(tmp_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "sum rule" in err
+        assert not (out / "run.csv").exists()
 
 
 class TestSweepCommand:

@@ -51,7 +51,6 @@ from pairstats.grid import WavepacketSpec, make_gaussian
 from pairstats.occupancy import classify_pair
 from pairstats.propagator import (
     CHECK_EVERY,
-    BarrierPotential,
     PropagationParams,
     evolve,
     measurement_ready,
@@ -385,9 +384,9 @@ class TestRunScenario:
         configs = [apply_sweep_parameter(base, "separation_d", d) for d in (0.0, 2.0, 4.0)]
         barrier = base.barrier()
         monkeypatch.setattr(experiment, "DEFAULT_BARRIER_AMPLITUDE_MAX", 1e-6)
-        fine_steps = {state[2] for _, state in evolve_pair_to_measurement(configs, barrier)}
+        fine_steps = {state[2] for _, state in evolve_pair_to_measurement(configs)}
         monkeypatch.setattr(experiment, "DEFAULT_BARRIER_AMPLITUDE_MAX", 1e-8)
-        yielded = list(evolve_pair_to_measurement(configs, barrier))
+        yielded = list(evolve_pair_to_measurement(configs))
         assert sorted(i for i, _ in yielded) == [0, 1, 2]
         assert not any(isinstance(state, PairStatsError) for _, state in yielded)
         for _, (psi_a, psi_b, steps_done, leakage) in yielded:
@@ -401,7 +400,7 @@ class TestRunScenario:
         values = (6.0, 0.0, 4.0, 2.0)
         configs = [apply_sweep_parameter(base, "separation_d", d) for d in values]
         yielded = [(i, state[2]) for i, state in
-                   evolve_pair_to_measurement(configs, base.barrier())]
+                   evolve_pair_to_measurement(configs)]
         assert yielded == [(0, 5000), (1, 5000), (2, 5000), (3, 5000)]
         rows = sweep(SweepConfig(base, "separation_d", values))
         assert [row.param for row in rows] == list(values)
@@ -415,12 +414,27 @@ class TestRunScenario:
         values = (0.0, -1.0, 1.0)
         configs = [apply_sweep_parameter(base, "wavenumber_dk", dk) for dk in values]
         barrier = base.barrier()
-        yielded = list(evolve_pair_to_measurement(configs, barrier))
+        yielded = list(evolve_pair_to_measurement(configs))
         assert [(i, state[2]) for i, state in yielded] == [(0, 5000), (2, 6200), (1, 8600)]
         for i, (psi_a, psi_b, _, _) in yielded:
             # at dk = 0 the composed B is B's outgoing state and may sit on the barrier
             on_barrier = propagator.barrier_region_amplitude(psi_b, barrier)
             assert (on_barrier <= propagator.COMPOSED_B_AMPLITUDE_MAX) == (values[i] != 0.0)
+
+    def test_a_mixed_list_reads_each_offset_from_its_own_flight(self):
+        # A flies free further at dk = 0 than at an offset, so a dk = 0
+        # config listed beside a dk != 0 one is read as if flown alone
+        base = small_scenario()
+        mixed = dict(evolve_pair_to_measurement([base, replace(base, wavenumber_offset=0.5)]))
+        ((_, alone),) = evolve_pair_to_measurement([base])
+        assert mixed[0][2:] == alone[2:]
+        for together, lone in zip(mixed[0][:2], alone[:2]):
+            assert together.t == lone.t
+            assert np.array_equal(together.values, lone.values)
+
+    def test_an_unresolved_scenario_is_refused_before_it_flies(self):
+        with pytest.raises(ConfigurationError, match="resolve_barrier first"):
+            list(evolve_pair_to_measurement([small_scenario(barrier_height=None)]))
 
     def test_a_scenario_gate_is_the_calibration_s_alone(self):
         # on a width-1.0 barrier the gate 1e-3 reads the calibration run
@@ -444,14 +458,13 @@ class TestRunScenario:
 
     def test_unready_stability_packets_are_refused(self):
         # launch states sitting on the barrier, re-measured one step later
-        config = small_scenario(stability_fractions=(0.1,))
+        config = small_scenario(stability_fractions=(0.1,), barrier_height=8.0)
         grid = config.grid()
         psi_a = make_gaussian(grid, WavepacketSpec(-1.0, 0.0, 0.8))
         psi_b = make_gaussian(grid, WavepacketSpec(-1.5, 0.0, 0.8))
-        barrier = BarrierPotential(8.0, 0.5)
         with pytest.raises(PrematureMeasurementError,
                            match=r"packet A is not ready at t = \S+: amplitude \S+ on the barrier"):
-            experiment._measure(config, barrier, 0.0, psi_a, psi_b, 10, 0.0)
+            experiment._measure(config, 0.0, psi_a, psi_b, 10, 0.0)
 
     def test_pair_yet_to_scatter_is_refused_at_its_stability_time(self):
         # launch states far left of the barrier and moving right, 200 steps
@@ -463,7 +476,7 @@ class TestRunScenario:
         with pytest.raises(PrematureMeasurementError,
                            match=r"packet A is not ready at t = \S+: mass \S+ "
                                  r"still moving towards the barrier"):
-            experiment._measure(config, config.barrier(), 3.0, psi_a, psi_b, 2000, 0.0)
+            experiment._measure(config, 3.0, psi_a, psi_b, 2000, 0.0)
 
     def test_b_launched_at_the_box_edge_is_read_before_it_scatters_and_invalid(self):
         # B starts 6.05 sigma from the left edge: its launch tail already
@@ -861,7 +874,7 @@ class TestDirectReference:
         base = small_scenario()
         configs = [apply_sweep_parameter(base, "separation_d", d) for d in (2.0, 13.2)]
         yielded = [(i, state[2]) for i, state in
-                   evolve_pair_to_measurement(configs, base.barrier())]
+                   evolve_pair_to_measurement(configs)]
         assert yielded == [(0, 5800), (1, 5800)]
         config = configs[1]
         real_b = evolve(make_gaussian(config.grid(), config.spec_b()), config.barrier(),
